@@ -139,6 +139,15 @@ _HTML_RX = re.compile(
 )
 
 
+def _code_point(cp: int) -> Optional[str]:
+    """The character of a numeric entity, or None (pass through verbatim)
+    when ``cp`` is not a Unicode scalar value: above U+10FFFF, or a
+    UTF-16 surrogate that would leave the text unencodable."""
+    if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
+        return None
+    return chr(cp)
+
+
 class HTMLStripCharFilter(CharFilter):
     """``HTMLStripCharFilterFactory`` — tags, comments, script/style
     bodies and character entities, with offset correction back into the
@@ -180,10 +189,9 @@ class HTMLStripCharFilter(CharFilter):
                 else:
                     rep = "" if name in _INLINE else "\n"
             elif m.group("decent") is not None:
-                cp = int(m.group("dec"))
-                rep = chr(cp) if cp <= 0x10FFFF else None
+                rep = _code_point(int(m.group("dec")))
             elif m.group("hexent") is not None:
-                rep = chr(int(m.group("hex"), 16))
+                rep = _code_point(int(m.group("hex"), 16))
             else:
                 rep = self._entity(m.group("name"))
             if rep is None:  # escaped/unknown: pass through verbatim

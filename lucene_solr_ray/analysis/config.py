@@ -324,8 +324,7 @@ def index_config_from_schema(
             if f.get("analyzer"):
                 out["analyzer"] = custom_analyzer_from_config(
                     f["analyzer"], loader=loader)
-            continue
-        if ftype == "text":
+        elif ftype == "text":
             extra_fields[name] = name
             if f.get("analyzer"):
                 field_analyzers[name] = custom_analyzer_from_config(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import uuid
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -175,17 +175,10 @@ def _apply_delete(index_dir: str, query=None, stats=None,
 def delete_by_query(index_dir: str, query_str: str, analyzer=None) -> Dict:
     """Delete every doc matching a query string; returns the new manifest
     (``IndexWriter.deleteDocuments(Query)``)."""
-    from lucene_solr_ray.search.searcher import Index, _collect_patterns, rewrite_query
+    from lucene_solr_ray.search.searcher import Index
 
     idx = Index(index_dir)
-    parser = idx.make_parser(analyzer)
-    q = parser.parse(query_str)
-    patterns: List = []
-    _collect_patterns(q, patterns)
-    terms = sorted(set(q.terms()))
-    stats, exp = idx.collect_stats(terms, patterns)
-    if patterns:
-        q = rewrite_query(q, exp)
+    (q,), stats = idx.prepare([idx.make_parser(analyzer).parse(query_str)])
     return _apply_delete(index_dir, query=q, stats=stats)
 
 

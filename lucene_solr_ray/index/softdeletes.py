@@ -33,14 +33,13 @@ from __future__ import annotations
 import os
 import re
 import uuid
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.index.manifest import (
-    SEGMENT_PREFIX,
     commit_manifest,
     read_latest_manifest,
     segment_dir_name,
@@ -51,7 +50,6 @@ __all__ = [
     "soft_delete_doc_ids",
     "soft_update_documents",
     "soft_deleted_ords",
-    "committed_soft_gen",
     "apply_soft_deletes_policy",
 ]
 
@@ -74,31 +72,13 @@ def latest_soft_file(seg_dir: str) -> Optional[str]:
     return best
 
 
-def committed_soft_gen(seg_dir: str) -> int:
-    """The segment's soft-delete generation per the COMMITTED manifest
-    (0 = none); -1 for standalone segment dirs (fall back to dir scan)."""
-    base = os.path.basename(os.path.normpath(seg_dir))
-    if not base.startswith(SEGMENT_PREFIX):
-        return -1
-    try:
-        seg_id = int(base[len(SEGMENT_PREFIX):])
-    except ValueError:
-        return -1
-    manifest = read_latest_manifest(
-        os.path.dirname(os.path.normpath(seg_dir))
-    )
-    if manifest is None:
-        return -1
-    for s in manifest["segments"]:
-        if int(s["segment_id"]) == seg_id:
-            return int(s.get("soft_del_gen", 0))
-    return -1
-
-
 def soft_deleted_ords(seg_dir: str) -> np.ndarray:
     """Sorted soft-deleted ordinals from the COMMITTED sidecar generation
     (manifest-resolved; newest on-disk file for standalone dirs)."""
-    gen = committed_soft_gen(seg_dir)
+    from lucene_solr_ray.search.reader import committed_segment
+
+    seg = committed_segment(seg_dir)
+    gen = -1 if seg is None else int(seg.get("soft_del_gen", 0))
     if gen == 0:
         return np.empty(0, dtype=np.int64)
     f = f"softdel-{gen}.parquet" if gen > 0 else latest_soft_file(seg_dir)
@@ -201,20 +181,10 @@ def soft_delete_by_query(index_dir: str, query_str: str,
                          analyzer=None) -> Dict:
     """Soft-delete every doc matching a query string (the
     ``softUpdateDocument`` marker half); returns the new manifest."""
-    from lucene_solr_ray.search.searcher import (
-        Index,
-        _collect_patterns,
-        rewrite_query,
-    )
+    from lucene_solr_ray.search.searcher import Index
 
     idx = Index(index_dir)
-    parser = idx.make_parser(analyzer)
-    q = parser.parse(query_str)
-    patterns: List = []
-    _collect_patterns(q, patterns)
-    stats, exp = idx.collect_stats(sorted(set(q.terms())), patterns)
-    if patterns:
-        q = rewrite_query(q, exp)
+    (q,), stats = idx.prepare([idx.make_parser(analyzer).parse(query_str)])
     return _apply_soft_delete(index_dir, query=q, stats=stats)
 
 
@@ -334,11 +304,7 @@ def apply_soft_deletes_policy(
     One manifest commit; returns it."""
     import ray.data
 
-    from lucene_solr_ray.search.searcher import (
-        Index,
-        _collect_patterns,
-        rewrite_query,
-    )
+    from lucene_solr_ray.search.searcher import Index
 
     manifest = read_latest_manifest(index_dir)
     if manifest is None:
@@ -346,15 +312,11 @@ def apply_soft_deletes_policy(
     q = stats = None
     if retention_query is not None:
         idx = Index(index_dir)
-        parser = idx.make_parser(analyzer)
-        q = parser.parse(retention_query)
         # wildcard/prefix/fuzzy retention terms expand the same way
         # soft_delete_by_query's do — before the per-segment fan-out
-        patterns: List = []
-        _collect_patterns(q, patterns)
-        stats, exp = idx.collect_stats(sorted(set(q.terms())), patterns)
-        if patterns:
-            q = rewrite_query(q, exp)
+        (q,), stats = idx.prepare(
+            [idx.make_parser(analyzer).parse(retention_query)]
+        )
     segs = {s["segment_id"]: dict(s) for s in manifest["segments"]}
     items = [
         {

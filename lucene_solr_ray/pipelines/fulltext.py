@@ -91,10 +91,10 @@ def bm25_topk(sf_dir: str) -> pa.Table:
     idx = documents_index(sf_dir)
     # ONE batched search job for the whole query set (one stats pass + one
     # scoring pass over all segments), with per-query k via search_parsed.
-    # Oracle-tie hardening (TODO-ROUND5 #9): DuckDB's parallel SUM
-    # accumulation order can flip exact-f64 ranks at ulp-tied boundaries
-    # on multi-term queries — over-fetch 3×k, re-rank BOTH sides on the
-    # ROUNDED score with doc_id tiebreak, cut to k.
+    # Oracle-tie hardening: DuckDB's parallel SUM accumulation order can
+    # flip exact-f64 ranks at ulp-tied boundaries on multi-term queries —
+    # over-fetch 3×k, re-rank BOTH sides on the ROUNDED score with doc_id
+    # tiebreak, cut to k.
     import pandas as pd
 
     parser = idx.make_parser()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -126,6 +126,35 @@ def _parent_ords(reader, parent_col: str) -> np.ndarray:
     return hit
 
 
+def _collect_join_terms(pairs, q, stats, ffield: Optional[str]):
+    """Join gather collector: the ``ffield`` terms of the docs matching
+    ``q`` — walk the field's slice of the term dictionary and intersect
+    postings with the hits."""
+    import pyarrow as pa
+
+    from lucene_solr_ray.index.segment import FIELD_SEP
+    from lucene_solr_ray.search.scorer import score_segment
+
+    vals = set()
+    for reader, _ in pairs:
+        ords, _ = score_segment(reader, q, stats)
+        if len(ords) == 0:
+            continue
+        pre = (ffield + FIELD_SEP) if ffield else ""
+        for t in reader.terms:
+            if ffield:
+                if not t.startswith(pre):
+                    continue
+            elif FIELD_SEP in t:
+                continue
+            p = reader.postings(t)
+            if p is None:
+                continue
+            if len(np.intersect1d(p[0], ords)):
+                vals.add(t[len(pre):])
+    return pa.table({"value": pa.array(sorted(vals), pa.string())})
+
+
 def join_util_query(
     index,
     from_query_str: str,
@@ -141,75 +170,22 @@ def join_util_query(
     ``from_field``/``to_field`` are indexed keyword fields (None = the
     default text field).  The gathered term set is bounded by the
     from-side's distinct values — the small side of a lookup join."""
-    import ray.data
+    from functools import partial
 
-    from lucene_solr_ray.index.segment import FIELD_SEP, field_term
+    from lucene_solr_ray.index.segment import field_term
     from lucene_solr_ray.search.query import (
         ConstantScoreQuery,
         MatchNoDocsQuery,
         TermInSetQuery,
     )
-    from lucene_solr_ray.search.searcher import (
-        _collect_patterns,
-        rewrite_query,
+
+    (fq,), stats = index.prepare(
+        [index.make_parser(analyzer).parse(from_query_str)]
     )
-
-    parser = index.make_parser(analyzer)
-    fq = parser.parse(from_query_str)
-    patterns: List[Query] = []
-    _collect_patterns(fq, patterns)
-    stats, exp = index.collect_stats(sorted(set(fq.terms())), patterns)
-    if patterns:
-        fq = rewrite_query(fq, exp)
-
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-
-    class _GatherTerms:
-        def __init__(self, q, stats, ffield):
-            self.q = q
-            self.stats = stats
-            self.ffield = ffield
-
-        def __call__(self, batch):
-            import pyarrow as pa
-
-            from lucene_solr_ray.search.reader import SegmentReader
-            from lucene_solr_ray.search.scorer import score_segment
-            from lucene_solr_ray.search.searcher import _has_phrase
-
-            vals = set()
-            for seg_dir in batch.column("seg_dir").to_pylist():
-                reader = SegmentReader(
-                    seg_dir, load_positions=_has_phrase(self.q)
-                )
-                ords, _ = score_segment(reader, self.q, self.stats)
-                if len(ords) == 0:
-                    continue
-                # matching docs' from_field terms: walk the field's slice
-                # of the term dictionary and intersect postings with hits
-                pre = (self.ffield + FIELD_SEP) if self.ffield else ""
-                for t in reader.terms:
-                    if self.ffield:
-                        if not t.startswith(pre):
-                            continue
-                    elif FIELD_SEP in t:
-                        continue
-                    p = reader.postings(t)
-                    if p is None:
-                        continue
-                    if len(np.intersect1d(p[0], ords)):
-                        vals.add(t[len(pre):])
-            return pa.table({"value": pa.array(sorted(vals), pa.string())})
-
-    rows = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(
-            _GatherTerms(fq, stats, from_field), batch_format="pyarrow"
-        )
-        .take_all()
-    )
+    rows = index.scan(
+        partial(_collect_join_terms, q=fq, stats=stats, ffield=from_field),
+        [fq],
+    ).take_all()
     values = sorted({r["value"] for r in rows})
     if not values:
         return MatchNoDocsQuery("join: no from-side values")

@@ -17,8 +17,9 @@ Reference semantics:
   solr/contrib/ltr/src/java/org/apache/solr/ltr/norm/{MinMax,Standard,
     Identity}Normalizer.java
 
-Ray shape: feature extraction is ONE ``map_batches`` job over segment
-dirs — per segment the first-pass query produces its top-``window``
+Ray shape: feature extraction is ONE ``Index.scan`` over the segments
+with the :func:`_collect_features` collector — per segment the
+first-pass query produces its top-``window``
 partial and every feature column is computed for exactly those ords
 (norm decode, points lookup, feature-query scores via the same segment
 scorer).  Only segments × window × (2 + n_features) scalars reach the
@@ -28,7 +29,7 @@ driver; the model itself runs vectorized on that bounded window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -270,6 +271,72 @@ class NeuralNetworkModel:
 # ---------------------------------------------------------------------------
 
 
+def _collect_features(pairs, q1, fqs, features, efi, stats, sim,
+                      window: int) -> pa.Table:
+    """LTR feature collector: each segment's first-pass top-``window``
+    ords with every feature column computed for exactly those ords."""
+    from lucene_solr_ray.search.scorer import score_segment, topk_segment
+
+    schema = pa.schema(
+        [("doc_id", pa.int64()), ("first", pa.float64())]
+        + [(f"f__{f.name}", pa.float64()) for f in features]
+    )
+    cols: Dict[str, list] = {n: [] for n in schema.names}
+    for reader, _ in pairs:
+        ords, s1 = topk_segment(reader, q1, stats, window, sim)
+        if len(ords) == 0:
+            continue
+        cols["doc_id"].extend(
+            reader.doc_ids[ords].astype(np.int64).tolist()
+        )
+        cols["first"].extend(s1.astype(np.float64).tolist())
+        for f in features:
+            name = f"f__{f.name}"
+            if isinstance(f, OriginalScoreFeature):
+                vals = s1.astype(np.float64)
+            elif isinstance(f, ValueFeature):
+                if f.efi_key:
+                    if f.efi_key not in efi and f.required:
+                        raise KeyError(
+                            f"ValueFeature {f.name!r}: required "
+                            f"external feature value "
+                            f"{f.efi_key!r} missing from efi"
+                        )
+                    v = efi.get(f.efi_key, f.default)
+                else:
+                    v = f.value
+                vals = np.full(len(ords), float(v))
+            elif isinstance(f, FieldLengthFeature):
+                nb = reader.norms_for(f.field)[ords].astype(np.int64)
+                vals = BYTE4_DECODE_TABLE[nb & 0xFF].astype(np.float64)
+            elif isinstance(f, FieldValueFeature):
+                pts = reader.points(f.field)
+                vals = np.full(len(ords), float(f.default))
+                if pts is not None:
+                    pvals, pords = pts
+                    order = np.argsort(pords, kind="stable")
+                    po, pv = pords[order], pvals[order]
+                    ix = np.searchsorted(po, ords)
+                    ixc = np.minimum(ix, max(len(po) - 1, 0))
+                    hit = (ix < len(po)) & (po[ixc] == ords)
+                    vals[hit] = pv[ixc[hit]]
+            elif isinstance(f, SolrFeature):
+                fo, fs = score_segment(reader, fqs[f.name], stats, sim)
+                vals = np.full(len(ords), float(f.default))
+                if len(fo):
+                    ix = np.searchsorted(fo, ords)
+                    ixc = np.minimum(ix, len(fo) - 1)
+                    hit = (ix < len(fo)) & (fo[ixc] == ords)
+                    vals[hit] = fs[ixc[hit]]
+            else:
+                raise TypeError(f"unknown feature {f!r}")
+            cols[name].extend(vals.tolist())
+    return pa.Table.from_pydict(
+        {n: pa.array(cols[n], schema.field(n).type) for n in schema.names},
+        schema=schema,
+    )
+
+
 def ltr_rescore(
     index,
     first_query: str,
@@ -289,135 +356,27 @@ def ltr_rescore(
     Returns (doc_id, rank, score, first_pass) — rank 1-based over the
     re-ranked top-``k``; ties broken by ascending doc_id like the
     reference comparator."""
-    import ray.data
+    from functools import partial
 
-    from lucene_solr_ray.search.query import Query
-    from lucene_solr_ray.search.reader import (
-        SegmentReader,
-        reader_cache_key,
-    )
-    from lucene_solr_ray.search.searcher import (
-        _collect_patterns,
-        _has_phrase,
-        rewrite_query,
-    )
     from lucene_solr_ray.search.similarity import BM25Similarity
 
     feature_names = [f.name for f in features]
     if hasattr(model, "validate"):
         model.validate(feature_names)
     norms = dict(norms or {})
-    efi = dict(efi or {})
 
     parser = index.make_parser(analyzer)
-    q1 = parser.parse(first_query)
-    fqs: Dict[str, Query] = {
-        f.name: parser.parse(f.q)
-        for f in features if isinstance(f, SolrFeature)
-    }
-    patterns: List[Query] = []
-    _collect_patterns(q1, patterns)
-    for q in fqs.values():
-        _collect_patterns(q, patterns)
-    terms = sorted(
-        set(q1.terms()).union(*[set(q.terms()) for q in fqs.values()])
-        if fqs else set(q1.terms())
+    solr = [f for f in features if isinstance(f, SolrFeature)]
+    qs, stats = index.prepare(
+        [parser.parse(first_query)] + [parser.parse(f.q) for f in solr]
     )
-    stats, exp = index.collect_stats(terms, patterns)
-    if patterns:
-        q1 = rewrite_query(q1, exp)
-        fqs = {n: rewrite_query(q, exp) for n, q in fqs.items()}
-    sim = similarity or BM25Similarity()
-
-    need_pos = _has_phrase(q1) or any(_has_phrase(q) for q in fqs.values())
-    schema = pa.schema(
-        [("doc_id", pa.int64()), ("first", pa.float64())]
-        + [(f"f__{n}", pa.float64()) for n in feature_names]
-    )
-
-    class _FeatureFn:
-        def __init__(self):
-            self._readers: Dict = {}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from lucene_solr_ray.search.scorer import (
-                score_segment,
-                topk_segment,
-            )
-
-            cols: Dict[str, list] = {n: [] for n in schema.names}
-            for seg_dir in batch.column("seg_dir").to_pylist():
-                key = reader_cache_key(seg_dir)
-                reader = self._readers.get(key)
-                if reader is None:
-                    reader = SegmentReader(seg_dir, load_positions=need_pos)
-                    self._readers[key] = reader
-                ords, s1 = topk_segment(reader, q1, stats, window, sim)
-                if len(ords) == 0:
-                    continue
-                cols["doc_id"].extend(
-                    reader.doc_ids[ords].astype(np.int64).tolist()
-                )
-                cols["first"].extend(s1.astype(np.float64).tolist())
-                for f in features:
-                    name = f"f__{f.name}"
-                    if isinstance(f, OriginalScoreFeature):
-                        vals = s1.astype(np.float64)
-                    elif isinstance(f, ValueFeature):
-                        if f.efi_key:
-                            if f.efi_key not in efi and f.required:
-                                raise KeyError(
-                                    f"ValueFeature {f.name!r}: required "
-                                    f"external feature value "
-                                    f"{f.efi_key!r} missing from efi"
-                                )
-                            v = efi.get(f.efi_key, f.default)
-                        else:
-                            v = f.value
-                        vals = np.full(len(ords), float(v))
-                    elif isinstance(f, FieldLengthFeature):
-                        nb = reader.norms_for(f.field)[ords].astype(np.int64)
-                        vals = BYTE4_DECODE_TABLE[nb & 0xFF].astype(
-                            np.float64
-                        )
-                    elif isinstance(f, FieldValueFeature):
-                        pts = reader.points(f.field)
-                        vals = np.full(len(ords), float(f.default))
-                        if pts is not None:
-                            pvals, pords = pts
-                            order = np.argsort(pords, kind="stable")
-                            po, pv = pords[order], pvals[order]
-                            ix = np.searchsorted(po, ords)
-                            ixc = np.minimum(ix, max(len(po) - 1, 0))
-                            hit = (ix < len(po)) & (po[ixc] == ords)
-                            vals[hit] = pv[ixc[hit]]
-                    elif isinstance(f, SolrFeature):
-                        fo, fs = score_segment(
-                            reader, fqs[f.name], stats, sim
-                        )
-                        vals = np.full(len(ords), float(f.default))
-                        if len(fo):
-                            ix = np.searchsorted(fo, ords)
-                            ixc = np.minimum(ix, len(fo) - 1)
-                            hit = (ix < len(fo)) & (fo[ixc] == ords)
-                            vals[hit] = fs[ixc[hit]]
-                    else:
-                        raise TypeError(f"unknown feature {f!r}")
-                    cols[name].extend(vals.tolist())
-            return pa.Table.from_pydict(
-                {n: pa.array(cols[n], schema.field(n).type)
-                 for n in schema.names},
-                schema=schema,
-            )
-
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    df = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(_FeatureFn, batch_format="pyarrow", concurrency=(1, 4))
-        .to_pandas()
-    )
+    df = index.scan(
+        partial(_collect_features, q1=qs[0],
+                fqs={f.name: q for f, q in zip(solr, qs[1:])},
+                features=list(features), efi=dict(efi or {}), stats=stats,
+                sim=similarity or BM25Similarity(), window=window),
+        qs,
+    ).to_pandas()
     if df.empty:
         return pa.table(
             {"doc_id": pa.array([], pa.int64()),

@@ -23,8 +23,8 @@ from lucene_solr_ray.index.postings_codec import decode_postings
 __all__ = [
     "SegmentReader",
     "latest_deletes_file",
+    "committed_segment",
     "committed_gens",
-    "reader_cache_key",
 ]
 
 _DELETES_RE = __import__("re").compile(r"^deletes-(\d+)\.parquet$")
@@ -55,17 +55,17 @@ def latest_deletes_file(seg_dir: str) -> Optional[str]:
     return best
 
 
-def committed_gens(seg_dir: str) -> Optional[Tuple[int, Dict[str, int]]]:
-    """``(del_gen, dv_gens)`` of this segment per the COMMITTED manifest of
-    the enclosing index directory, or None if the segment is standalone
-    (no manifest, or not listed in it).
+def committed_segment(seg_dir: str) -> Optional[Dict]:
+    """This segment's entry in the COMMITTED manifest of the enclosing
+    index directory, or None if the segment is standalone (no manifest,
+    or not listed in it).
 
     This is the reader-side source of truth for sidecar visibility — the
     ``SegmentCommitInfo.getDelGen()/getDocValuesGen()`` role (reference
     ``lucene/core/src/java/org/apache/lucene/index/SegmentCommitInfo.java``):
-    a delete/DV-update sidecar written but not yet committed must not be
-    observed, and a crash between sidecar write and commit leaves the
-    previous commit point fully intact."""
+    a delete/DV-update/soft-delete sidecar written but not yet committed
+    must not be observed, and a crash between sidecar write and commit
+    leaves the previous commit point fully intact."""
     from lucene_solr_ray.index.manifest import (
         SEGMENT_PREFIX,
         read_latest_manifest,
@@ -83,21 +83,20 @@ def committed_gens(seg_dir: str) -> Optional[Tuple[int, Dict[str, int]]]:
         return None
     for s in manifest["segments"]:
         if int(s["segment_id"]) == seg_id:
-            return (
-                int(s.get("del_gen", 0)),
-                {k: int(v) for k, v in (s.get("dv_gens") or {}).items()},
-            )
+            return s
     return None
 
 
-def reader_cache_key(seg_dir: str) -> Tuple:
-    """Cache key for reader caches that must refresh when the committed
-    live-docs / DV-update generation advances (actor-side reader caches).
-    Falls back to the newest on-disk sidecar for standalone segments."""
-    gens = committed_gens(seg_dir)
-    if gens is not None:
-        return (seg_dir, gens[0], tuple(sorted(gens[1].items())))
-    return (seg_dir, latest_deletes_file(seg_dir))
+def committed_gens(seg_dir: str) -> Optional[Tuple[int, Dict[str, int]]]:
+    """``(del_gen, dv_gens)`` of this segment per the COMMITTED manifest
+    (:func:`committed_segment`), or None for a standalone segment."""
+    s = committed_segment(seg_dir)
+    if s is None:
+        return None
+    return (
+        int(s.get("del_gen", 0)),
+        {k: int(v) for k, v in (s.get("dv_gens") or {}).items()},
+    )
 
 
 def _list_views(col: pa.ChunkedArray) -> Tuple[np.ndarray, np.ndarray]:

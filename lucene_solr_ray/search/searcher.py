@@ -1,4 +1,4 @@
-"""Distributed query pipeline: segments → per-segment top-k → TopDocs merge.
+"""Distributed query pipeline: segments → per-segment collectors → merge.
 
 The Ray-Data shape of ``IndexSearcher.search(Query, n)``
 (``lucene/core/src/java/org/apache/lucene/search/IndexSearcher.java:428``):
@@ -11,9 +11,14 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    all leaves + ``collectionStatistics`` summing leaves (``:764-792``) and
    to Solr's ``ExactStatsCache`` extra round-trip (rank-identical across
    shardings, unlike the default LocalStatsCache).
-3. **Scoring pass** — an actor-pool ``map_batches`` over the segment list;
-   each actor caches loaded ``SegmentReader``s (state amortized across
-   batches and queries) and emits its segments' top-k rows per query.
+   Steps 1–2 are :meth:`Index.prepare`, shared by every batch search.
+3. **Segment scan** — :meth:`Index.scan`, one stateless ``map_batches``
+   over the segment list: each task opens its batch's ``SegmentReader``s
+   once and hands the ``(reader, seg_ord)`` pairs to a *collector*, a
+   plain callable returning one Arrow table (the ``Collector`` /
+   ``LeafCollector`` split).  Collectors here: top score, field sort,
+   multi-field sort, count, grouped, export, rescore; LTR features, join
+   gather and topic pull live with their features.
 4. **Merge** — ``TopDocs.merge`` tie-break (score desc, segment asc,
    doc asc — ``search/TopDocs.java:72-115,188-250``) on the driver; the
    merge input is ≤ segments × queries × k tiny rows.
@@ -26,7 +31,8 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -436,105 +442,65 @@ class _StatsFn:
         )
 
 
-class _SearchFn:
-    """Actor-pool scoring stage: caches SegmentReaders across batches."""
-
-    def __init__(
-        self,
-        queries: List[Tuple[int, Query, int]],
-        stats: GlobalStats,
-        sim: "BM25Similarity",
-        need_positions: bool,
-        respect_soft_deletes: bool = False,
-    ):
-        self.queries = queries
-        self.stats = stats
-        self.sim = sim
-        self.need_positions = need_positions
-        self.respect_soft_deletes = respect_soft_deletes
-        self._readers: Dict[str, SegmentReader] = {}
-
-    def _reader(self, seg_dir: str) -> SegmentReader:
-        from lucene_solr_ray.search.reader import reader_cache_key
-
-        # cache key includes the COMMITTED live-docs/DV generations: a
-        # delete or DV update committed between searches must not serve a
-        # stale cached reader (and an uncommitted sidecar must not bust it)
-        key = (reader_cache_key(seg_dir), self.respect_soft_deletes)
-        if self.respect_soft_deletes:
-            from lucene_solr_ray.index.softdeletes import committed_soft_gen
-
-            key = key + (committed_soft_gen(seg_dir),)
-        r = self._readers.get(key)
-        if r is None:
-            r = SegmentReader(
-                seg_dir, load_positions=self.need_positions,
-                respect_soft_deletes=self.respect_soft_deletes,
-            )
-            self._readers[key] = r
-        return r
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids: List[int] = []
-        doc_ids: List[np.ndarray] = []
-        scores: List[np.ndarray] = []
-        seg_ords: List[np.ndarray] = []
-        ords_out: List[np.ndarray] = []
-        # per-batch partial merge: when one task scores MANY segments
-        # (batched executor plans, 10^6-segment indexes), only the
-        # batch-wide top-k per query leaves the task — the driver merge
-        # sees k × tasks rows, not k × segments (global top-k of a union
-        # == top-k of per-batch top-k unions)
-        per_q: Dict[int, List] = {qid: [] for qid, _, _ in self.queries}
-        for seg_dir, seg_ord in zip(
-            batch.column("seg_dir").to_pylist(),
-            batch.column("seg_ord").to_pylist(),
-        ):
-            reader = self._reader(seg_dir)
-            for qid, q, k in self.queries:
-                o, s = topk_segment(reader, q, self.stats, k, self.sim)
-                if len(o):
-                    per_q[qid].append(
-                        (reader.doc_ids[o], s,
-                         np.full(len(o), seg_ord, dtype=np.int32), o)
-                    )
-        for qid, q, k in self.queries:
-            parts = per_q[qid]
-            if not parts:
-                continue
-            d = np.concatenate([p[0] for p in parts])
-            s = np.concatenate([p[1] for p in parts])
-            g = np.concatenate([p[2] for p in parts])
-            o = np.concatenate([p[3] for p in parts])
-            if len(d) > k:
-                # same comparator as the driver merge: score desc, then
-                # global doc_id asc (segmentation-invariant ties)
-                sel = np.lexsort((d, -s.astype(np.float64)))[:k]
-                d, s, g, o = d[sel], s[sel], g[sel], o[sel]
-            qids.extend([qid] * len(d))
-            doc_ids.append(d)
-            scores.append(s)
-            seg_ords.append(g)
-            ords_out.append(o)
-        if not qids:
-            return pa.table(
-                {
-                    "qid": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "score": pa.array([], pa.from_numpy_dtype(self.sim.out_dtype)),
-                    "seg_ord": pa.array([], pa.int32()),
-                    "ord": pa.array([], pa.int32()),
-                }
-            )
+def _collect_topk(pairs, parsed, stats: GlobalStats,
+                  sim: BM25Similarity) -> pa.Table:
+    """Top-score collector: each query's top-k rows over the batch."""
+    qids: List[int] = []
+    doc_ids: List[np.ndarray] = []
+    scores: List[np.ndarray] = []
+    seg_ords: List[np.ndarray] = []
+    ords_out: List[np.ndarray] = []
+    # per-batch partial merge: when one task scores MANY segments
+    # (batched executor plans, 10^6-segment indexes), only the
+    # batch-wide top-k per query leaves the task — the driver merge
+    # sees k × tasks rows, not k × segments (global top-k of a union
+    # == top-k of per-batch top-k unions)
+    per_q: Dict[int, List] = {qid: [] for qid, _, _ in parsed}
+    for reader, seg_ord in pairs:
+        for qid, q, k in parsed:
+            o, s = topk_segment(reader, q, stats, k, sim)
+            if len(o):
+                per_q[qid].append(
+                    (reader.doc_ids[o], s,
+                     np.full(len(o), seg_ord, dtype=np.int32), o)
+                )
+    for qid, q, k in parsed:
+        parts = per_q[qid]
+        if not parts:
+            continue
+        d = np.concatenate([p[0] for p in parts])
+        s = np.concatenate([p[1] for p in parts])
+        g = np.concatenate([p[2] for p in parts])
+        o = np.concatenate([p[3] for p in parts])
+        if len(d) > k:
+            # same comparator as the driver merge: score desc, then
+            # global doc_id asc (segmentation-invariant ties)
+            sel = np.lexsort((d, -s.astype(np.float64)))[:k]
+            d, s, g, o = d[sel], s[sel], g[sel], o[sel]
+        qids.extend([qid] * len(d))
+        doc_ids.append(d)
+        scores.append(s)
+        seg_ords.append(g)
+        ords_out.append(o)
+    if not qids:
         return pa.table(
             {
-                "qid": pa.array(qids, pa.int64()),
-                "doc_id": pa.array(np.concatenate(doc_ids)),
-                "score": pa.array(np.concatenate(scores)),
-                "seg_ord": pa.array(np.concatenate(seg_ords)),
-                "ord": pa.array(np.concatenate(ords_out)),
+                "qid": pa.array([], pa.int64()),
+                "doc_id": pa.array([], pa.int64()),
+                "score": pa.array([], pa.from_numpy_dtype(sim.out_dtype)),
+                "seg_ord": pa.array([], pa.int32()),
+                "ord": pa.array([], pa.int32()),
             }
         )
+    return pa.table(
+        {
+            "qid": pa.array(qids, pa.int64()),
+            "doc_id": pa.array(np.concatenate(doc_ids)),
+            "score": pa.array(np.concatenate(scores)),
+            "seg_ord": pa.array(np.concatenate(seg_ords)),
+            "ord": pa.array(np.concatenate(ords_out)),
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +589,9 @@ class Index:
         SoftDeletesDirectoryReaderWrapper view (soft-deleted docs
         excluded); the default sees them, as the reference's unwrapped
         reader does."""
-        parser = self.make_parser(analyzer)
-        if isinstance(queries, dict):
-            items = sorted(queries.items())
-        else:
-            items = list(enumerate(queries))
-        parsed = [(qid, parser.parse(s), k) for qid, s in items]
         return self.search_parsed(
-            parsed, similarity=similarity, concurrency=concurrency,
+            _parse_batch(self.make_parser(analyzer), queries, k),
+            similarity=similarity, concurrency=concurrency,
             respect_soft_deletes=respect_soft_deletes,
         )
 
@@ -752,6 +713,77 @@ class Index:
         )
         return self.search_parsed([(0, q, k)], similarity=similarity)
 
+    def prepare(
+        self, queries: Sequence[Query]
+    ) -> Tuple[List[Query], GlobalStats]:
+        """Rewrite + exact global stats for a batch of parsed queries —
+        the ``IndexSearcher.rewrite`` + ``createWeight`` step every batch
+        search runs before its scan: multi-term nodes expand against the
+        distributed term dictionary, and the same stats pass returns
+        (df, ttf) for every expansion term, so the rewritten queries need
+        no second pass."""
+        patterns: List[Query] = []
+        for q in queries:
+            _collect_patterns(q, patterns)
+        terms = sorted({t for q in queries for t in q.terms()})
+        stats, exp = self.collect_stats(terms, patterns)
+        if patterns:
+            queries = [rewrite_query(q, exp) for q in queries]
+        return list(queries), stats
+
+    def scan(
+        self,
+        collect,
+        queries: Sequence[Query],
+        concurrency: Optional[int] = None,
+        respect_soft_deletes: bool = False,
+        segments: Optional[Sequence[int]] = None,
+    ):
+        """The segment-scan stage every batch search shares: a Ray
+        Dataset of the tables ``collect`` returns, one call per batch of
+        segments with that batch's ``(SegmentReader, seg_ord)`` pairs.
+
+        Readers load positions only when a query in ``queries`` needs
+        them.  ``segments`` restricts the scan to those segment ordinals
+        (default: all).  Without ``concurrency`` every segment is its own
+        batch; with it, at most ``concurrency`` tasks run and each batch
+        holds ``nseg // concurrency`` segments.
+
+        STATELESS tasks, concurrency = a task cap: each segment is visited
+        exactly once per scan, so every reader is built once regardless of
+        executor shape and an actor pool cannot amortize anything WITHIN a
+        call — and a fresh pool per call measured 3.5× slower than tasks
+        at 64 segments / 32 cpus (pool startup dominates; rechecked round
+        3).  Cross-call reader reuse is the job of the warm
+        ``state.query_engine.QueryEngine`` actor pool."""
+        import ray.data
+
+        seg_dirs = self.seg_dirs
+        items = [
+            {"seg_dir": seg_dirs[i], "seg_ord": i}
+            for i in (range(len(seg_dirs)) if segments is None else segments)
+        ]
+        positions = any(_has_phrase(q) for q in queries)
+
+        def _scan(batch: pa.Table) -> pa.Table:
+            return collect(
+                (SegmentReader(d, load_positions=positions,
+                               respect_soft_deletes=respect_soft_deletes), o)
+                for d, o in zip(batch.column("seg_dir").to_pylist(),
+                                batch.column("seg_ord").to_pylist())
+            )
+
+        kwargs = {}
+        batch_size = 1
+        if concurrency:
+            kwargs["concurrency"] = concurrency
+            batch_size = max(1, len(items) // concurrency)
+        return ray.data.from_items(
+            items, override_num_blocks=len(items)
+        ).map_batches(
+            _scan, batch_format="pyarrow", batch_size=batch_size, **kwargs
+        )
+
     def search_parsed(
         self,
         parsed: List[Tuple[int, Query, int]],
@@ -759,66 +791,30 @@ class Index:
         concurrency: Optional[int] = None,
         respect_soft_deletes: bool = False,
     ) -> pa.Table:
-        import ray.data
-
-        seg_dirs = self.seg_dirs
-        seg_items = [
-            {"seg_dir": d, "seg_ord": i} for i, d in enumerate(seg_dirs)
-        ]
-
-        # 1+2: rewrite + exact global stats
-        patterns: List[Query] = []
-        for _, q, _ in parsed:
-            _collect_patterns(q, patterns)
-        terms = sorted({t for _, q, _ in parsed for t in q.terms()})
-        stats, exp = self.collect_stats(terms, patterns)
-        if patterns:
-            parsed = [
-                (qid, rewrite_query(q, exp), kk) for qid, q, kk in parsed
-            ]
-            # blended rewrites (fuzzy) introduce scoring terms the first
-            # stats pass didn't know — top up their df/ttf
-            extra = sorted(
-                {t for _, q, _ in parsed for t in q.terms()}
-                - set(stats.df)
-            )
-            if extra:
-                more, _ = self.collect_stats(extra)
-                stats.df.update(more.df)
-                stats.ttf.update(more.ttf)
-
-        # 3: scoring pass over segments (actor pool when concurrency given)
-        need_pos = any(
-            _has_phrase(q) for _, q, _ in parsed
-        )
+        parsed, stats = _prepare_batch(self, parsed)
         sim = similarity or BM25Similarity()
-        nseg = len(seg_items)
-        ds = ray.data.from_items(
-            seg_items, override_num_blocks=len(seg_items)
-        )
-        # STATELESS tasks, concurrency = a task cap: each segment is
-        # visited exactly once per search, so every reader is built once
-        # regardless of executor shape and an actor pool cannot amortize
-        # anything WITHIN a call — and a fresh pool per call measured
-        # 3.5× slower than tasks at 64 segments / 32 cpus (pool startup
-        # dominates; rechecked round 3).  Cross-call reader reuse is the
-        # job of the warm ``state.query_engine.QueryEngine`` actor pool.
-        kwargs = {}
-        batch_size = 1
-        if concurrency:
-            kwargs["concurrency"] = concurrency
-            batch_size = max(1, nseg // concurrency)
-        res = ds.map_batches(
-            _SearchFn(parsed, stats, sim, need_pos,
-                      respect_soft_deletes=respect_soft_deletes),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            **kwargs,
-        )
-        rows = res.take_all()
-
-        # 4: TopDocs.merge — score desc, segment asc, doc asc (TopDocs.java)
+        rows = self.scan(
+            partial(_collect_topk, parsed=parsed, stats=stats, sim=sim),
+            [q for _, q, _ in parsed], concurrency=concurrency,
+            respect_soft_deletes=respect_soft_deletes,
+        ).take_all()
+        # TopDocs.merge — score desc, segment asc, doc asc (TopDocs.java)
         return _merge_topk(rows, parsed, sim.out_dtype)
+
+
+def _parse_batch(parser, queries, k: int) -> List[Tuple[int, Query, int]]:
+    """``{qid: text}`` or a list of texts → ``(qid, Query, k)`` triples."""
+    items = (
+        sorted(queries.items()) if isinstance(queries, dict)
+        else list(enumerate(queries))
+    )
+    return [(qid, parser.parse(s), k) for qid, s in items]
+
+
+def _prepare_batch(index: "Index", parsed):
+    """:meth:`Index.prepare` over ``(qid, Query, k)`` triples."""
+    qs, stats = index.prepare([q for _, q, _ in parsed])
+    return [(qid, q, k) for (qid, _, k), q in zip(parsed, qs)], stats
 
 
 def _has_phrase(q: Query) -> bool:
@@ -921,57 +917,39 @@ def field_sort_topk_ords(
     return ords[order], len(ords)
 
 
-class _FieldSortFn:
-    """Per-segment matching + top-k by a docmeta field (TopFieldCollector,
-    reference ``search/TopFieldCollector.java``): matching ords come from
-    the exhaustive evaluator, ranking from the stored per-doc column."""
+def _collect_field_sort(pairs, parsed, stats, field: str,
+                        descending: bool) -> pa.Table:
+    """Field-sort collector: per-segment matching + top-k by a docmeta
+    field (TopFieldCollector, reference ``search/TopFieldCollector.java``):
+    matching ords come from the exhaustive evaluator, ranking from the
+    stored per-doc column."""
+    from lucene_solr_ray.index.docvalues import read_docmeta_column
+    from lucene_solr_ray.search.scorer import score_segment
 
-    def __init__(self, parsed, stats, field: str, descending: bool):
-        self.parsed = parsed
-        self.stats = stats
-        self.field = field
-        self.descending = descending
-        self.need_pos = any(_has_phrase(q) for _, q, _ in parsed)
-        self._readers: Dict[str, SegmentReader] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_solr_ray.index.docvalues import read_docmeta_column
-        from lucene_solr_ray.search.scorer import score_segment
-
-        rows = []
-        for seg_dir, seg_ord in zip(
-            batch.column("seg_dir").to_pylist(),
-            batch.column("seg_ord").to_pylist(),
-        ):
-            from lucene_solr_ray.search.reader import reader_cache_key
-
-            rkey = reader_cache_key(seg_dir)
-            reader = self._readers.get(rkey)
-            if reader is None:
-                reader = SegmentReader(seg_dir, load_positions=self.need_pos)
-                self._readers[rkey] = reader
-            vals, overlaid = read_docmeta_column(seg_dir, self.field)
-            for qid, q, k in self.parsed:
-                ords, _ = score_segment(reader, q, self.stats)
-                sel, _scanned = field_sort_topk_ords(
-                    reader, ords, vals, self.descending, k, self.field,
-                    overlaid=overlaid,
+    rows = []
+    for reader, seg_ord in pairs:
+        vals, overlaid = read_docmeta_column(reader.seg_dir, field)
+        for qid, q, k in parsed:
+            ords, _ = score_segment(reader, q, stats)
+            sel, _scanned = field_sort_topk_ords(
+                reader, ords, vals, descending, k, field,
+                overlaid=overlaid,
+            )
+            for o, v, d in zip(
+                sel, vals[sel].astype(np.float64),
+                reader.doc_ids[sel],
+            ):
+                rows.append(
+                    {"qid": qid, "doc_id": int(d),
+                     "sort_value": float(v), "seg_ord": seg_ord}
                 )
-                for o, v, d in zip(
-                    sel, vals[sel].astype(np.float64),
-                    reader.doc_ids[sel],
-                ):
-                    rows.append(
-                        {"qid": qid, "doc_id": int(d),
-                         "sort_value": float(v), "seg_ord": seg_ord}
-                    )
-        return pa.Table.from_pylist(
-            rows,
-            schema=pa.schema(
-                [("qid", pa.int64()), ("doc_id", pa.int64()),
-                 ("sort_value", pa.float64()), ("seg_ord", pa.int32())]
-            ),
-        )
+    return pa.Table.from_pylist(
+        rows,
+        schema=pa.schema(
+            [("qid", pa.int64()), ("doc_id", pa.int64()),
+             ("sort_value", pa.float64()), ("seg_ord", pa.int32())]
+        ),
+    )
 
 
 def search_by_field(
@@ -987,32 +965,14 @@ def search_by_field(
     Segments built with a matching ``index_sort=(field, descending)``
     early-terminate: the first k matching ords are taken without any
     per-candidate comparison (``field_sort_topk_ords``)."""
-    import ray.data
-
-    parser = index.make_parser(analyzer)
-    items = (
-        sorted(queries.items()) if isinstance(queries, dict)
-        else list(enumerate(queries))
+    parsed, stats = _prepare_batch(
+        index, _parse_batch(index.make_parser(analyzer), queries, k)
     )
-    parsed = [(qid, parser.parse(s), k) for qid, s in items]
-    patterns: List[Query] = []
-    for _, q, _ in parsed:
-        _collect_patterns(q, patterns)
-    terms = sorted({t for _, q, _ in parsed for t in q.terms()})
-    stats, exp = index.collect_stats(terms, patterns)
-    if patterns:
-        parsed = [(qid, rewrite_query(q, exp), kk) for qid, q, kk in parsed]
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    rows = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(
-            _FieldSortFn(parsed, stats, sort_field, descending),
-            batch_format="pyarrow",
-        )
-        .take_all()
-    )
+    rows = index.scan(
+        partial(_collect_field_sort, parsed=parsed, stats=stats,
+                field=sort_field, descending=descending),
+        [q for _, q, _ in parsed],
+    ).take_all()
     by_q: Dict[int, List[dict]] = {qid: [] for qid, _, _ in parsed}
     for r in rows:
         by_q[r["qid"]].append(r)
@@ -1078,60 +1038,45 @@ def _pa_sort_type(dtype) -> "pa.DataType":
     return pa.int64()
 
 
-class _MultiFieldSortFn:
-    """Per-segment matching + top-k by a multi-field docmeta comparator
-    (TopFieldCollector over a multi-field ``Sort``)."""
+def _collect_multi_field_sort(pairs, parsed, stats,
+                              sort_fields: List[tuple]) -> pa.Table:
+    """Multi-field sort collector: per-segment matching + top-k by a
+    multi-field docmeta comparator (TopFieldCollector over a multi-field
+    ``Sort``)."""
+    from lucene_solr_ray.index.docvalues import read_docmeta_column_raw
+    from lucene_solr_ray.search.scorer import score_segment
 
-    def __init__(self, parsed, stats, sort_fields: List[tuple]):
-        self.parsed = parsed
-        self.stats = stats
-        self.sort_fields = [(f, bool(d)) for f, d in sort_fields]
-        self.need_pos = any(_has_phrase(q) for _, q, _ in parsed)
-        self._readers: Dict[str, SegmentReader] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_solr_ray.index.docvalues import read_docmeta_column_raw
-        from lucene_solr_ray.search.reader import reader_cache_key
-        from lucene_solr_ray.search.scorer import score_segment
-
-        rows = []
-        key_dtypes = [np.dtype(np.float64)] * len(self.sort_fields)
-        for seg_dir, seg_ord in zip(
-            batch.column("seg_dir").to_pylist(),
-            batch.column("seg_ord").to_pylist(),
-        ):
-            rkey = reader_cache_key(seg_dir)
-            reader = self._readers.get(rkey)
-            if reader is None:
-                reader = SegmentReader(seg_dir, load_positions=self.need_pos)
-                self._readers[rkey] = reader
-            key_vals, overlaid = [], False
-            for f, _ in self.sort_fields:
-                v, ov = read_docmeta_column_raw(seg_dir, f)
-                key_vals.append(v)
-                overlaid = overlaid or ov
-            key_dtypes = [v.dtype for v in key_vals]
-            for qid, q, k in self.parsed:
-                ords, _ = score_segment(reader, q, self.stats)
-                sel = multi_field_topk_ords(
-                    reader, ords, key_vals, self.sort_fields, k,
-                    overlaid=overlaid,
-                )
-                for o in sel:
-                    row = {"qid": qid,
-                           "doc_id": int(reader.doc_ids[o]),
-                           "seg_ord": seg_ord}
-                    for i, vals in enumerate(key_vals):
-                        v = vals[o]
-                        row[f"sort_{i}"] = (
-                            v.item() if hasattr(v, "item") else v
-                        )
-                    rows.append(row)
-        fields = [("qid", pa.int64()), ("doc_id", pa.int64()),
-                  ("seg_ord", pa.int32())]
-        for i, dt in enumerate(key_dtypes):
-            fields.append((f"sort_{i}", _pa_sort_type(dt)))
-        return pa.Table.from_pylist(rows, schema=pa.schema(fields))
+    sort_fields = [(f, bool(d)) for f, d in sort_fields]
+    rows = []
+    key_dtypes = [np.dtype(np.float64)] * len(sort_fields)
+    for reader, seg_ord in pairs:
+        key_vals, overlaid = [], False
+        for f, _ in sort_fields:
+            v, ov = read_docmeta_column_raw(reader.seg_dir, f)
+            key_vals.append(v)
+            overlaid = overlaid or ov
+        key_dtypes = [v.dtype for v in key_vals]
+        for qid, q, k in parsed:
+            ords, _ = score_segment(reader, q, stats)
+            sel = multi_field_topk_ords(
+                reader, ords, key_vals, sort_fields, k,
+                overlaid=overlaid,
+            )
+            for o in sel:
+                row = {"qid": qid,
+                       "doc_id": int(reader.doc_ids[o]),
+                       "seg_ord": seg_ord}
+                for i, vals in enumerate(key_vals):
+                    v = vals[o]
+                    row[f"sort_{i}"] = (
+                        v.item() if hasattr(v, "item") else v
+                    )
+                rows.append(row)
+    fields = [("qid", pa.int64()), ("doc_id", pa.int64()),
+              ("seg_ord", pa.int32())]
+    for i, dt in enumerate(key_dtypes):
+        fields.append((f"sort_{i}", _pa_sort_type(dt)))
+    return pa.Table.from_pylist(rows, schema=pa.schema(fields))
 
 
 def search_by_fields(
@@ -1149,32 +1094,14 @@ def search_by_fields(
     doc_id.  Segments whose recorded index sort has the query sort as a
     prefix early-terminate per segment.  Output columns: qid, rank,
     doc_id, sort_0..sort_n (one per sort field)."""
-    import ray.data
-
-    parser = index.make_parser(analyzer)
-    items = (
-        sorted(queries.items()) if isinstance(queries, dict)
-        else list(enumerate(queries))
+    parsed, stats = _prepare_batch(
+        index, _parse_batch(index.make_parser(analyzer), queries, k)
     )
-    parsed = [(qid, parser.parse(s), k) for qid, s in items]
-    patterns: List[Query] = []
-    for _, q, _ in parsed:
-        _collect_patterns(q, patterns)
-    terms = sorted({t for _, q, _ in parsed for t in q.terms()})
-    stats, exp = index.collect_stats(terms, patterns)
-    if patterns:
-        parsed = [(qid, rewrite_query(q, exp), kk) for qid, q, kk in parsed]
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    rows = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(
-            _MultiFieldSortFn(parsed, stats, sort_fields),
-            batch_format="pyarrow",
-        )
-        .take_all()
-    )
+    rows = index.scan(
+        partial(_collect_multi_field_sort, parsed=parsed, stats=stats,
+                sort_fields=sort_fields),
+        [q for _, q, _ in parsed],
+    ).take_all()
     by_q: Dict[int, List[dict]] = {qid: [] for qid, _, _ in parsed}
     for r in rows:
         by_q[r["qid"]].append(r)
@@ -1203,29 +1130,21 @@ def search_by_fields(
     return pa.Table.from_pylist(out, schema=pa.schema(fields))
 
 
-class _CountFn:
-    """Per-segment match counting (TotalHits with COMPLETE accounting —
-    ``search/TotalHits.java`` relation EQUAL_TO; the pruned path's
-    ``totalHitsThreshold`` lower bounds are a latency optimization this
-    batch API doesn't need)."""
+def _collect_count(pairs, parsed, stats) -> pa.Table:
+    """Count collector: per-segment match counts (TotalHits with COMPLETE
+    accounting — ``search/TotalHits.java`` relation EQUAL_TO; the pruned
+    path's ``totalHitsThreshold`` lower bounds are a latency optimization
+    this batch API doesn't need)."""
+    from lucene_solr_ray.search.scorer import score_segment
 
-    def __init__(self, parsed, stats):
-        self.parsed = parsed
-        self.stats = stats
-        self.need_pos = any(_has_phrase(q) for _, q, _ in parsed)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_solr_ray.search.scorer import score_segment
-
-        rows = []
-        for seg_dir in batch.column("seg_dir").to_pylist():
-            reader = SegmentReader(seg_dir, load_positions=self.need_pos)
-            for qid, q, _ in self.parsed:
-                ords, _s = score_segment(reader, q, self.stats)
-                rows.append({"qid": qid, "n": len(ords)})
-        return pa.Table.from_pylist(
-            rows, schema=pa.schema([("qid", pa.int64()), ("n", pa.int64())])
-        )
+    rows = []
+    for reader, _ in pairs:
+        for qid, q, _ in parsed:
+            ords, _s = score_segment(reader, q, stats)
+            rows.append({"qid": qid, "n": len(ords)})
+    return pa.Table.from_pylist(
+        rows, schema=pa.schema([("qid", pa.int64()), ("n", pa.int64())])
+    )
 
 
 def count_hits(index: "Index", queries,
@@ -1234,30 +1153,13 @@ def count_hits(index: "Index", queries,
     """Exact total hit counts per query: (qid, total_hits).
     ``parser`` overrides the classic parser (e.g. a
     :class:`~lucene_solr_ray.search.simpleparser.SimpleQueryParser`)."""
-    import ray.data
-
-    if parser is None:
-        parser = index.make_parser(analyzer)
-    items = (
-        sorted(queries.items()) if isinstance(queries, dict)
-        else list(enumerate(queries))
+    parsed, stats = _prepare_batch(
+        index, _parse_batch(parser or index.make_parser(analyzer), queries, 0)
     )
-    parsed = [(qid, parser.parse(s), 0) for qid, s in items]
-    patterns: List[Query] = []
-    for _, q, _ in parsed:
-        _collect_patterns(q, patterns)
-    terms = sorted({t for _, q, _ in parsed for t in q.terms()})
-    stats, exp = index.collect_stats(terms, patterns)
-    if patterns:
-        parsed = [(qid, rewrite_query(q, exp), kk) for qid, q, kk in parsed]
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    rows = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(_CountFn(parsed, stats), batch_format="pyarrow")
-        .take_all()
-    )
+    rows = index.scan(
+        partial(_collect_count, parsed=parsed, stats=stats),
+        [q for _, q, _ in parsed],
+    ).take_all()
     totals: Dict[int, int] = {qid: 0 for qid, _, _ in parsed}
     for r in rows:
         totals[r["qid"]] += r["n"]
@@ -1320,137 +1222,112 @@ def grouped_field_topk_ords(
     return np.asarray(keep, dtype=np.int64), int(len(ords))
 
 
-class _GroupedFn:
-    """Per-segment per-group top-n partials — the second-pass collector of
-    the grouping module (reference ``lucene/grouping/src/java/org/apache/
-    lucene/search/grouping/TopGroupsCollector.java``): each segment emits at
-    most ``docs_per_group`` hits PER GROUP, so the driver merge is bounded
-    by segments × groups × docs_per_group, never by the hit count.
+def _group_lookup(group_table: str, key: str, group_col: str,
+                  doc_ids: np.ndarray):
+    """(sorted keys, group values) of the side table rows whose ``key``
+    falls in ``doc_ids``' range — a predicate-pushdown row-group prune
+    (assumes doc ids are clustered per segment, true for built segments
+    and merges of adjacent ones; a scattered segment just reads more
+    rows)."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
 
-    The group value comes from a side parquet keyed by doc id; each task
-    reads only its segment's id range (predicate-pushdown row-group prune —
-    assumes doc ids are clustered per segment, true for built segments and
-    merges of adjacent ones; a scattered segment just reads more rows)."""
+    lo, hi = int(doc_ids.min()), int(doc_ids.max())
+    t = pads.dataset(group_table, format="parquet").to_table(
+        columns=[key, group_col],
+        filter=(pc.field(key) >= lo) & (pc.field(key) <= hi),
+    )
+    keys = t.column(key).to_numpy()
+    vals = t.column(group_col).to_pylist()
+    order = np.argsort(keys)
+    return keys[order], [vals[i] for i in order]
 
-    def __init__(self, parsed, stats, sim, group_table: str, group_col: str,
-                 key: str, docs_per_group: int,
-                 sort_field: "Optional[Tuple[str, bool]]" = None):
-        self.parsed = parsed
-        self.stats = stats
-        self.sim = sim
-        self.group_table = group_table
-        self.group_col = group_col
-        self.key = key
-        self.docs_per_group = docs_per_group
-        #: (field, descending) — rank within/across groups by a docmeta
-        #: column instead of score (grouping module's Sort); sorted
-        #: segments early-terminate via grouped_field_topk_ords
-        self.sort_field = sort_field
-        self.need_pos = any(_has_phrase(q) for _, q, _ in parsed)
-        self._readers: Dict = {}
 
-    def _group_lookup(self, doc_ids: np.ndarray):
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
+def _collect_grouped(pairs, q, stats, sim, group_table: str,
+                     group_col: str, key: str, docs_per_group: int,
+                     sort_field: "Optional[Tuple[str, bool]]") -> pa.Table:
+    """Grouped collector: per-segment per-group top-n partials — the
+    second-pass collector of the grouping module (reference
+    ``lucene/grouping/src/java/org/apache/lucene/search/grouping/
+    TopGroupsCollector.java``): each segment emits at most
+    ``docs_per_group`` hits PER GROUP, so the driver merge is bounded by
+    segments × groups × docs_per_group, never by the hit count.
 
-        lo, hi = int(doc_ids.min()), int(doc_ids.max())
-        t = pads.dataset(self.group_table, format="parquet").to_table(
-            columns=[self.key, self.group_col],
-            filter=(pc.field(self.key) >= lo) & (pc.field(self.key) <= hi),
+    The group value comes from a side parquet keyed by doc id
+    (:func:`_group_lookup`).  ``sort_field=(field, descending)`` ranks
+    within groups by a docmeta column instead of score (grouping
+    module's Sort); sorted segments early-terminate via
+    :func:`grouped_field_topk_ords`."""
+    import pandas as pd
+
+    from lucene_solr_ray.search.scorer import score_segment
+
+    out = []
+    for reader, _ in pairs:
+        ords, scores = score_segment(reader, q, stats, sim)
+        if len(ords) == 0:
+            continue
+        dids = reader.doc_ids[ords]
+        gkeys, gvals = _group_lookup(group_table, key, group_col, dids)
+        idx = np.searchsorted(gkeys, dids)
+        idx_c = np.minimum(idx, max(len(gkeys) - 1, 0))
+        found = (
+            (idx < len(gkeys)) & (gkeys[idx_c] == dids)
+            if len(gkeys) else np.zeros(len(dids), dtype=bool)
         )
-        keys = t.column(self.key).to_numpy()
-        vals = t.column(self.group_col).to_pylist()
-        order = np.argsort(keys)
-        return keys[order], [vals[i] for i in order]
+        groups = [
+            gvals[i] if ok else None
+            for i, ok in zip(idx_c, found)
+        ]
+        if sort_field is not None:
+            from lucene_solr_ray.index.docvalues import read_docmeta_column
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        from lucene_solr_ray.search.scorer import score_segment
-
-        out = []
-        for seg_dir, seg_ord in zip(
-            batch.column("seg_dir").to_pylist(),
-            batch.column("seg_ord").to_pylist(),
-        ):
-            from lucene_solr_ray.search.reader import reader_cache_key
-
-            rkey = reader_cache_key(seg_dir)
-            reader = self._readers.get(rkey)
-            if reader is None:
-                reader = SegmentReader(seg_dir, load_positions=self.need_pos)
-                self._readers[rkey] = reader
-            for qid, q, _k in self.parsed:
-                ords, scores = score_segment(reader, q, self.stats, self.sim)
-                if len(ords) == 0:
-                    continue
-                dids = reader.doc_ids[ords]
-                gkeys, gvals = self._group_lookup(dids)
-                idx = np.searchsorted(gkeys, dids)
-                idx_c = np.minimum(idx, max(len(gkeys) - 1, 0))
-                found = (
-                    (idx < len(gkeys)) & (gkeys[idx_c] == dids)
-                    if len(gkeys) else np.zeros(len(dids), dtype=bool)
-                )
-                groups = [
-                    gvals[i] if ok else None
-                    for i, ok in zip(idx_c, found)
-                ]
-                if self.sort_field is not None:
-                    from lucene_solr_ray.index.docvalues import (
-                        read_docmeta_column,
-                    )
-
-                    fld, desc = self.sort_field
-                    vals, overlaid = read_docmeta_column(seg_dir, fld)
-                    sel, _ = grouped_field_topk_ords(
-                        reader, ords, vals,
-                        np.asarray(groups, dtype=object),
-                        desc, self.docs_per_group, fld, overlaid,
-                    )
-                    df = pd.DataFrame({
-                        "group": [groups[i] for i in sel],
-                        "doc_id": dids[sel],
-                        "score": vals[ords[sel]].astype(np.float64),
-                    })
-                    df.insert(0, "qid", qid)
-                    out.append(df)
-                    continue
-                df = pd.DataFrame(
-                    {"group": groups, "doc_id": dids,
-                     "score": scores.astype(np.float64)}
-                )
-                # per-group top-n partial: (score desc, doc asc), null
-                # group kept as its own bucket (TopGroups keeps docs whose
-                # group value is missing)
-                df = df.sort_values(
-                    ["score", "doc_id"], ascending=[False, True],
-                    kind="mergesort",
-                )
-                df = df.groupby("group", dropna=False, sort=False).head(
-                    self.docs_per_group
-                )
-                df.insert(0, "qid", qid)
-                out.append(df)
-        if not out:
-            return pa.table(
-                {"qid": pa.array([], pa.int64()),
-                 "group": pa.array([], pa.string()),
-                 "doc_id": pa.array([], pa.int64()),
-                 "score": pa.array([], pa.float64())}
+            fld, desc = sort_field
+            vals, overlaid = read_docmeta_column(reader.seg_dir, fld)
+            sel, _ = grouped_field_topk_ords(
+                reader, ords, vals,
+                np.asarray(groups, dtype=object),
+                desc, docs_per_group, fld, overlaid,
             )
-        allp = pd.concat(out, ignore_index=True)
-        return pa.table(
-            {
-                "qid": pa.array(allp["qid"].to_numpy(np.int64)),
-                "group": pa.array(
-                    [None if pd.isna(g) else str(g)
-                     for g in allp["group"]], pa.string()
-                ),
-                "doc_id": pa.array(allp["doc_id"].to_numpy(np.int64)),
-                "score": pa.array(allp["score"].to_numpy(np.float64)),
-            }
+            out.append(pd.DataFrame({
+                "group": [groups[i] for i in sel],
+                "doc_id": dids[sel],
+                "score": vals[ords[sel]].astype(np.float64),
+            }))
+            continue
+        df = pd.DataFrame(
+            {"group": groups, "doc_id": dids,
+             "score": scores.astype(np.float64)}
         )
+        # per-group top-n partial: (score desc, doc asc), null
+        # group kept as its own bucket (TopGroups keeps docs whose
+        # group value is missing)
+        df = df.sort_values(
+            ["score", "doc_id"], ascending=[False, True],
+            kind="mergesort",
+        )
+        out.append(
+            df.groupby("group", dropna=False, sort=False).head(
+                docs_per_group
+            )
+        )
+    if not out:
+        return pa.table(
+            {"group": pa.array([], pa.string()),
+             "doc_id": pa.array([], pa.int64()),
+             "score": pa.array([], pa.float64())}
+        )
+    allp = pd.concat(out, ignore_index=True)
+    return pa.table(
+        {
+            "group": pa.array(
+                [None if pd.isna(g) else str(g)
+                 for g in allp["group"]], pa.string()
+            ),
+            "doc_id": pa.array(allp["doc_id"].to_numpy(np.int64)),
+            "score": pa.array(allp["score"].to_numpy(np.float64)),
+        }
+    )
 
 
 def search_grouped(
@@ -1482,28 +1359,15 @@ def search_grouped(
     ≤ segments × groups × docs_per_group tiny rows — a stop-word-scale
     query no longer dumps its whole result set on the driver."""
     import pandas as pd
-    import ray.data
 
-    parser = index.make_parser(analyzer)
-    q = parser.parse(query)
-    patterns: List[Query] = []
-    _collect_patterns(q, patterns)
-    stats, exp = index.collect_stats(sorted(set(q.terms())), patterns)
-    if patterns:
-        q = rewrite_query(q, exp)
-    sim = similarity or BM25Similarity()
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    rows = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(
-            _GroupedFn([(0, q, 0)], stats, sim, group_table, group_col,
-                       key, docs_per_group, sort_field=sort_field),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-    )
+    (q,), stats = index.prepare([index.make_parser(analyzer).parse(query)])
+    rows = index.scan(
+        partial(_collect_grouped, q=q, stats=stats,
+                sim=similarity or BM25Similarity(),
+                group_table=group_table, group_col=group_col, key=key,
+                docs_per_group=docs_per_group, sort_field=sort_field),
+        [q],
+    ).to_pandas()
     if rows.empty:
         return pa.table(
             {
@@ -1624,48 +1488,38 @@ def elevated_search(
     )
 
 
-class _MatchExportFn:
-    """Per-segment full match export: (doc_id, sort value) for EVERY hit —
-    the /export handler's per-shard pass (no top-k truncation)."""
+def _collect_export(pairs, q, stats, field: str) -> pa.Table:
+    """Export collector: (doc_id, sort value) for EVERY hit — the /export
+    handler's per-shard pass (no top-k truncation)."""
+    import pyarrow.parquet as pq
 
-    def __init__(self, parsed, stats, field: str):
-        self.parsed = parsed
-        self.stats = stats
-        self.field = field
-        self.need_pos = any(_has_phrase(q) for _, q, _ in parsed)
+    from lucene_solr_ray.search.scorer import score_segment
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        from lucene_solr_ray.search.scorer import score_segment
-
-        out = []
-        for seg_dir in batch.column("seg_dir").to_pylist():
-            reader = SegmentReader(seg_dir, load_positions=self.need_pos)
-            vals = pq.read_table(
-                os.path.join(seg_dir, "docmeta.parquet"),
-                columns=[self.field],
-            ).column(self.field).to_numpy()
-            for _, q, _ in self.parsed:
-                ords, _s = score_segment(reader, q, self.stats)
-                if len(ords) == 0:
-                    continue
-                out.append(
-                    pa.table(
-                        {
-                            "doc_id": pa.array(
-                                reader.doc_ids[ords].astype(np.int64)
-                            ),
-                            self.field: pa.array(vals[ords]),
-                        }
-                    )
-                )
-        if not out:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 self.field: pa.array([], pa.int64())}
+    out = []
+    for reader, _ in pairs:
+        vals = pq.read_table(
+            os.path.join(reader.seg_dir, "docmeta.parquet"),
+            columns=[field],
+        ).column(field).to_numpy()
+        ords, _s = score_segment(reader, q, stats)
+        if len(ords) == 0:
+            continue
+        out.append(
+            pa.table(
+                {
+                    "doc_id": pa.array(
+                        reader.doc_ids[ords].astype(np.int64)
+                    ),
+                    field: pa.array(vals[ords]),
+                }
             )
-        return pa.concat_tables(out)
+        )
+    if not out:
+        return pa.table(
+            {"doc_id": pa.array([], pa.int64()),
+             field: pa.array([], pa.int64())}
+        )
+    return pa.concat_tables(out)
 
 
 def export_sorted(
@@ -1683,27 +1537,12 @@ def export_sorted(
     collectors refuse.  Distributed end to end: per-segment match export →
     Ray's distributed sort → ``write_parquet`` (one file per output
     block, resumable by rerunning into a fresh dir).  Returns row count."""
-    import ray.data
-
-    parser = index.make_parser(analyzer)
-    q = parser.parse(query)
-    patterns: List[Query] = []
-    _collect_patterns(q, patterns)
-    stats, exp = index.collect_stats(sorted(set(q.terms())), patterns)
-    if patterns:
-        q = rewrite_query(q, exp)
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    ds = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(
-            _MatchExportFn([(0, q, 0)], stats, sort_field),
-            batch_format="pyarrow",
-        )
-        .sort([sort_field, "doc_id"], descending=[descending, False])
-    )
-    ds.write_parquet(out_dir)
+    (q,), stats = index.prepare([index.make_parser(analyzer).parse(query)])
+    index.scan(
+        partial(_collect_export, q=q, stats=stats, field=sort_field), [q]
+    ).sort(
+        [sort_field, "doc_id"], descending=[descending, False]
+    ).write_parquet(out_dir)
     import glob
     import pyarrow.parquet as pq
 
@@ -1741,13 +1580,7 @@ def explain(
     )
     from lucene_solr_ray.search.scorer import score_segment
 
-    parser = index.make_parser(analyzer)
-    q = parser.parse(query)
-    patterns: List[Query] = []
-    _collect_patterns(q, patterns)
-    stats, exp = index.collect_stats(sorted(set(q.terms())), patterns)
-    if patterns:
-        q = rewrite_query(q, exp)
+    (q,), stats = index.prepare([index.make_parser(analyzer).parse(query)])
     sim = similarity or BM25Similarity()
 
     # locate the segment containing doc_id
@@ -1816,6 +1649,38 @@ def explain(
     return _tree(q)
 
 
+def _collect_rescore(pairs, q1, q2, stats, sim, window: int) -> pa.Table:
+    """Rescore collector: each segment's first-pass top-``window`` plus
+    the rescore query's score for exactly those docs."""
+    from lucene_solr_ray.search.scorer import score_segment
+
+    rows = []
+    for reader, _ in pairs:
+        o1, s1 = topk_segment(reader, q1, stats, window, sim)
+        if len(o1) == 0:
+            continue
+        o2, s2 = score_segment(reader, q2, stats, sim)
+        idx = np.searchsorted(o2, o1)
+        idx_c = np.minimum(idx, max(len(o2) - 1, 0))
+        hit = (
+            (idx < len(o2)) & (o2[idx_c] == o1)
+            if len(o2) else np.zeros(len(o1), dtype=bool)
+        )
+        second = np.where(hit, s2[idx_c] if len(o2) else 0.0, 0.0)
+        dids = reader.doc_ids[o1]
+        for d, f, s in zip(dids.tolist(), s1.tolist(), second.tolist()):
+            rows.append(
+                {"doc_id": int(d), "first": float(f), "second": float(s)}
+            )
+    return pa.Table.from_pylist(
+        rows,
+        schema=pa.schema(
+            [("doc_id", pa.int64()), ("first", pa.float64()),
+             ("second", pa.float64())]
+        ),
+    )
+
+
 def rescore(
     index: "Index",
     first_query: str,
@@ -1836,77 +1701,15 @@ def rescore(
     for exactly those docs, so the driver merge stays ≤ segments × window
     rows and the expensive query is only ever evaluated per segment, never
     re-dispatched per document."""
-    import ray.data
-
     parser = index.make_parser(analyzer)
-    q1 = parser.parse(first_query)
-    q2 = parser.parse(rescore_query)
-    patterns: List[Query] = []
-    _collect_patterns(q1, patterns)
-    _collect_patterns(q2, patterns)
-    terms = sorted(set(q1.terms()) | set(q2.terms()))
-    stats, exp = index.collect_stats(terms, patterns)
-    if patterns:
-        q1 = rewrite_query(q1, exp)
-        q2 = rewrite_query(q2, exp)
-    sim = similarity or BM25Similarity()
-
-    class _RescoreFn:
-        def __init__(self):
-            self.need_pos = _has_phrase(q1) or _has_phrase(q2)
-            self._readers: Dict = {}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from lucene_solr_ray.search.reader import reader_cache_key
-            from lucene_solr_ray.search.scorer import (
-                score_segment,
-                topk_segment,
-            )
-
-            rows = []
-            for seg_dir in batch.column("seg_dir").to_pylist():
-                key = reader_cache_key(seg_dir)
-                reader = self._readers.get(key)
-                if reader is None:
-                    reader = SegmentReader(
-                        seg_dir, load_positions=self.need_pos
-                    )
-                    self._readers[key] = reader
-                o1, s1 = topk_segment(reader, q1, stats, window, sim)
-                if len(o1) == 0:
-                    continue
-                o2, s2 = score_segment(reader, q2, stats, sim)
-                idx = np.searchsorted(o2, o1)
-                idx_c = np.minimum(idx, max(len(o2) - 1, 0))
-                hit = (
-                    (idx < len(o2)) & (o2[idx_c] == o1)
-                    if len(o2) else np.zeros(len(o1), dtype=bool)
-                )
-                second = np.where(hit, s2[idx_c] if len(o2) else 0.0, 0.0)
-                dids = reader.doc_ids[o1]
-                for d, f, s in zip(dids.tolist(), s1.tolist(),
-                                   second.tolist()):
-                    rows.append(
-                        {"doc_id": int(d), "first": float(f),
-                         "second": float(s)}
-                    )
-            return pa.Table.from_pylist(
-                rows,
-                schema=pa.schema(
-                    [("doc_id", pa.int64()), ("first", pa.float64()),
-                     ("second", pa.float64())]
-                ),
-            )
-
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    df = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(_RescoreFn, batch_format="pyarrow",
-                     concurrency=(1, 4))
-        .to_pandas()
+    (q1, q2), stats = index.prepare(
+        [parser.parse(first_query), parser.parse(rescore_query)]
     )
+    df = index.scan(
+        partial(_collect_rescore, q1=q1, q2=q2, stats=stats,
+                sim=similarity or BM25Similarity(), window=window),
+        [q1, q2],
+    ).to_pandas()
     if df.empty:
         return pa.table(
             {"doc_id": pa.array([], pa.int64()),

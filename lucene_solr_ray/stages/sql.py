@@ -727,10 +727,14 @@ def _compile(sql: str, resolver):
             row = dict(stats(ds, spec)) if spec else {}
             for _, _, col, alias in cd_aggs:
                 # exact distinct count, computed IN the cluster: dedupe
-                # on the value (one grouped shuffle), count rows
+                # on the value (one grouped shuffle), count the non-NULL
+                # values left (SQL: NULL is not a distinct value)
+                from ray.data.aggregate import Count
+
                 row[alias] = (
-                    ds.select_columns([col]).groupby(col)
-                    .count().count()
+                    ds.select_columns([col]).groupby(col).count()
+                    .aggregate(Count(on=col, ignore_nulls=True,
+                                     alias_name=alias))[alias]
                 )
             out = pd.DataFrame(
                 [{it[3]: row[it[3]] for it in aggs}]
@@ -741,15 +745,17 @@ def _compile(sql: str, resolver):
         out_ds = rollup(ds, group_by, spec) if spec else None
         for _, _, col, alias in cd_aggs:
             # COUNT(DISTINCT col) GROUP BY keys: dedupe (keys, col) with
-            # one grouped shuffle, then count per key — both exact, both
-            # in-cluster; grouped results are bounded by key cardinality
+            # one grouped shuffle, then count the non-NULL values per key
+            # (a key whose values are all NULL counts 0) — both exact,
+            # both in-cluster; results are bounded by key cardinality
             from ray.data.aggregate import Count
 
             dd = (
                 ds.select_columns(list(group_by) + [col])
                 .groupby(list(group_by) + [col]).count()
                 .groupby(list(group_by))
-                .aggregate(Count(alias_name=alias))
+                .aggregate(Count(on=col, ignore_nulls=True,
+                                 alias_name=alias))
             )
             if out_ds is None:
                 out_ds = dd

@@ -64,48 +64,34 @@ class TopicStream:
     def pull(self, batch_size: int = 1000) -> pa.Table:
         """One micro-batch of NEW matching docs (doc_id asc, ≤ batch_size);
         the checkpoint advances to the last returned id."""
-        import ray.data
+        from functools import partial
 
         from lucene_solr_ray.search.query import MatchNoDocsQuery
-        from lucene_solr_ray.search.scorer import GlobalStats
-        from lucene_solr_ray.search.searcher import (
-            Index,
-            _collect_patterns,
-            rewrite_query,
-        )
+        from lucene_solr_ray.search.searcher import Index
 
         idx = Index(self.index_dir)
         ckpt = self.checkpoint
         # prune segments already fully consumed (their max doc id is in
         # segment meta lineage or computable from docmeta stats)
-        seg_items = []
+        live = []
         for i, (sdir, seg) in enumerate(
             zip(idx.seg_dirs, idx.manifest["segments"])
         ):
             hi = _segment_max_doc_id(sdir, seg)
             if hi is None or hi > ckpt:
-                seg_items.append({"seg_dir": sdir, "seg_ord": i})
-        if not seg_items:
+                live.append(i)
+        if not live:
             return _empty_topic_table()
-        parser = idx.make_parser(self.analyzer)
-        q = parser.parse(self.query)
-        patterns: List = []
-        _collect_patterns(q, patterns)
-        stats, exp = idx.collect_stats(sorted(set(q.terms())), patterns)
-        if patterns:
-            q = rewrite_query(q, exp)
+        (q,), stats = idx.prepare(
+            [idx.make_parser(self.analyzer).parse(self.query)]
+        )
         if isinstance(q, MatchNoDocsQuery):
             return _empty_topic_table()
-        rows = (
-            ray.data.from_items(
-                seg_items, override_num_blocks=len(seg_items)
-            )
-            .map_batches(
-                _TopicFn(q, stats, ckpt, batch_size),
-                batch_format="pyarrow",
-            )
-            .to_pandas()
-        )
+        rows = idx.scan(
+            partial(_collect_topic, q=q, stats=stats, ckpt=ckpt,
+                    cap=batch_size),
+            [q], segments=live,
+        ).to_pandas()
         if rows.empty:
             return _empty_topic_table()
         rows = rows.sort_values("doc_id").head(batch_size)
@@ -149,45 +135,30 @@ def _segment_max_doc_id(seg_dir: str, seg_meta) -> Optional[int]:
         return None
 
 
-class _TopicFn:
-    """Per-segment: matching docs with doc_id > checkpoint, capped to the
-    batch size per segment (the driver re-caps globally)."""
+def _collect_topic(pairs, q, stats, ckpt: int, cap: int) -> pa.Table:
+    """Topic collector: matching docs with doc_id > checkpoint, capped to
+    the batch size per segment (the driver re-caps globally)."""
+    from lucene_solr_ray.search.scorer import score_segment
 
-    def __init__(self, q, stats, ckpt: int, cap: int):
-        self.q = q
-        self.stats = stats
-        self.ckpt = ckpt
-        self.cap = cap
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_solr_ray.search.reader import SegmentReader
-        from lucene_solr_ray.search.scorer import score_segment
-        from lucene_solr_ray.search.searcher import _has_phrase
-
-        out_ids, out_scores = [], []
-        for seg_dir in batch.column("seg_dir").to_pylist():
-            reader = SegmentReader(
-                seg_dir, load_positions=_has_phrase(self.q)
-            )
-            ords, scores = score_segment(reader, self.q, self.stats)
-            if len(ords) == 0:
-                continue
-            dids = reader.doc_ids[ords]
-            new = dids > self.ckpt
-            dids, scores = dids[new], scores[new]
-            order = np.argsort(dids)[: self.cap]
-            out_ids.append(dids[order])
-            out_scores.append(scores[order].astype(np.float64))
-        if not out_ids:
-            return _empty_topic_table()
-        return pa.table(
-            {
-                "doc_id": pa.array(
-                    np.concatenate(out_ids).astype(np.int64)
-                ),
-                "score": pa.array(np.concatenate(out_scores)),
-            }
-        )
+    out_ids, out_scores = [], []
+    for reader, _ in pairs:
+        ords, scores = score_segment(reader, q, stats)
+        if len(ords) == 0:
+            continue
+        dids = reader.doc_ids[ords]
+        new = dids > ckpt
+        dids, scores = dids[new], scores[new]
+        order = np.argsort(dids)[:cap]
+        out_ids.append(dids[order])
+        out_scores.append(scores[order].astype(np.float64))
+    if not out_ids:
+        return _empty_topic_table()
+    return pa.table(
+        {
+            "doc_id": pa.array(np.concatenate(out_ids).astype(np.int64)),
+            "score": pa.array(np.concatenate(out_scores)),
+        }
+    )
 
 
 def _empty_topic_table() -> pa.Table:

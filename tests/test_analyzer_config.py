@@ -73,6 +73,20 @@ def test_default_tokenizer_is_standard():
     assert a.analyze("Don't stop-me") == ["don't", "stop", "me"]
 
 
+def test_index_config_from_schema_keeps_default_field_stored():
+    from lucene_solr_ray.analysis.config import index_config_from_schema
+
+    kwargs = index_config_from_schema({
+        "fields": {
+            "body": {"type": "text", "stored": True},
+            "tag": {"type": "string", "stored": True},
+        },
+        "defaultField": "body",
+    })
+    assert kwargs["text_col"] == "body"
+    assert kwargs["stored_cols"] == ("body", "tag")
+
+
 def test_index_config_from_schema_end_to_end(ray_session, tmp_path):
     """Schema dict → build_index kwargs → searchable index with
     per-field analyzers and numeric points."""

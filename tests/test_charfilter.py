@@ -128,3 +128,34 @@ def test_charfilter_chain_composes():
     terms, _, starts, ends, _ = ana.analyze_with_offsets(html)
     assert terms == ["color", "me"]
     assert html[starts[0]:ends[0]].startswith("colour")
+
+
+@pytest.mark.parametrize("src", [
+    "a&#x110000;b", "a&#1114112;b",  # above U+10FFFF
+    "a&#55296;b", "a&#xD800;b", "a&#xdfff;b",  # UTF-16 surrogates
+])
+def test_invalid_numeric_entity_passes_through(src):
+    # not a character: the entity text stays verbatim, as an unknown
+    # named entity does, instead of raising or emitting a lone surrogate
+    out, _ = HTMLStripCharFilter().apply(src)
+    assert out == src
+
+
+def test_numeric_entities_always_encode():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    cps = st.integers(min_value=0, max_value=0xFFFFFF)
+    ent = st.one_of(
+        cps.filter(lambda c: c < 10**7).map(lambda c: f"&#{c};"),
+        cps.map(lambda c: f"&#x{c:X};"),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(ent, st.text("ab &#;x", max_size=4)),
+                    max_size=6).map("".join))
+    def check(src):
+        out, _ = HTMLStripCharFilter().apply(src)
+        out.encode("utf-8")
+
+    check()

@@ -45,3 +45,39 @@ def test_topk_identical_across_segmentations(sf_dir, tmp_path):
     np.testing.assert_array_equal(
         a["score"].to_numpy(), b["score"].to_numpy()
     )
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_concurrency_batches_merge_partials_identically(sf_dir, tmp_path):
+    """``concurrency`` below the segment count puts several segments in
+    one scan batch, so each batch merges its segments' top-k partials
+    before the driver merge; the result must equal one segment per
+    batch."""
+    import pyarrow as pa
+
+    from lucene_solr_ray.search.searcher import Index
+
+    out = str(tmp_path / "idx")
+    m = build_index(
+        f"{sf_dir}/documents.parquet", out,
+        text_col="text", id_col="doc_id", docs_per_segment=80,
+    )
+    assert len(m["segments"]) >= 4
+    idx = Index(out)
+    sizes = idx.scan(
+        lambda pairs: pa.table({"n": [len(list(pairs))]}), [],
+        concurrency=2,
+    ).take_all()
+    assert max(r["n"] for r in sizes) > 1
+    queries = {0: "merge", 1: "the", 2: '"batch batch"',
+               3: '"merge sort"~2', 4: "merg~1", 5: "fsat~2 OR slow"}
+    for k in (3, 10):
+        base = idx.search(queries, k=k).to_pandas()
+        assert len(base) > 0
+        for c in (2, 3):
+            got = idx.search(queries, k=k, concurrency=c).to_pandas()
+            assert got["qid"].tolist() == base["qid"].tolist()
+            assert got["doc_id"].tolist() == base["doc_id"].tolist()
+            np.testing.assert_array_equal(
+                got["score"].to_numpy(), base["score"].to_numpy()
+            )

@@ -420,6 +420,23 @@ def test_sql_between_like_null_count_distinct(ray_session):
     assert g["tag"].tolist() == ["1-URGENT", "2-HIGH", "3-LOW"]
     assert g["nc"].tolist() == [3, 2, 2]
     assert g["n"].tolist() == [3, 2, 2]
+    # a NULL value is not a distinct value, grouped or not; a group whose
+    # values are all NULL counts 0
+    nul = pd.DataFrame({
+        col: df[col].tolist() + [extra]
+        for col, extra in {"k": 8, "p": None, "tag": "4-NONE",
+                           "cust": None}.items()
+    })
+
+    def rn(name):
+        return ray.data.from_pandas(nul)
+
+    assert q("SELECT COUNT(DISTINCT cust) AS nc FROM t", rn)["nc"][0] == 4
+    g = q("SELECT tag, COUNT(DISTINCT cust) AS nc, COUNT(*) AS n FROM t "
+          "WHERE tag IS NOT NULL GROUP BY tag ORDER BY tag", rn)
+    assert g["tag"].tolist() == ["1-URGENT", "2-HIGH", "3-LOW", "4-NONE"]
+    assert g["nc"].tolist() == [3, 2, 2, 0]
+    assert g["n"].tolist() == [3, 2, 2, 1]
     import pytest as _pytest
     with _pytest.raises(SqlError):
         q("SELECT SUM(DISTINCT p) AS s FROM t", r)
