@@ -234,10 +234,12 @@ def atomic_update_documents(
     value}, ...}``.  Updates whose fields are ALL numeric stored columns
     take the in-place DV path; any update touching the text field
     re-indexes the merged document (one ``update_documents`` commit for
-    the whole batch).  With ``tolerant=True`` (TolerantUpdateProcessor),
-    malformed or failing updates are collected into ``errors`` (up to
-    ``max_errors``; -1 = unlimited) and the rest land; otherwise the
-    first error raises before anything is applied."""
+    the whole batch).  Updates to one doc apply in order: re-index ones
+    merge into ONE replacement document.  With ``tolerant=True``
+    (TolerantUpdateProcessor), malformed or failing updates are collected
+    into ``errors``, one entry per update (up to ``max_errors``; -1 =
+    unlimited), none of a failed update's fields land, and the rest land;
+    otherwise the first error raises before anything is applied."""
     m = read_latest_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(index_dir)
@@ -327,21 +329,19 @@ def atomic_update_documents(
         per_field: Dict[str, Dict[int, int]] = {}
         for u in inplace:
             doc_id = int(u["doc_id"])
-            for fld, spec in u.items():
-                if fld == "doc_id":
-                    continue
-                op, val = next(iter(spec.items()))
+            ops = [(fld, *next(iter(spec.items())))
+                   for fld, spec in u.items() if fld != "doc_id"]
+            # an update applies whole or not at all
+            if doc_id not in cur and any(op == "inc" for _, op, _ in ops):
+                fail(doc_id, "doc not found in index")
+                continue
+            for fld, op, val in ops:
+                vals = per_field.setdefault(fld, {})
                 if op == "set":
-                    per_field.setdefault(fld, {})[doc_id] = int(val)
+                    vals[doc_id] = int(val)
                 else:  # inc
-                    if doc_id not in cur:
-                        fail(doc_id, "doc not found in index")
-                        continue
-                    base = per_field.get(fld, {}).get(
-                        doc_id, int(cur[doc_id][fld])
-                    )
-                    per_field.setdefault(fld, {})[doc_id] = (
-                        base + int(val)
+                    vals[doc_id] = (
+                        vals.get(doc_id, int(cur[doc_id][fld])) + int(val)
                     )
         for fld, vals in per_field.items():
             if vals:
@@ -353,36 +353,47 @@ def atomic_update_documents(
     if reindex:
         from lucene_solr_ray.index.deletes import update_documents
 
-        ids = sorted({int(u["doc_id"]) for u in reindex})
+        # one merged document per doc_id: its updates apply in order, each
+        # merging from the previous one's result
+        by_doc: Dict[int, List[Dict]] = {}
+        for u in reindex:
+            by_doc.setdefault(int(u["doc_id"]), []).append(u)
+        ids = sorted(by_doc)
         cur_text = get_current_documents(
             index_dir, corpus_path, ids, id_col, text_col
         )
         cur_stored = _current_stored(index_dir, ids, stored_cols)
         merged_ids, merged_texts = [], []
         merged_stored: Dict[str, list] = {c: [] for c in stored_cols}
-        for u in reindex:
-            doc_id = int(u["doc_id"])
+        for doc_id, group in by_doc.items():
             if doc_id not in cur_text or doc_id not in (
                 cur_stored if stored_cols else cur_text
             ):
-                fail(doc_id, "doc not found in index/docstore")
+                for _ in group:
+                    fail(doc_id, "doc not found in index/docstore")
                 continue
             text = cur_text[doc_id]
             svals = dict(cur_stored.get(doc_id, {}))
-            try:
-                for fld, spec in u.items():
-                    if fld == "doc_id":
-                        continue
-                    if fld == text_col:
-                        text = _merge_text(text, spec)
-                    else:
-                        op, val = next(iter(spec.items()))
-                        svals[fld] = (
-                            int(val) if op == "set"
-                            else int(svals[fld]) + int(val)
-                        )
-            except ValueError as e:
-                fail(doc_id, str(e))
+            applied = False
+            for u in group:
+                new_text, new_svals = text, dict(svals)
+                try:
+                    for fld, spec in u.items():
+                        if fld == "doc_id":
+                            continue
+                        if fld == text_col:
+                            new_text = _merge_text(new_text, spec)
+                        else:
+                            op, val = next(iter(spec.items()))
+                            new_svals[fld] = (
+                                int(val) if op == "set"
+                                else int(new_svals[fld]) + int(val)
+                            )
+                except ValueError as e:
+                    fail(doc_id, str(e))
+                    continue
+                text, svals, applied = new_text, new_svals, True
+            if not applied:
                 continue
             merged_ids.append(doc_id)
             merged_texts.append(text)

@@ -20,11 +20,7 @@ from lucene_solr_ray.index.segment import build_segment_tables
 from lucene_solr_ray.search.parser import QueryParser
 from lucene_solr_ray.search.query import Query
 from lucene_solr_ray.search.scorer import GlobalStats, score_segment
-from lucene_solr_ray.search.searcher import (
-    _collect_patterns,
-    match_terms,
-    rewrite_query,
-)
+from lucene_solr_ray.search.searcher import match_terms, prepare_queries
 from lucene_solr_ray.search.similarity import BM25Similarity
 
 __all__ = ["MemoryIndex", "term_vector"]
@@ -106,13 +102,10 @@ class MemoryIndex:
               similarity: Optional[BM25Similarity] = None) -> float:
         """Score of the document for the query; 0.0 if it doesn't match."""
         q = self.parser.parse(query) if isinstance(query, str) else query
-        patterns = []
-        _collect_patterns(q, patterns)
-        if patterns:
-            exp = {
-                p: tuple(match_terms(p, self.reader.terms)) for p in patterns
-            }
-            q = rewrite_query(q, exp)
+        (q,), _ = prepare_queries([q], lambda terms, patterns: (
+            self.stats,
+            {p: tuple(match_terms(p, self.reader.terms)) for p in patterns},
+        ))
         if not self._own_stats:
             # corpus stats injected: make sure the query terms exist there
             for t in q.terms():

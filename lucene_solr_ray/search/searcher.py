@@ -11,7 +11,9 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    all leaves + ``collectionStatistics`` summing leaves (``:764-792``) and
    to Solr's ``ExactStatsCache`` extra round-trip (rank-identical across
    shardings, unlike the default LocalStatsCache).
-   Steps 1–2 are :meth:`Index.prepare`, shared by every batch search.
+   Steps 1–2 are :func:`prepare_queries`, shared by every batch search
+   (:meth:`Index.prepare`), the warm ``QueryEngine`` and ``MemoryIndex``;
+   each segment's share of them is :func:`segment_term_meta`.
 3. **Segment scan** — :meth:`Index.scan`, one stateless ``map_batches``
    over the segment list: each task opens its batch's ``SegmentReader``s
    once and hands the ``(reader, seg_ord)`` pairs to a *collector*, a
@@ -29,6 +31,7 @@ touches posting lists.
 
 from __future__ import annotations
 
+import bisect
 import os
 import re
 from functools import partial
@@ -62,7 +65,7 @@ from lucene_solr_ray.search.reader import SegmentReader
 from lucene_solr_ray.search.scorer import GlobalStats, topk_segment
 from lucene_solr_ray.search.similarity import BM25Similarity
 
-__all__ = ["Index", "search", "rewrite_query"]
+__all__ = ["Index", "search", "prepare_queries", "rewrite_query"]
 
 _MULTITERM = (PrefixQuery, WildcardQuery, RegexpQuery, FuzzyQuery, TermRangeQuery)
 
@@ -351,9 +354,56 @@ def rewrite_query(q: Query, expansions: Dict[Query, Tuple[str, ...]]) -> Query:
     return q
 
 
+def prepare_queries(
+    queries: Sequence[Query], fetch
+) -> Tuple[List[Query], GlobalStats]:
+    """Rewrite + global stats for a batch of parsed queries — the
+    ``IndexSearcher.rewrite`` + ``createWeight`` step every search runs
+    before scoring, batch (:meth:`Index.prepare`), warm
+    (``QueryEngine``) or in-memory (``MemoryIndex``).
+
+    ``fetch(terms, patterns) -> (GlobalStats, expansions)`` resolves the
+    explicit terms and expands the multi-term patterns; its stats must
+    also cover every expansion term, so the rewritten queries need no
+    second fetch."""
+    patterns: List[Query] = []
+    for q in queries:
+        _collect_patterns(q, patterns)
+    terms = sorted({t for q in queries for t in q.terms()})
+    stats, exp = fetch(terms, patterns)
+    if patterns:
+        queries = [rewrite_query(q, exp) for q in queries]
+    return list(queries), stats
+
+
 # ---------------------------------------------------------------------------
 # Ray stages
 # ---------------------------------------------------------------------------
+
+
+def segment_term_meta(
+    terms: Sequence[str], patterns: Sequence[Query], term_col: "pa.Array",
+    lookup,
+) -> Tuple[Dict[str, Tuple[int, int]], List[List[str]]]:
+    """One segment's term metadata: ``(stats, matches)``.
+
+    ``stats`` maps each explicit term present in the segment and each
+    pattern match to its (df, ttf), every key counted once (a term can be
+    an explicit query term and match several patterns); ``matches[i]``
+    lists ``patterns[i]``'s matches in ``term_col``.  ``lookup(term)``
+    returns the segment's (df, ttf) or None.  Both the batch stats map and
+    the warm engine's actors fold their segments through this."""
+    stats: Dict[str, Tuple[int, int]] = {}
+    for t in terms:
+        st = lookup(t)
+        if st:
+            stats[t] = st
+    matches = [match_terms_arrow(p, term_col) for p in patterns]
+    for ms in matches:
+        for t in ms:
+            if t not in stats:
+                stats[t] = lookup(t)
+    return stats, matches
 
 
 class _StatsFn:
@@ -386,7 +436,11 @@ class _StatsFn:
 
         for seg_dir in batch.column("seg_dir").to_pylist():
             path = os.path.join(seg_dir, "postings.parquet")
-            if self.terms:
+            if self.patterns:
+                # the pattern scans need the whole dictionary: one read
+                # serves them and the explicit terms
+                t = pq.read_table(path, columns=["term", "df", "ttf"])
+            else:
                 # terms are byte-sorted on disk → parquet row-group min/max
                 # statistics prune the term-dict read to the groups that
                 # can contain the query terms (FST-index lookup analogue)
@@ -394,41 +448,26 @@ class _StatsFn:
                     columns=["term", "df", "ttf"],
                     filter=pc.field("term").isin(self.terms),
                 )
-                for tm, df, ttf in zip(
-                    t.column("term").to_pylist(),
-                    t.column("df").to_pylist(),
-                    t.column("ttf").to_pylist(),
-                ):
-                    emit("stat", tm, int(df), int(ttf))
-            if self.patterns:
-                t = pq.read_table(path, columns=["term", "df", "ttf"])
-                term_col = t.column("term").combine_chunks()
-                dfs = t.column("df").to_numpy()
-                ttfs = t.column("ttf").to_numpy()
-                # vectorized dictionary scans (Arrow kernels) per pattern,
-                # then ONE binary-search lookup for the matched terms'
-                # stats (terms are byte-sorted on disk)
-                matched = [
-                    match_terms_arrow(pat, term_col)
-                    for pat in self.patterns
-                ]
-                term_np = term_col.to_numpy(zero_copy_only=False)
-                # expansion rows carry the segment's df/ttf so the blended
-                # fuzzy rewrite needs no second stats pass — but each key's
-                # stats must be counted ONCE per segment (a term can be an
-                # explicit query term and match several patterns)
-                counted = set(self.terms)
-                for pi, ms in enumerate(matched):
-                    if not ms:
-                        continue
-                    idx = np.searchsorted(term_np, np.asarray(ms, object))
-                    for tm, i in zip(ms, idx.tolist()):
-                        if tm in counted:
-                            df_v = ttf_v = 0
-                        else:
-                            counted.add(tm)
-                            df_v, ttf_v = int(dfs[i]), int(ttfs[i])
-                        emit(f"pat{pi}", tm, df_v, ttf_v)
+            term_col = t.column("term").combine_chunks()
+            term_np = term_col.to_numpy(zero_copy_only=False)
+            dfs = t.column("df").to_numpy()
+            ttfs = t.column("ttf").to_numpy()
+
+            def lookup(term: str) -> Optional[Tuple[int, int]]:
+                # binary search: the term column is byte-sorted
+                i = bisect.bisect_left(term_np, term)
+                if i < len(term_np) and term_np[i] == term:
+                    return int(dfs[i]), int(ttfs[i])
+                return None
+
+            stats, matches = segment_term_meta(
+                self.terms, self.patterns, term_col, lookup
+            )
+            for key, (df, ttf) in stats.items():
+                emit("stat", key, df, ttf)
+            for pi, ms in enumerate(matches):
+                for key in ms:
+                    emit(f"pat{pi}", key, 0, 0)
         rows = [
             {"kind": kind, "key": key, "df": v[0], "ttf": v[1]}
             for (kind, key), v in partial.items()
@@ -601,9 +640,9 @@ class Index:
         """The distributed half of :meth:`collect_stats`: per-task partial
         (kind, key, df, ttf) sums over batches of segments, folded
         IN-CLUSTER to one row per distinct (kind, key) — the driver
-        receives ≤ |terms| + |expansions| rows at ANY segment count (the
-        ExactStatsCache contract, ``IndexSearcher.java:780-792``;
-        previously one row per term PER SEGMENT was summed driver-side)."""
+        receives one row per term or expansion term plus one per
+        (pattern, match) at ANY segment count (the ExactStatsCache
+        contract, ``IndexSearcher.java:780-792``)."""
         import ray
         import ray.data
 
@@ -652,28 +691,37 @@ class Index:
             .take_all()
         )
 
+    def collection_stats(self) -> GlobalStats:
+        """The manifest's collection-level stats (``CollectionStatistics``)
+        with empty per-term maps."""
+        m = self.manifest
+        return GlobalStats(
+            doc_count=m["doc_count"],
+            sum_total_term_freq=m["sum_total_term_freq"],
+            field_stats={
+                f: (fs["doc_count"], fs["sum_total_term_freq"])
+                for f, fs in m.get("fields", {}).items()
+                if f != m.get("default_field")
+            },
+        )
+
     def collect_stats(
         self, terms: List[str], patterns: Optional[List[Query]] = None
     ) -> Tuple[GlobalStats, Dict[Query, Tuple[str, ...]]]:
         """Exact global (df, ttf) for ``terms`` + multi-term expansions —
         one metadata-only map over the segments, folded in-cluster."""
         patterns = patterns or []
-        stats = GlobalStats(
-            doc_count=self.manifest["doc_count"],
-            sum_total_term_freq=self.manifest["sum_total_term_freq"],
-            field_stats={
-                f: (fs["doc_count"], fs["sum_total_term_freq"])
-                for f, fs in self.manifest.get("fields", {}).items()
-                if f != self.manifest.get("default_field")
-            },
-        )
+        stats = self.collection_stats()
         expansions: Dict[Query, set] = {p: set() for p in patterns}
         if terms or patterns:
+            # folded rows: one "stat" row per key, one "pat<i>" row per
+            # (pattern, match)
             for r in self._collect_stats_rows(list(terms), patterns):
-                if r["kind"] != "stat":
+                if r["kind"] == "stat":
+                    stats.df[r["key"]] = r["df"]
+                    stats.ttf[r["key"]] = r["ttf"]
+                else:
                     expansions[patterns[int(r["kind"][3:])]].add(r["key"])
-                stats.df[r["key"]] = stats.df.get(r["key"], 0) + r["df"]
-                stats.ttf[r["key"]] = stats.ttf.get(r["key"], 0) + r["ttf"]
         return stats, {
             p: tuple(sorted(ts)) for p, ts in expansions.items()
         }
@@ -716,20 +764,9 @@ class Index:
     def prepare(
         self, queries: Sequence[Query]
     ) -> Tuple[List[Query], GlobalStats]:
-        """Rewrite + exact global stats for a batch of parsed queries —
-        the ``IndexSearcher.rewrite`` + ``createWeight`` step every batch
-        search runs before its scan: multi-term nodes expand against the
-        distributed term dictionary, and the same stats pass returns
-        (df, ttf) for every expansion term, so the rewritten queries need
-        no second pass."""
-        patterns: List[Query] = []
-        for q in queries:
-            _collect_patterns(q, patterns)
-        terms = sorted({t for q in queries for t in q.terms()})
-        stats, exp = self.collect_stats(terms, patterns)
-        if patterns:
-            queries = [rewrite_query(q, exp) for q in queries]
-        return list(queries), stats
+        """:func:`prepare_queries` against the distributed term
+        dictionary (:meth:`collect_stats`)."""
+        return prepare_queries(queries, self.collect_stats)
 
     def scan(
         self,
@@ -791,7 +828,7 @@ class Index:
         concurrency: Optional[int] = None,
         respect_soft_deletes: bool = False,
     ) -> pa.Table:
-        parsed, stats = _prepare_batch(self, parsed)
+        parsed, stats = _prepare_batch(self.collect_stats, parsed)
         sim = similarity or BM25Similarity()
         rows = self.scan(
             partial(_collect_topk, parsed=parsed, stats=stats, sim=sim),
@@ -811,9 +848,9 @@ def _parse_batch(parser, queries, k: int) -> List[Tuple[int, Query, int]]:
     return [(qid, parser.parse(s), k) for qid, s in items]
 
 
-def _prepare_batch(index: "Index", parsed):
-    """:meth:`Index.prepare` over ``(qid, Query, k)`` triples."""
-    qs, stats = index.prepare([q for _, q, _ in parsed])
+def _prepare_batch(fetch, parsed):
+    """:func:`prepare_queries` over ``(qid, Query, k)`` triples."""
+    qs, stats = prepare_queries([q for _, q, _ in parsed], fetch)
     return [(qid, q, k) for (qid, _, k), q in zip(parsed, qs)], stats
 
 
@@ -966,7 +1003,8 @@ def search_by_field(
     early-terminate: the first k matching ords are taken without any
     per-candidate comparison (``field_sort_topk_ords``)."""
     parsed, stats = _prepare_batch(
-        index, _parse_batch(index.make_parser(analyzer), queries, k)
+        index.collect_stats,
+        _parse_batch(index.make_parser(analyzer), queries, k),
     )
     rows = index.scan(
         partial(_collect_field_sort, parsed=parsed, stats=stats,
@@ -1095,7 +1133,8 @@ def search_by_fields(
     prefix early-terminate per segment.  Output columns: qid, rank,
     doc_id, sort_0..sort_n (one per sort field)."""
     parsed, stats = _prepare_batch(
-        index, _parse_batch(index.make_parser(analyzer), queries, k)
+        index.collect_stats,
+        _parse_batch(index.make_parser(analyzer), queries, k),
     )
     rows = index.scan(
         partial(_collect_multi_field_sort, parsed=parsed, stats=stats,
@@ -1154,7 +1193,8 @@ def count_hits(index: "Index", queries,
     ``parser`` overrides the classic parser (e.g. a
     :class:`~lucene_solr_ray.search.simpleparser.SimpleQueryParser`)."""
     parsed, stats = _prepare_batch(
-        index, _parse_batch(parser or index.make_parser(analyzer), queries, 0)
+        index.collect_stats,
+        _parse_batch(parser or index.make_parser(analyzer), queries, 0),
     )
     rows = index.scan(
         partial(_collect_count, parsed=parsed, stats=stats),

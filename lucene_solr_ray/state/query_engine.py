@@ -11,9 +11,13 @@ executor, ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher
 - N ``SegmentSearcher`` actors, each OWNING a static partition of the
   segments (round-robin by size), postings loaded once in the constructor
   and kept hot across queries;
-- global collection/term stats resolved once per distinct term and cached
-  engine-side (the ExactStatsCache role), so repeated query terms skip the
-  stats round-trip entirely;
+- the batch search's prepare step (``searcher.prepare_queries``: collect
+  patterns, fetch stats + expansions, rewrite), fed by an engine-side
+  cache of term stats and pattern expansions (the ExactStatsCache role).
+  A query with uncached terms or patterns costs ONE ``cold_meta`` round
+  trip, in which each actor folds its segments through
+  ``searcher.segment_term_meta`` (explicit-term stats, pattern matches and
+  the matches' stats); a repeated query costs none;
 - ``search`` = one actor round-trip per query batch + driver TopDocs
   merge.  This is the only place the engine drops to raw ``@ray.remote``
   actors — the Dataset API cannot express a resident service.
@@ -24,18 +28,16 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
 import pyarrow as pa
 
 from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
-from lucene_solr_ray.search.parser import QueryParser
 from lucene_solr_ray.search.query import Query
 from lucene_solr_ray.search.scorer import GlobalStats
 from lucene_solr_ray.search.searcher import (
     Index,
-    _collect_patterns,
     _merge_topk,
-    rewrite_query,
+    _parse_batch,
+    _prepare_batch,
 )
 from lucene_solr_ray.search.similarity import BM25Similarity
 
@@ -65,45 +67,24 @@ def _make_actor_cls():
             self._cache: "OrderedDict" = OrderedDict()
             self._cache_cap = 1024
 
-        def term_stats(self, terms: List[str]) -> Dict[str, Tuple[int, int]]:
-            out: Dict[str, Tuple[int, int]] = {}
-            for reader, _ in self.readers:
-                for t in terms:
-                    st = reader.term_stats(t)
-                    if st:
-                        df, ttf = out.get(t, (0, 0))
-                        out[t] = (df + st[0], ttf + st[1])
-            return out
-
         def cold_meta(self, terms: List[str], patterns):
             """Everything a cold query needs in ONE round trip: this
             actor's (df, ttf) partials for the explicit terms, each
-            pattern's expansion, AND the expanded terms' partials (so the
-            blended-fuzzy rewrite needs no follow-up stats call).  The
-            pattern scan runs Arrow kernels over the reader's term
-            column, not a Python loop."""
-            from lucene_solr_ray.search.searcher import match_terms_arrow
+            pattern's expansion, AND the expanded terms' partials — over
+            the resident term dictionary, with no per-call conversion."""
+            from lucene_solr_ray.search.searcher import segment_term_meta
 
             stats: Dict[str, Tuple[int, int]] = {}
             expansions: List[set] = [set() for _ in patterns]
-
-            def acc(t: str, reader) -> None:
-                st = reader.term_stats(t)
-                if st:
-                    df, ttf = stats.get(t, (0, 0))
-                    stats[t] = (df + st[0], ttf + st[1])
-
             for reader, _ in self.readers:
-                counted = set(terms)
-                for t in terms:
-                    acc(t, reader)
-                for pi, pat in enumerate(patterns):
-                    ms = match_terms_arrow(pat, reader.terms_arrow)
-                    expansions[pi].update(ms)
-                    for t in ms:
-                        if t not in counted:
-                            counted.add(t)
-                            acc(t, reader)
+                seg_stats, matches = segment_term_meta(
+                    terms, patterns, reader.terms_arrow, reader.term_stats
+                )
+                for t, (df, ttf) in seg_stats.items():
+                    df0, ttf0 = stats.get(t, (0, 0))
+                    stats[t] = (df0 + df, ttf0 + ttf)
+                for acc, ms in zip(expansions, matches):
+                    acc.update(ms)
             return {
                 "stats": stats,
                 "expansions": [sorted(e) for e in expansions],
@@ -182,8 +163,6 @@ class QueryEngine:
         similarity: Optional[BM25Similarity] = None,
         replicas: Optional[Sequence[str]] = None,
     ):
-        import ray
-
         if isinstance(index, str):
             index = Index(index)
         self.index = index
@@ -291,15 +270,13 @@ class QueryEngine:
 
     def _stats_for(self, terms: Sequence[str],
                    patterns: List[Query]) -> Tuple[GlobalStats, Dict]:
-        import ray
-
+        """``Index.collect_stats``'s contract (stats for the terms AND
+        every expansion term, plus the expansions) served from the
+        engine cache; whatever is not cached costs one ``cold_meta``
+        round trip."""
         missing = [t for t in terms if t not in self._stats_cache]
         new_patterns = [p for p in patterns if p not in self._expansion_cache]
         if missing or new_patterns:
-            # ONE actor round trip covers missing-term stats, pattern
-            # expansions, and the expanded terms' stats (cold queries
-            # previously paid 2-3 sequential rounds — the warm-pool p99
-            # tail)
             parts = self._gather("cold_meta", missing, new_patterns)
             # sum per-actor partials for keys we did NOT already have
             # (an actor re-reports a cached term only when a new pattern
@@ -320,78 +297,20 @@ class QueryEngine:
                 for part in parts:
                     acc.update(part["expansions"][pi])
                 self._expansion_cache[pat] = tuple(sorted(acc))
-                # expansion terms' stats are now cached too — the blended
-                # rewrite's top-up becomes a cache hit
-                for t in self._expansion_cache[pat]:
-                    self._stats_cache.setdefault(t, (0, 0))
         expansions = {p: self._expansion_cache[p] for p in patterns}
-        m = self.index.manifest
-        stats = GlobalStats(
-            doc_count=m["doc_count"],
-            sum_total_term_freq=m["sum_total_term_freq"],
-            field_stats={
-                f: (fs["doc_count"], fs["sum_total_term_freq"])
-                for f, fs in m.get("fields", {}).items()
-                if f != m.get("default_field")
-            },
-        )
+        stats = self.index.collection_stats()
         for t in terms:
-            df, ttf = self._stats_cache.get(t, (0, 0))
-            stats.df[t] = df
-            stats.ttf[t] = ttf
+            stats.df[t], stats.ttf[t] = self._stats_cache[t]
+        for ts in expansions.values():
+            for t in ts:
+                stats.df[t], stats.ttf[t] = self._stats_cache[t]
         return stats, expansions
 
     def search(self, queries: Dict[int, str] | Sequence[str],
                k: int = 10) -> pa.Table:
-        import ray
-
-        items = (
-            sorted(queries.items())
-            if isinstance(queries, dict)
-            else list(enumerate(queries))
+        parsed, stats = _prepare_batch(
+            self._stats_for, _parse_batch(self.parser, queries, k)
         )
-        parsed = [(qid, self.parser.parse(s), k) for qid, s in items]
-        patterns: List[Query] = []
-        for _, q, _ in parsed:
-            _collect_patterns(q, patterns)
-        terms = sorted({t for _, q, _ in parsed for t in q.terms()})
-        stats, exp = self._stats_for(terms, patterns)
-        if patterns:
-            parsed = [(qid, rewrite_query(q, exp), kk)
-                      for qid, q, kk in parsed]
-            # blended rewrites (fuzzy) score with real stats — top up
-            # ONLY their terms (constant-score expansions never read df,
-            # and a broad wildcard would otherwise drag thousands of
-            # stats fetches into the warm path)
-            from lucene_solr_ray.search.query import BlendedTermQuery
-
-            def _blended_terms(q):
-                out = set()
-                stack = [q]
-                while stack:
-                    node = stack.pop()
-                    if isinstance(node, BlendedTermQuery):
-                        out.update(node.bl_terms)
-                    for attr in ("query", "disjuncts", "clauses"):
-                        sub = getattr(node, attr, None)
-                        if sub is None:
-                            continue
-                        if attr == "clauses":
-                            stack.extend(c.query for c in sub)
-                        elif attr == "disjuncts":
-                            stack.extend(sub)
-                        else:
-                            stack.append(sub)
-                return out
-
-            extra = sorted(
-                {t for _, q, _ in parsed for t in _blended_terms(q)}
-                - set(stats.df)
-            )
-            if extra:
-                more, _ = self._stats_for(extra, [])
-                stats.df.update(more.df)
-                stats.ttf.update(more.ttf)
         rows: List[dict] = []
         for part in self._gather("search", parsed, stats, self.sim):
             rows.extend(part)

@@ -110,6 +110,77 @@ def test_chained_text_updates_use_delta(small_index):
         "doc_id").to_pylist() == [0]
 
 
+def test_two_reindex_updates_to_one_doc_merge(small_index):
+    out, corpus = small_index
+    live = Index(out).manifest["live_doc_count"]
+    # two re-index updates to one doc in ONE call: the second merges from
+    # the first's result, and one replacement doc is written
+    manifest, errors = atomic_update_documents(out, corpus, [
+        {"doc_id": 1, "text": {"add": "zfirst"}},
+        {"doc_id": 1, "text": {"add": "zsecond"}},
+    ])
+    assert errors == []
+    assert manifest["live_doc_count"] == live
+    idx = Index(out)
+    for word in ("zfirst", "zsecond", "gamma"):
+        assert 1 in idx.search({0: word}, k=10).column(
+            "doc_id").to_pylist()
+    for word in ("zfirst", "zsecond"):
+        assert idx.search({0: word}, k=10).column(
+            "doc_id").to_pylist() == [1]
+    assert get_current_documents(out, corpus, [1])[1] == (
+        "gamma delta zfirst zsecond"
+    )
+    assert _prices(out)[1] == 20
+
+
+@pytest.fixture()
+def two_numeric_index(ray_session, tmp_path):
+    p = str(tmp_path / "docs.parquet")
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array([0, 1, 2], pa.int64()),
+            "text": pa.array(["alpha", "beta", "gamma"]),
+            "price": pa.array([10, 20, 30], pa.int64()),
+            "stock": pa.array([1, 2, 3], pa.int64()),
+        }),
+        p,
+    )
+    out = str(tmp_path / "idx")
+    build_index(p, out, text_col="text", id_col="doc_id",
+                stored_cols=["price", "stock"], docs_per_segment=2)
+    return out, p
+
+
+def test_tolerant_inplace_update_is_all_or_nothing(two_numeric_index):
+    out, corpus = two_numeric_index
+    gen = Index(out).manifest["generation"]
+    # docs 9 and 7 do not exist: an inc on them fails the WHOLE update
+    # (doc 9's set is not applied, so nothing is committed), and each
+    # failed update is reported once
+    failing = [
+        {"doc_id": 9, "price": {"set": 99}, "stock": {"inc": 1}},
+        {"doc_id": 7, "price": {"inc": 1}, "stock": {"inc": 1}},
+    ]
+    manifest, errors = atomic_update_documents(out, corpus, failing,
+                                               tolerant=True)
+    assert [e["doc_id"] for e in errors] == [9, 7]
+    assert manifest["generation"] == gen
+    assert Index(out).manifest["generation"] == gen
+    # next to a good update, the failing ones are still isolated
+    _, errors = atomic_update_documents(out, corpus, failing + [
+        {"doc_id": 0, "price": {"set": 11}, "stock": {"inc": 4}},
+    ], tolerant=True)
+    assert [e["doc_id"] for e in errors] == [9, 7]
+    q = "alpha OR beta OR gamma"
+    assert _prices(out, q) == {0: 11, 1: 20, 2: 30}
+    t = search_by_field(Index(out), {0: q}, "stock", descending=False,
+                        k=100)
+    assert dict(zip(t.column("doc_id").to_pylist(),
+                    [int(v) for v in t.column("sort_value").to_pylist()])
+                ) == {0: 5, 1: 2, 2: 3}
+
+
 def test_mixed_update_reindexes_with_stored(small_index):
     out, corpus = small_index
     # text + numeric in one update: the re-index path carries the

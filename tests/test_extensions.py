@@ -172,22 +172,86 @@ def test_knn_classify_runs(docs_index, sf_dir):
 
 # -- warm query engine -------------------------------------------------------
 
-def test_query_engine_matches_dataset_path(docs_index):
+def _count_gathers(eng, method):
+    """Wrap ``eng._gather``; returns a callable giving how many ``method``
+    fan-outs (actor round trips) the engine has made so far."""
+    calls = []
+    gather = eng._gather
+
+    def spy(m, *args):
+        calls.append(m)
+        return gather(m, *args)
+
+    eng._gather = spy
+    return lambda: calls.count(method)
+
+
+def _assert_same_topk(a, b):
+    assert list(a["qid"]) == list(b["qid"])
+    assert list(a["doc_id"]) == list(b["doc_id"])
+    np.testing.assert_array_equal(a["score"].to_numpy(), b["score"].to_numpy())
+
+
+@pytest.fixture(scope="module")
+def docs_index_3seg(ray_session, sf_dir, tmp_path_factory):
+    """The documents index in three segments, for a two-actor engine."""
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.search.searcher import Index
+
+    out = str(tmp_path_factory.mktemp("docs3"))
+    build_index(f"{sf_dir}/documents.parquet", out, text_col="text",
+                id_col="doc_id", docs_per_segment=150)
+    idx = Index(out)
+    assert len(idx.seg_dirs) == 3
+    return idx
+
+
+def test_query_engine_matches_dataset_path(docs_index, docs_index_3seg):
+    q = {0: "merge", 1: "fast OR slow", 2: "merge AND sort",
+         3: '"batch batch"', 4: "mer*",
+         # multi-term rewrites: a blended fuzzy query scores with its
+         # expansion terms' stats, which the stats round trip must bring
+         5: "merg~1", 6: "mrege~2", 7: "merge OR merg~1", 8: "me?ge",
+         9: "/mer.e/"}
+    for index in (docs_index, docs_index_3seg):
+        _check_query_engine(index, q)
+
+
+def _check_query_engine(index, q):
     from lucene_solr_ray.state.query_engine import QueryEngine
 
-    eng = QueryEngine(docs_index, num_actors=2)
+    a = index.search(q, k=10).to_pandas()
+    assert set(a["qid"]) == set(q)
+
+    eng = QueryEngine(index, num_actors=2)
     try:
-        q = {0: "merge", 1: "fast OR slow", 2: "merge AND sort",
-             3: '"batch batch"', 4: "mer*"}
-        a = docs_index.search(q, k=10).to_pandas()
+        cold_meta = _count_gathers(eng, "cold_meta")
         b = eng.search(q, k=10).to_pandas()
-        assert list(a["doc_id"]) == list(b["doc_id"])
-        np.testing.assert_array_equal(
-            a["score"].to_numpy(), b["score"].to_numpy()
-        )
-        # stats cache: repeated search gives identical results
+        _assert_same_topk(a, b)
+        assert cold_meta() == 1
+        # stats cache: repeated search gives identical results and makes
+        # no stats round trip
         c = eng.search(q, k=10).to_pandas()
-        assert list(b["doc_id"]) == list(c["doc_id"])
+        _assert_same_topk(b, c)
+        assert cold_meta() == 1
+    finally:
+        eng.shutdown()
+
+    # one query at a time, in reverse order: later queries find some of
+    # their terms cached by earlier patterns' expansions
+    eng = QueryEngine(index, num_actors=2)
+    try:
+        cold_meta = _count_gathers(eng, "cold_meta")
+        singles = []
+        for qid in sorted(q, reverse=True):
+            n = cold_meta()
+            singles.append(eng.search({qid: q[qid]}, k=10).to_pandas())
+            assert cold_meta() <= n + 1
+            n = cold_meta()
+            eng.search({qid: q[qid]}, k=10)  # a repeat: no round trip
+            assert cold_meta() == n
+        b = pd.concat(singles).sort_values(["qid", "rank"])
+        _assert_same_topk(a, b)
     finally:
         eng.shutdown()
 
@@ -407,14 +471,16 @@ def test_multifield_merge_preserves_field_scores(ray_session, sf_dir, tmp_path):
 def test_multifield_query_engine(mf_index):
     from lucene_solr_ray.state.query_engine import QueryEngine
 
+    q = {0: "merge AND lang:en", 1: "merge AND lang:en~1",
+         2: "merge AND lang:e*"}
     eng = QueryEngine(mf_index, num_actors=2)
     try:
-        a = mf_index.search({0: "merge AND lang:en"}, k=10).to_pandas()
-        b = eng.search({0: "merge AND lang:en"}, k=10).to_pandas()
-        assert list(a["doc_id"]) == list(b["doc_id"])
-        np.testing.assert_array_equal(
-            a["score"].to_numpy(), b["score"].to_numpy()
-        )
+        a = mf_index.search(q, k=10).to_pandas()
+        assert set(a["qid"]) == set(q)
+        cold_meta = _count_gathers(eng, "cold_meta")
+        _assert_same_topk(a, eng.search(q, k=10).to_pandas())
+        _assert_same_topk(a, eng.search(q, k=10).to_pandas())
+        assert cold_meta() == 1
     finally:
         eng.shutdown()
 
