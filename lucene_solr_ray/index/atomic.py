@@ -24,9 +24,9 @@ Engine mapping:
   with every stored column propagated into the replacement segment.
 
 Ray shape: updates arrive in driver-sized batches (they are user
-requests, not data-plane volume); current-value reads fan out one
-``map_batches`` over the segment list with the target-id set broadcast,
-returning ≤ |ids| rows.
+requests, not data-plane volume); current-value reads are one
+``Index.scan`` over the segment list with the :func:`_collect_stored`
+collector and the target-id set broadcast, returning ≤ |ids| rows.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import re
 import uuid
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,63 +139,39 @@ def get_current_documents(
     return out
 
 
-class _CollectStoredFn:
-    """Per-segment overlay-aware read of stored columns for target ids."""
+def _collect_stored(pairs, ids: np.ndarray, columns: List[str]) -> pa.Table:
+    """Scan collector: overlay-aware stored columns of the LIVE copies of
+    the sorted doc ids ``ids``."""
+    from lucene_solr_ray.index.docvalues import read_docmeta_column_raw
 
-    def __init__(self, by_ids: np.ndarray, columns: List[str]):
-        self.by_ids = by_ids
-        self.columns = columns
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_solr_ray.index.docvalues import read_docmeta_column_raw
-        from lucene_solr_ray.search.reader import SegmentReader
-
-        rows = []
-        for seg_dir in batch.column("seg_dir").to_pylist():
-            reader = SegmentReader(seg_dir, load_positions=False)
-            pos = np.searchsorted(self.by_ids, reader.doc_ids)
-            pos_c = np.minimum(pos, len(self.by_ids) - 1)
-            hit = (pos < len(self.by_ids)) & (
-                self.by_ids[pos_c] == reader.doc_ids
-            )
-            hit[reader.deleted_ords] = False  # only LIVE copies count
-            ords = np.nonzero(hit)[0]
-            if not len(ords):
-                continue
-            cols = {}
-            for c in self.columns:
-                vals, _ = read_docmeta_column_raw(seg_dir, c)
-                cols[c] = vals[ords]
-            for k, o in enumerate(ords):
-                rows.append({
-                    "doc_id": int(reader.doc_ids[o]),
-                    **{c: cols[c][k].item() if hasattr(cols[c][k], "item")
-                       else cols[c][k] for c in self.columns},
-                })
-        return pa.Table.from_pylist(rows)
+    rows = []
+    for reader, _ in pairs:
+        ords, _ = reader.live_ords(ids)
+        if not len(ords):
+            continue
+        cols = {c: read_docmeta_column_raw(reader.seg_dir, c)[0][ords]
+                for c in columns}
+        for k, o in enumerate(ords):
+            rows.append({
+                "doc_id": int(reader.doc_ids[o]),
+                **{c: cols[c][k].item() if hasattr(cols[c][k], "item")
+                   else cols[c][k] for c in columns},
+            })
+    return pa.Table.from_pylist(rows)
 
 
 def _current_stored(index_dir: str, ids: Sequence[int],
                     columns: List[str]) -> Dict[int, Dict]:
     """Current stored-column values (DV overlays applied) for the LIVE
-    copy of each id — one broadcast map over the segment list."""
-    import ray.data
+    copy of each id — one broadcast scan over the segment list."""
+    from lucene_solr_ray.search.searcher import Index
 
     if not columns or not len(ids):
         return {}
-    m = read_latest_manifest(index_dir)
-    items = [
-        {"seg_dir": os.path.join(index_dir,
-                                 segment_dir_name(s["segment_id"]))}
-        for s in m["segments"]
-    ]
     by_ids = np.asarray(sorted(set(int(i) for i in ids)), dtype=np.int64)
-    rows = (
-        ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(_CollectStoredFn(by_ids, columns),
-                     batch_format="pyarrow")
-        .take_all()
-    )
+    rows = Index(index_dir).scan(
+        partial(_collect_stored, ids=by_ids, columns=columns), []
+    ).take_all()
     return {int(r["doc_id"]): {c: r[c] for c in columns} for r in rows}
 
 

@@ -23,6 +23,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.manifest import read_latest_manifest, segment_dir_name
 from lucene_solr_ray.index.postings_codec import (
     decode_block_skips,
@@ -105,44 +106,38 @@ def check_segment(seg_dir: str) -> Dict:
             f"sum_total_term_freq {stats['sum_total_term_freq']} != {sum_ttf}"
         )
 
-    # live-docs sidecar (round 2): sorted, unique, in-range tombstones
-    from lucene_solr_ray.search.reader import latest_deletes_file
+    # live-docs sidecar (round 2): sorted, unique, in-range tombstones.
+    # Sidecars are checked at their newest on-disk generation, committed
+    # or not.
+    newest = sidecars.on_disk(seg_dir)
 
-    del_file = latest_deletes_file(seg_dir)
-    if del_file is not None:
-        dords = pq.read_table(
-            os.path.join(seg_dir, del_file)
-        ).column("ord").to_numpy()
-        if len(dords):
-            if (np.diff(dords) <= 0).any():
-                errors.append("deletes: ords not strictly ascending")
-            if dords[0] < 0 or dords[-1] >= n_docs:
-                errors.append("deletes: ord out of range")
+    def sidecar_ords(kind: str) -> np.ndarray:
+        t = sidecars.read(seg_dir, kind, newest.get(kind, 0))
+        return np.empty(0) if t is None else t.column("ord").to_numpy()
+
+    dords = sidecar_ords(sidecars.DELETES)
+    if len(dords):
+        if (np.diff(dords) <= 0).any():
+            errors.append("deletes: ords not strictly ascending")
+        if dords[0] < 0 or dords[-1] >= n_docs:
+            errors.append("deletes: ord out of range")
 
     # soft-deletes sidecar (round 4): sorted, in-range.  Overlap with hard
     # tombstones is LEGAL (soft_delete then delete_by_query hard-deletes a
     # soft-deleted doc without purging the soft sidecar; merge.py's
     # _merged_soft_ords setdiffs the overlap) — report it informationally,
     # not as corruption.
-    from lucene_solr_ray.index.softdeletes import latest_soft_file
-
-    soft_file = latest_soft_file(seg_dir)
-    if soft_file is not None:
-        sords = pq.read_table(
-            os.path.join(seg_dir, soft_file)
-        ).column("ord").to_numpy()
-        if len(sords):
-            if (np.diff(sords) <= 0).any():
-                errors.append("soft-deletes: ords not strictly ascending")
-            if sords[0] < 0 or sords[-1] >= n_docs:
-                errors.append("soft-deletes: ord out of range")
-            if del_file is not None and len(dords) and np.intersect1d(
-                sords, dords
-            ).size:
-                warnings.append(
-                    "soft-deletes: overlap with hard tombstones "
-                    "(hard wins; soft entry is inert)"
-                )
+    sords = sidecar_ords(sidecars.SOFT)
+    if len(sords):
+        if (np.diff(sords) <= 0).any():
+            errors.append("soft-deletes: ords not strictly ascending")
+        if sords[0] < 0 or sords[-1] >= n_docs:
+            errors.append("soft-deletes: ord out of range")
+        if len(dords) and np.intersect1d(sords, dords).size:
+            warnings.append(
+                "soft-deletes: overlap with hard tombstones "
+                "(hard wins; soft entry is inert)"
+            )
 
     # index_sort marker (round 4): docmeta rows must actually be in the
     # recorded comparator order

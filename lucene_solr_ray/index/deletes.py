@@ -17,25 +17,28 @@ Semantics preserved exactly:
 - ``update_documents`` = delete-by-id + add a fresh segment, the
   ``updateDocument`` two-step.
 
-Ray shape: the delete is ONE ``map_batches`` over the segment list — each
-task evaluates the delete query against its segment (postings metadata +
-the existing evaluator), unions with the segment's current tombstones, and
-writes the next-generation sidecar atomically.  The driver then commits a
-new manifest generation carrying per-segment ``del_gen``/``del_count``.
-At 100 TB the work per task is one query evaluation over one segment — no
-shuffle, no driver materialization beyond (segment_id, del_count) rows.
+Ray shape: the delete is one ``Index.scan`` over the segment list with
+the :func:`_collect_deletes` collector — each task evaluates the delete
+query against its segment (postings metadata + the existing evaluator),
+unions with the segment's current tombstones, and writes the
+next-generation sidecar atomically (:mod:`lucene_solr_ray.index.sidecars`).
+The driver then commits a new manifest generation carrying per-segment
+``del_gen``/``del_count``.  At 100 TB the work per task is one query
+evaluation over one segment — no shuffle, no driver materialization
+beyond one (segment, generation, count) row per segment.
 """
 
 from __future__ import annotations
 
 import os
-import uuid
+from functools import partial
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.manifest import (
     commit_manifest,
     read_latest_manifest,
@@ -53,123 +56,49 @@ __all__ = [
 ]
 
 
-def _write_deletes_file(seg_dir: str, gen: int, ords: np.ndarray) -> str:
-    """Atomically write ``deletes-<gen>.parquet`` (sorted deleted ords)."""
-    name = f"deletes-{gen}.parquet"
-    tmp = os.path.join(seg_dir, f".{name}.tmp-{uuid.uuid4().hex[:8]}")
-    pq.write_table(
-        pa.table({"ord": pa.array(np.sort(ords).astype(np.int32))}),
-        tmp,
-        compression="zstd",
-    )
-    os.rename(tmp, os.path.join(seg_dir, name))
-    return name
-
-
 def segment_deleted_ords(seg_dir: str) -> np.ndarray:
     """Sorted deleted ordinals from the COMMITTED sidecar generation
     (manifest-resolved, falling back to the newest on-disk sidecar for
     standalone segment dirs); empty if none."""
-    from lucene_solr_ray.search.reader import committed_gens, latest_deletes_file
-
-    gens = committed_gens(seg_dir)
-    if gens is not None:
-        f = f"deletes-{gens[0]}.parquet" if gens[0] > 0 else None
-    else:
-        f = latest_deletes_file(seg_dir)
-    if f is None:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(
-        pq.read_table(os.path.join(seg_dir, f))
-        .column("ord").to_numpy().astype(np.int64)
+    return sidecars.read_ords(
+        seg_dir, sidecars.segment_gens(seg_dir), sidecars.DELETES
     )
 
 
-class _DeleteFn:
-    """Per-segment delete task: evaluate the query, union tombstones,
-    write the next sidecar generation."""
+def matching_ords(reader, query, stats, ids: Optional[np.ndarray]):
+    """Live ordinals of ``reader`` matching ``query``, or whose doc id is
+    in the sorted array ``ids`` when it is given."""
+    if ids is not None:
+        return reader.live_ords(ids)[0]
+    from lucene_solr_ray.search.scorer import score_segment
 
-    def __init__(self, query, stats, by_doc_ids: Optional[np.ndarray] = None):
-        self.query = query
-        self.stats = stats
-        self.by_doc_ids = by_doc_ids
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_solr_ray.search.reader import SegmentReader
-        from lucene_solr_ray.search.scorer import score_segment
-
-        rows = []
-        need_pos = (
-            self.by_doc_ids is None and _query_has_phrase(self.query)
-        )
-        for seg_dir, seg_id, cur_gen in zip(
-            batch.column("seg_dir").to_pylist(),
-            batch.column("segment_id").to_pylist(),
-            batch.column("del_gen").to_pylist(),
-        ):
-            reader = SegmentReader(seg_dir, load_positions=need_pos)
-            if self.by_doc_ids is not None:
-                mask = np.isin(reader.doc_ids, self.by_doc_ids)
-                hit_ords = np.nonzero(mask)[0].astype(np.int64)
-            else:
-                # score_segment already excludes current tombstones, so the
-                # union below only adds newly-matching live docs
-                ords, _ = score_segment(reader, self.query, self.stats)
-                hit_ords = ords.astype(np.int64)
-            merged = np.union1d(reader.deleted_ords, hit_ords)
-            new_count = int(len(merged))
-            if new_count > len(reader.deleted_ords):
-                gen = int(cur_gen) + 1
-                _write_deletes_file(seg_dir, gen, merged)
-            else:
-                gen = int(cur_gen)
-            rows.append(
-                {"segment_id": int(seg_id), "del_gen": gen,
-                 "del_count": new_count}
-            )
-        return pa.Table.from_pylist(rows)
+    # score_segment already excludes current tombstones
+    return score_segment(reader, query, stats)[0].astype(np.int64)
 
 
-def _query_has_phrase(q) -> bool:
-    from lucene_solr_ray.search.searcher import _has_phrase
-
-    return _has_phrase(q)
+def _collect_deletes(pairs, query, stats, ids) -> pa.Table:
+    """Write collector: tombstone the matching docs in each segment's
+    next ``deletes`` generation."""
+    rows = []
+    for reader, o in pairs:
+        cur = reader.deleted_ords
+        merged = np.union1d(cur, matching_ords(reader, query, stats, ids))
+        rows.append(sidecars.advance(reader, o, sidecars.DELETES, merged,
+                                     len(merged) > len(cur)))
+    return pa.Table.from_pylist(rows)
 
 
 def _apply_delete(index_dir: str, query=None, stats=None,
                   by_doc_ids: Optional[np.ndarray] = None,
                   commit: bool = True):
-    """Run the per-segment delete fan-out; commit the next manifest (or,
-    with ``commit=False``, return the updated segment-meta list so the
-    caller can fold more changes into ONE manifest generation)."""
-    import ray.data
-
-    manifest = read_latest_manifest(index_dir)
-    if manifest is None:
-        raise FileNotFoundError(index_dir)
-    segs = {s["segment_id"]: dict(s) for s in manifest["segments"]}
-    items = [
-        {
-            "seg_dir": os.path.join(index_dir, segment_dir_name(sid)),
-            "segment_id": sid,
-            "del_gen": int(s.get("del_gen", 0)),
-        }
-        for sid, s in sorted(segs.items())
-    ]
-    res = (
-        ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(
-            _DeleteFn(query, stats, by_doc_ids), batch_format="pyarrow"
-        )
-        .take_all()
+    """Run the delete write pass; commit the next manifest (or, with
+    ``commit=False``, return the updated segment entries so the caller
+    can fold more changes into ONE manifest generation)."""
+    return sidecars.write_pass(
+        index_dir,
+        partial(_collect_deletes, query=query, stats=stats, ids=by_doc_ids),
+        [] if query is None else [query], commit=commit,
     )
-    for r in res:
-        s = segs[int(r["segment_id"])]
-        s["del_gen"] = int(r["del_gen"])
-        s["del_count"] = int(r["del_count"])
-    if not commit:
-        return list(segs.values())
-    return commit_manifest(index_dir, list(segs.values()))
 
 
 def delete_by_query(index_dir: str, query_str: str, analyzer=None) -> Dict:
@@ -292,7 +221,7 @@ def update_documents(
 ) -> Dict:
     """``updateDocument``: delete-by-id + re-add committed as ONE manifest
     generation.  Readers resolve sidecar generations from the committed
-    manifest (``reader.committed_gens``), so neither the delete sidecars
+    manifest (:mod:`lucene_solr_ray.index.sidecars`), so neither the delete sidecars
     nor the replacement segment is visible before the single commit below
     — the intermediate deleted-but-not-readded state cannot be observed,
     and a crash anywhere before the commit leaves the previous commit

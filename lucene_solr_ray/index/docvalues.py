@@ -14,73 +14,41 @@ Ours: ``dvu-<field>-<gen>.parquet`` with sorted ``ord:int32`` +
 carries the FULL merged overlay for its field, so readers load exactly one
 file per updated field.
 
-Ray shape (same as :mod:`lucene_solr_ray.index.deletes`): ONE
-``map_batches`` fan-out over the segment list — each task resolves the
-term / doc-id predicate against its own segment, merges with the current
-overlay (new values win), writes the next-generation sidecar atomically —
-then the driver commits one manifest generation carrying per-segment
-``dv_gens``.  No shuffle; per-task work is one postings lookup, and only
-(segment_id, gen, count) rows return to the driver.
+Ray shape (same as :mod:`lucene_solr_ray.index.deletes`): one
+``Index.scan`` over the segment list with the :func:`_collect_dv_updates`
+collector — each task resolves the term / doc-id predicate against its
+own segment, merges with the committed overlay (new values win), writes
+the next-generation sidecar atomically — then the driver commits one
+manifest generation carrying per-segment ``dv_gens``.  No shuffle;
+per-task work is one postings lookup, and only (segment, generation,
+count) rows return to the driver.
 """
 
 from __future__ import annotations
 
 import os
-import re
-import uuid
+from functools import partial
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from lucene_solr_ray.index.manifest import (
-    commit_manifest,
-    read_latest_manifest,
-    segment_dir_name,
-)
+from lucene_solr_ray.index import sidecars
+from lucene_solr_ray.index.manifest import read_latest_manifest
 
 __all__ = [
     "update_numeric_docvalue",
     "update_numeric_docvalues_by_id",
-    "latest_dvu_file",
     "segment_dv_overlay",
     "read_docmeta_column",
     "docmeta_with_overlays",
 ]
 
-_DVU_RE = re.compile(r"^dvu-(.+)-(\d+)\.parquet$")
-
-
-def latest_dvu_file(seg_dir: str, field: str) -> Optional[str]:
-    """Highest-generation ``dvu-<field>-N.parquet`` in the dir, or None."""
-    best, best_gen = None, -1
-    try:
-        names = os.listdir(seg_dir)
-    except OSError:
-        return None
-    for name in names:
-        m = _DVU_RE.match(name)
-        if m and m.group(1) == field and int(m.group(2)) > best_gen:
-            best_gen = int(m.group(2))
-            best = name
-    return best
-
-
 def dvu_fields(seg_dir: str) -> Dict[str, int]:
-    """{field: latest generation} for every updated field in the dir."""
-    out: Dict[str, int] = {}
-    try:
-        names = os.listdir(seg_dir)
-    except OSError:
-        return out
-    for name in names:
-        m = _DVU_RE.match(name)
-        if m:
-            fld, gen = m.group(1), int(m.group(2))
-            if gen > out.get(fld, -1):
-                out[fld] = gen
-    return out
+    """{field: newest on-disk generation} for every updated field in the
+    dir, committed or not."""
+    return sidecars.dv_fields(sidecars.on_disk(seg_dir))
 
 
 def segment_dv_overlay(
@@ -89,19 +57,12 @@ def segment_dv_overlay(
     """(sorted ords, values) of the COMMITTED overlay generation for
     ``field`` (manifest-resolved unless ``gen`` is given; standalone
     segment dirs fall back to the newest on-disk sidecar), or None."""
+    kind = sidecars.dvu(field)
     if gen is None:
-        from lucene_solr_ray.search.reader import committed_gens
-
-        gens = committed_gens(seg_dir)
-        if gens is not None:
-            gen = gens[1].get(field, 0)
-    if gen is not None:
-        f = f"dvu-{field}-{gen}.parquet" if gen > 0 else None
-    else:
-        f = latest_dvu_file(seg_dir, field)
-    if f is None:
+        gen = sidecars.segment_gens(seg_dir).get(kind, 0)
+    t = sidecars.read(seg_dir, kind, gen)
+    if t is None:
         return None
-    t = pq.read_table(os.path.join(seg_dir, f))
     return (
         t.column("ord").to_numpy().astype(np.int64),
         t.column("value").to_numpy().astype(np.int64),
@@ -153,10 +114,7 @@ def docmeta_with_overlays(seg_dir: str) -> pa.Table:
     """Full docmeta with every field's DV overlay baked in (merge path:
     the reference rewrites doc values on merge and drops the update
     generations — ``SegmentMerger`` reads through ``ReadersAndUpdates``)."""
-    from lucene_solr_ray.search.reader import committed_gens
-
-    gens = committed_gens(seg_dir)
-    fields = gens[1] if gens is not None else dvu_fields(seg_dir)
+    fields = sidecars.dv_fields(sidecars.segment_gens(seg_dir))
     dm = pq.read_table(os.path.join(seg_dir, "docmeta.parquet"))
     for field, gen in fields.items():
         if field not in dm.schema.names:
@@ -172,24 +130,6 @@ def docmeta_with_overlays(seg_dir: str) -> pa.Table:
         dm = dm.set_column(i, dm.schema.field(i),
                            pa.array(vals).cast(base_type))
     return dm
-
-
-def _write_dvu_file(
-    seg_dir: str, field: str, gen: int, ords: np.ndarray, vals: np.ndarray
-) -> str:
-    name = f"dvu-{field}-{gen}.parquet"
-    tmp = os.path.join(seg_dir, f".{name}.tmp-{uuid.uuid4().hex[:8]}")
-    order = np.argsort(ords, kind="stable")
-    pq.write_table(
-        pa.table({
-            "ord": pa.array(ords[order].astype(np.int32)),
-            "value": pa.array(vals[order].astype(np.int64)),
-        }),
-        tmp,
-        compression="zstd",
-    )
-    os.rename(tmp, os.path.join(seg_dir, name))
-    return name
 
 
 def _merge_overlay(
@@ -209,84 +149,31 @@ def _merge_overlay(
     return uniq, v[sel]
 
 
-class _DvUpdateFn:
-    """Per-segment update task: resolve matching ords, merge the overlay,
-    write the next sidecar generation."""
+def _collect_dv_updates(pairs, field, query=None, stats=None, value=None,
+                        ids=None, id_values=None) -> pa.Table:
+    """Write collector: set ``field`` on each segment's matching live docs
+    (``value`` for docs matching ``query``; ``id_values`` aligned with the
+    sorted doc ids ``ids``) in the overlay's next generation."""
+    from lucene_solr_ray.search.scorer import score_segment
 
-    def __init__(self, field, query=None, stats=None, value=None,
-                 by_ids=None, id_values=None):
-        self.field = field
-        self.query = query
-        self.stats = stats
-        self.value = value
-        self.by_ids = by_ids          # sorted np.int64 doc ids
-        self.id_values = id_values    # np.int64 values aligned to by_ids
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from lucene_solr_ray.search.reader import SegmentReader
-        from lucene_solr_ray.search.scorer import score_segment
-
-        rows = []
-        for seg_dir, seg_id in zip(
-            batch.column("seg_dir").to_pylist(),
-            batch.column("segment_id").to_pylist(),
-        ):
-            reader = SegmentReader(seg_dir)
-            if self.by_ids is not None:
-                pos = np.searchsorted(self.by_ids, reader.doc_ids)
-                pos_c = np.minimum(pos, len(self.by_ids) - 1)
-                hit = (pos < len(self.by_ids)) & (
-                    self.by_ids[pos_c] == reader.doc_ids
-                )
-                # updates never resurrect tombstoned docs (the reference
-                # drops updates to deleted docs at write time)
-                hit[reader.deleted_ords] = False
-                ords = np.nonzero(hit)[0].astype(np.int64)
-                vals = self.id_values[pos_c[hit]]
-            else:
-                ords, _ = score_segment(reader, self.query, self.stats)
-                ords = ords.astype(np.int64)
-                vals = np.full(len(ords), int(self.value), dtype=np.int64)
-            cur = dvu_fields(seg_dir).get(self.field, 0)
-            if len(ords):
-                m_ords, m_vals = _merge_overlay(
-                    segment_dv_overlay(seg_dir, self.field), ords, vals
-                )
-                gen = cur + 1
-                _write_dvu_file(seg_dir, self.field, gen, m_ords, m_vals)
-                n = int(len(m_ords))
-            else:
-                gen, n = cur, 0
-            rows.append({"segment_id": int(seg_id), "gen": gen,
-                         "n_overlay": n})
-        return pa.Table.from_pylist(rows)
-
-
-def _apply_dv_update(index_dir: str, field: str, **kw) -> Dict:
-    import ray.data
-
-    manifest = read_latest_manifest(index_dir)
-    if manifest is None:
-        raise FileNotFoundError(index_dir)
-    segs = {s["segment_id"]: dict(s) for s in manifest["segments"]}
-    items = [
-        {"seg_dir": os.path.join(index_dir, segment_dir_name(sid)),
-         "segment_id": sid}
-        for sid in sorted(segs)
-    ]
-    res = (
-        ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(_DvUpdateFn(field, **kw), batch_format="pyarrow")
-        .take_all()
-    )
-    for r in res:
-        s = segs[int(r["segment_id"])]
-        gens = dict(s.get("dv_gens", {}))
-        if int(r["gen"]) > 0:
-            gens[field] = int(r["gen"])
-        if gens:
-            s["dv_gens"] = gens
-    return commit_manifest(index_dir, list(segs.values()))
+    kind = sidecars.dvu(field)
+    rows = []
+    for reader, o in pairs:
+        if ids is not None:
+            # updates never resurrect tombstoned docs (the reference
+            # drops updates to deleted docs at write time)
+            ords, pos = reader.live_ords(ids)
+            vals = id_values[pos]
+        else:
+            ords = score_segment(reader, query, stats)[0].astype(np.int64)
+            vals = np.full(len(ords), int(value), dtype=np.int64)
+        if len(ords):
+            ords, vals = _merge_overlay(segment_dv_overlay(
+                reader.seg_dir, field, reader.sidecar_gens.get(kind, 0)
+            ), ords, vals)
+        rows.append(sidecars.advance(reader, o, kind, ords, len(ords) > 0,
+                                     vals))
+    return pa.Table.from_pylist(rows)
 
 
 def update_numeric_docvalue(
@@ -305,8 +192,10 @@ def update_numeric_docvalue(
     idx = Index(index_dir)
     q = TermQuery(term, field=term_field)
     stats, _ = idx.collect_stats(sorted(set(q.terms())))
-    return _apply_dv_update(index_dir, field, query=q, stats=stats,
-                            value=int(value))
+    return sidecars.write_pass(index_dir, partial(
+        _collect_dv_updates, field=field, query=q, stats=stats,
+        value=int(value),
+    ), [q])
 
 
 def update_numeric_docvalues_by_id(
@@ -318,4 +207,6 @@ def update_numeric_docvalues_by_id(
         return read_latest_manifest(index_dir)
     ids = np.asarray(sorted(updates), dtype=np.int64)
     vals = np.asarray([int(updates[int(i)]) for i in ids], dtype=np.int64)
-    return _apply_dv_update(index_dir, field, by_ids=ids, id_values=vals)
+    return sidecars.write_pass(index_dir, partial(
+        _collect_dv_updates, field=field, ids=ids, id_values=vals,
+    ))

@@ -266,6 +266,15 @@ def vacuum(out_dir: str, keep_generations: int = 2) -> List[int]:
     return dropped
 
 
+def _same_stat(a: str, b: str) -> bool:
+    """Same size and mtime (``shutil.copy2`` keeps the mtime)."""
+    try:
+        sa, sb = os.stat(a), os.stat(b)
+    except OSError:
+        return False
+    return (sa.st_size, sa.st_mtime_ns) == (sb.st_size, sb.st_mtime_ns)
+
+
 def replicate(src_dir: str, dest_dir: str) -> Dict:
     """Replicate the LATEST commit point to another directory (the
     replicator module's role, reference ``lucene/replicator/src/java/org/
@@ -276,38 +285,43 @@ def replicate(src_dir: str, dest_dir: str) -> Dict:
     LAST so a reader of ``dest_dir`` only ever sees a complete commit."""
     import shutil
 
+    from lucene_solr_ray.index import sidecars
+
     m = read_latest_manifest(src_dir)
     if m is None:
         raise FileNotFoundError(f"no manifest in {src_dir}")
     os.makedirs(dest_dir, exist_ok=True)
     copied = []
     side_copied = []
-    _SIDE_PREFIXES = ("deletes-", "dvu-", "softdel-")
     for s in m["segments"]:
         name = segment_dir_name(s["segment_id"])
         sdir = os.path.join(src_dir, name)
         ddir = os.path.join(dest_dir, name)
+        want = sidecars.committed_files(s)
         if read_segment_meta(ddir) is not None:
             # segment CORE files are immutable, but delete / DV-update /
             # soft-delete sidecars are generation-stamped files added
             # later INSIDE the dir — the manifest committed below
             # references their generations, so they must ship too (the
             # reference replicator diffs revision FILES, carrying .liv /
-            # .dvd updates, IndexReplicationHandler.java).  Sidecar files
-            # are themselves immutable per generation: copy any missing.
-            have = set(os.listdir(ddir))
-            for fn in os.listdir(sdir):
-                if fn.startswith(_SIDE_PREFIXES) and fn not in have \
-                        and not fn.startswith("."):
-                    tmpf = os.path.join(
-                        ddir, f".{fn}.tmp-{uuid.uuid4().hex[:8]}"
-                    )
-                    shutil.copy2(os.path.join(sdir, fn), tmpf)
-                    os.rename(tmpf, os.path.join(ddir, fn))
-                    side_copied.append(f"{name}/{fn}")
+            # .dvd updates, IndexReplicationHandler.java).  Only the
+            # generations the source COMMIT names ship — an orphan (a
+            # crashed write) must not — and a replica file of the same
+            # name but another size or mtime (an orphan that generation
+            # has since replaced) is overwritten.
+            for fn in want:
+                src, dst = os.path.join(sdir, fn), os.path.join(ddir, fn)
+                if _same_stat(src, dst):
+                    continue
+                tmpf = os.path.join(ddir, f".{fn}.tmp-{uuid.uuid4().hex[:8]}")
+                shutil.copy2(src, tmpf)
+                os.rename(tmpf, dst)
+                side_copied.append(f"{name}/{fn}")
             continue
         tmp = ddir + ".tmp-" + uuid.uuid4().hex[:8]
-        shutil.copytree(sdir, tmp)
+        shutil.copytree(sdir, tmp, ignore=lambda _, names: [
+            n for n in names if sidecars.is_sidecar(n) and n not in want
+        ])
         os.rename(tmp, ddir)
         copied.append(s["segment_id"])
     # commit LAST so replica readers only ever see a complete commit point

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 import pyarrow as pa
 
+from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.manifest import (
     commit_manifest,
     list_valid_segments,
@@ -459,9 +460,8 @@ def merge_segments(index_dir: str, spec_ids: List[int], new_id: int) -> Dict:
         meta["numeric_fields"] = nf
     extra = None
     if len(soft_ords):
-        extra = {"softdel-1.parquet": pa.table(
-            {"ord": pa.array(soft_ords.astype(np.int32))}
-        )}
+        extra = {sidecars.file_name(sidecars.SOFT, 1):
+                 sidecars.table(soft_ords)}
     write_segment_dir(index_dir, new_id, postings, docmeta, meta,
                       points=points, extra_files=extra)
     return meta
@@ -691,11 +691,7 @@ def merge_segments_sharded(
             compression="zstd",
         )
     if len(soft_ords):
-        pq.write_table(
-            pa.table({"ord": pa.array(soft_ords.astype(np.int32))}),
-            os.path.join(final_tmp, "softdel-1.parquet"),
-            compression="zstd",
-        )
+        sidecars.write(final_tmp, sidecars.SOFT, 1, soft_ords)
     stats = {
         "doc_count": docmeta.num_rows,
         "sum_total_term_freq": int(

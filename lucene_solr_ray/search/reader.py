@@ -18,85 +18,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.postings_codec import decode_postings
 
-__all__ = [
-    "SegmentReader",
-    "latest_deletes_file",
-    "committed_segment",
-    "committed_gens",
-]
-
-_DELETES_RE = __import__("re").compile(r"^deletes-(\d+)\.parquet$")
-
-
-def latest_deletes_file(seg_dir: str) -> Optional[str]:
-    """Highest-generation ``deletes-N.parquet`` in the segment dir, or None.
-
-    The per-segment live-docs sidecar (the ``.liv`` file role, reference
-    ``lucene/core/src/java/org/apache/lucene/codecs/lucene50/
-    Lucene50LiveDocsFormat.java:30-60``): segments stay immutable; deletes
-    ride in a generation-stamped sidecar.  This directory scan is the
-    WRITER-side helper (choosing the next generation) and the fallback for
-    standalone segment dirs; readers resolve the generation from the
-    committed manifest (:func:`committed_gens`) so an uncommitted sidecar
-    is never visible — the reference only exposes ``.liv`` files through a
-    committed ``SegmentCommitInfo.getDelGen()``."""
-    best, best_gen = None, -1
-    try:
-        names = os.listdir(seg_dir)
-    except OSError:
-        return None
-    for name in names:
-        m = _DELETES_RE.match(name)
-        if m and int(m.group(1)) > best_gen:
-            best_gen = int(m.group(1))
-            best = name
-    return best
-
-
-def committed_segment(seg_dir: str) -> Optional[Dict]:
-    """This segment's entry in the COMMITTED manifest of the enclosing
-    index directory, or None if the segment is standalone (no manifest,
-    or not listed in it).
-
-    This is the reader-side source of truth for sidecar visibility — the
-    ``SegmentCommitInfo.getDelGen()/getDocValuesGen()`` role (reference
-    ``lucene/core/src/java/org/apache/lucene/index/SegmentCommitInfo.java``):
-    a delete/DV-update/soft-delete sidecar written but not yet committed
-    must not be observed, and a crash between sidecar write and commit
-    leaves the previous commit point fully intact."""
-    from lucene_solr_ray.index.manifest import (
-        SEGMENT_PREFIX,
-        read_latest_manifest,
-    )
-
-    base = os.path.basename(os.path.normpath(seg_dir))
-    if not base.startswith(SEGMENT_PREFIX):
-        return None
-    try:
-        seg_id = int(base[len(SEGMENT_PREFIX):])
-    except ValueError:
-        return None
-    manifest = read_latest_manifest(os.path.dirname(os.path.normpath(seg_dir)))
-    if manifest is None:
-        return None
-    for s in manifest["segments"]:
-        if int(s["segment_id"]) == seg_id:
-            return s
-    return None
-
-
-def committed_gens(seg_dir: str) -> Optional[Tuple[int, Dict[str, int]]]:
-    """``(del_gen, dv_gens)`` of this segment per the COMMITTED manifest
-    (:func:`committed_segment`), or None for a standalone segment."""
-    s = committed_segment(seg_dir)
-    if s is None:
-        return None
-    return (
-        int(s.get("del_gen", 0)),
-        {k: int(v) for k, v in (s.get("dv_gens") or {}).items()},
-    )
+__all__ = ["SegmentReader"]
 
 
 def _list_views(col: pa.ChunkedArray) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,7 +36,6 @@ def _list_views(col: pa.ChunkedArray) -> Tuple[np.ndarray, np.ndarray]:
 
 class SegmentReader:
     def __init__(self, seg_dir: str, load_positions: bool = False,
-                 del_gen: Optional[int] = None,
                  respect_soft_deletes: bool = False) -> None:
         self.seg_dir = seg_dir
         with open(os.path.join(seg_dir, "segment.json")) as f:
@@ -197,29 +121,14 @@ class SegmentReader:
         }
         self.ndocs = len(self.doc_ids)
 
-        # live docs: deleted ordinals from the COMMITTED sidecar generation
-        # (manifest-resolved; an uncommitted sidecar stays invisible, and a
-        # crash between sidecar write and commit loses nothing).  Explicit
-        # del_gen wins; standalone segment dirs fall back to the dir scan.
-        self.dv_gens: Dict[str, int] = {}
-        if del_gen is None:
-            gens = committed_gens(seg_dir)
-            if gens is not None:
-                del_gen, self.dv_gens = gens
-        if del_gen is not None:
-            self.del_file = (
-                f"deletes-{int(del_gen)}.parquet" if int(del_gen) > 0
-                else None
-            )
-        else:
-            self.del_file = latest_deletes_file(seg_dir)
-        if self.del_file:
-            self.deleted_ords: np.ndarray = np.sort(
-                pq.read_table(os.path.join(seg_dir, self.del_file))
-                .column("ord").to_numpy().astype(np.int64)
-            )
-        else:
-            self.deleted_ords = np.empty(0, dtype=np.int64)
+        # live docs: deleted ordinals from the COMMITTED sidecar generations
+        # (an uncommitted sidecar stays invisible, and a crash between
+        # sidecar write and commit loses nothing); standalone segment dirs
+        # see the newest sidecar on disk
+        self.sidecar_gens = sidecars.segment_gens(seg_dir)
+        self.deleted_ords = sidecars.read_ords(
+            seg_dir, self.sidecar_gens, sidecars.DELETES
+        )
         # soft deletes stay VISIBLE unless the caller opts into the
         # SoftDeletesDirectoryReaderWrapper role (reference ``lucene/core/
         # .../index/SoftDeletesDirectoryReaderWrapper.java``: the wrapper
@@ -227,9 +136,7 @@ class SegmentReader:
         # still see the docs)
         self.soft_deleted_ords = np.empty(0, dtype=np.int64)
         if respect_soft_deletes:
-            from lucene_solr_ray.index.softdeletes import soft_deleted_ords
-
-            so = soft_deleted_ords(seg_dir)
+            so = sidecars.read_ords(seg_dir, self.sidecar_gens, sidecars.SOFT)
             if len(so):
                 self.soft_deleted_ords = so
                 self.deleted_ords = np.union1d(self.deleted_ords, so)
@@ -271,6 +178,17 @@ class SegmentReader:
         idx = np.searchsorted(d, ords)
         idx_c = np.minimum(idx, len(d) - 1)
         return ~((idx < len(d)) & (d[idx_c] == ords))
+
+    def live_ords(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ords, pos)``: int64 ordinals of the LIVE docs whose doc id is
+        in the sorted id array ``ids``, and each one's index into ``ids``."""
+        if len(ids) == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        pos = np.searchsorted(ids, self.doc_ids)
+        pos_c = np.minimum(pos, len(ids) - 1)
+        hit = (pos < len(ids)) & (ids[pos_c] == self.doc_ids)
+        hit[self.deleted_ords] = False
+        return np.nonzero(hit)[0].astype(np.int64), pos_c[hit]
 
     @property
     def live_doc_count(self) -> int:

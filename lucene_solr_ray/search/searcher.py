@@ -20,7 +20,11 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    plain callable returning one Arrow table (the ``Collector`` /
    ``LeafCollector`` split).  Collectors here: top score, field sort,
    multi-field sort, count, grouped, export, rescore; LTR features, join
-   gather and topic pull live with their features.
+   gather and topic pull live with their features.  Write passes are
+   collectors too: delete, soft delete, soft-deletes policy and
+   doc-values update return per-segment sidecar rows that
+   ``index.sidecars.write_pass`` folds into one manifest commit; the
+   atomic-update stored-column read is a plain scan.
 4. **Merge** — ``TopDocs.merge`` tie-break (score desc, segment asc,
    doc asc — ``search/TopDocs.java:72-115,188-250``) on the driver; the
    merge input is ≤ segments × queries × k tiny rows.

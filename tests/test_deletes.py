@@ -392,3 +392,46 @@ def test_sharded_merge_points_with_deletes(ray_session, tmp_path):
     assert pa1.equals(pa2)
     # compacted points reference only live (renumbered) ords
     assert pa1.num_rows == n - len(range(0, n, 4))
+
+
+def test_phrase_soft_delete_and_policy(ray_session, tmp_path):
+    """Soft deletes and the retention policy evaluate phrase queries:
+    their readers load positions, as the hard-delete pass's do."""
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.index.softdeletes import (
+        apply_soft_deletes_policy,
+        soft_delete_by_query,
+        soft_deleted_ords,
+    )
+    from lucene_solr_ray.search.reader import SegmentReader
+
+    shapes = ["drop token alpha", "token drop alpha", "drop alpha token",
+              "alpha beta"]
+    texts = [shapes[i % 4] for i in range(20)]
+    p = str(tmp_path / "c.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array(range(20), pa.int64()),
+                             "text": pa.array(texts)}), p)
+    out = str(tmp_path / "idx")
+    build_index(p, out, text_col="text", id_col="doc_id",
+                docs_per_segment=10)
+    phrase = {i for i, t in enumerate(texts) if "drop token" in t}
+    token = {i for i, t in enumerate(texts) if "token" in t.split()}
+
+    def docs(ords_of):
+        out_ids = set()
+        for d in Index(out).seg_dirs:
+            r = SegmentReader(d)
+            out_ids.update(int(i) for i in r.doc_ids[ords_of(d, r)])
+        return out_ids
+
+    soft = lambda d, r: soft_deleted_ords(d)  # noqa: E731
+    hard = lambda d, r: r.deleted_ords  # noqa: E731
+    soft_delete_by_query(out, '"drop token"')
+    assert docs(soft) == phrase
+    soft_delete_by_query(out, "token")
+    assert docs(soft) == token
+    # retention keeps the phrase docs soft; the rest harden
+    apply_soft_deletes_policy(out, '"drop token"')
+    assert docs(soft) == phrase
+    assert docs(hard) == token - phrase

@@ -163,3 +163,43 @@ def test_overlay_disables_index_sort_early_exit(ray_session, tmp_path):
     exp = _expected(texts, vals, "batch", 10)
     assert list(got.doc_id) == [d for d, _ in exp]
     assert [int(v) for v in got.sort_value] == [v for _, v in exp]
+
+
+@pytest.mark.parametrize("write", ["delete", "soft_delete", "dv_update"])
+def test_orphan_sidecar_in_untouched_segment_stays_invisible(built, write):
+    """A write pass that matches nothing in a segment must not commit that
+    segment's orphan next-generation sidecar (a crashed earlier write)."""
+    from lucene_solr_ray.index.softdeletes import soft_delete_doc_ids
+    from lucene_solr_ray.search.reader import SegmentReader
+
+    out, texts, prio = built
+    seg1 = Index(out).seg_dirs[1]
+    orphan = {
+        "delete": ("deletes-1.parquet", {}),
+        "soft_delete": ("softdel-1.parquet", {}),
+        "dv_update": ("dvu-prio-1.parquet",
+                      {"value": pa.array([-777], pa.int64())}),
+    }[write]
+    pq.write_table(
+        pa.table({"ord": pa.array([3], pa.int32()), **orphan[1]}),
+        os.path.join(seg1, orphan[0]),
+    )
+
+    def seg1_state():
+        entry = read_latest_manifest(out)["segments"][1]
+        r = SegmentReader(seg1, respect_soft_deletes=True)
+        return (
+            {k: int(entry.get(k, 0)) for k in ("del_gen", "soft_del_gen")},
+            dict(entry.get("dv_gens") or {}),
+            r.deleted_ords.tolist(),
+            read_docmeta_column(seg1, "prio")[0].tolist(),
+        )
+
+    before = seg1_state()
+    {  # doc 0 lives in segment 0
+        "delete": lambda: delete_doc_ids(out, [0]),
+        "soft_delete": lambda: soft_delete_doc_ids(out, [0]),
+        "dv_update": lambda: update_numeric_docvalues_by_id(
+            out, "prio", {0: 100}),
+    }[write]()
+    assert seg1_state() == before

@@ -755,6 +755,44 @@ def test_replicate_carries_late_sidecars(ray_session, tmp_path):
         )
 
 
+def test_replicate_ships_only_committed_sidecars(ray_session, tmp_path):
+    """An orphan sidecar (a crashed write) on the primary never reaches
+    the replica, and once that generation commits for real the replica
+    receives the committed file — it serves the primary's answers."""
+    import os
+
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.index.deletes import delete_doc_ids
+    from lucene_solr_ray.index.manifest import replicate
+    from lucene_solr_ray.search.reader import SegmentReader
+    from lucene_solr_ray.search.searcher import Index
+
+    p = str(tmp_path / "c.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(20), pa.int64()),
+        "text": pa.array([f"common doc{i}" for i in range(20)]),
+    }), p)
+    src = str(tmp_path / "src")
+    dst = str(tmp_path / "dst")
+    build_index(p, src, text_col="text", id_col="doc_id")
+    delete_doc_ids(src, [0])  # committed deletes generation 1: {0}
+    seg = Index(src).seg_dirs[0]
+    pq.write_table(  # orphan generation 2: docs 0, 10..19
+        pa.table({"ord": pa.array([0, *range(10, 20)], pa.int32())}),
+        os.path.join(seg, "deletes-2.parquet"),
+    )
+    r1 = replicate(src, dst)
+    rseg = os.path.join(dst, os.path.basename(seg))
+    assert not os.path.exists(os.path.join(rseg, "deletes-2.parquet"))
+    assert SegmentReader(rseg).deleted_ords.tolist() == [0]
+    assert r1["copied_segments"]
+    delete_doc_ids(src, [1])  # generation 2 commits for real: {0, 1}
+    replicate(src, dst)
+    assert SegmentReader(rseg).deleted_ords.tolist() == [0, 1]
+    for d in (src, dst):
+        assert Index(d).search({0: "common"}, k=50).num_rows == 18
+
+
 def test_soft_deletes_survive_merges(ray_session, tmp_path):
     """Soft-deleted docs stay soft-deleted through merges (both paths),
     with ords remapped through compaction and the sorted-merge DocMap."""
