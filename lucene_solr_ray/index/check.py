@@ -13,6 +13,8 @@ segment (distributed — one task per segment) and globally:
 - norms/docmeta row counts match doc_count; sha256 column present;
 - global stats = Σ per-segment stats.
 
+Sidecars are validated at their committed generations; newer, never
+committed sidecar files are reported under ``orphans``, not as errors.
 Returns a report dict; ``ok`` False lists the violations found.
 """
 
@@ -107,12 +109,14 @@ def check_segment(seg_dir: str) -> Dict:
         )
 
     # live-docs sidecar (round 2): sorted, unique, in-range tombstones.
-    # Sidecars are checked at their newest on-disk generation, committed
-    # or not.
-    newest = sidecars.on_disk(seg_dir)
+    # Sidecars are checked at the generations a reader sees (the committed
+    # manifest's); a newer file no commit names is an orphan of a write
+    # that never committed — listed, not validated.
+    gens = sidecars.segment_gens(seg_dir)
+    orphans = sidecars.orphans(seg_dir, gens)
 
     def sidecar_ords(kind: str) -> np.ndarray:
-        t = sidecars.read(seg_dir, kind, newest.get(kind, 0))
+        t = sidecars.read(seg_dir, kind, gens.get(kind, 0))
         return np.empty(0) if t is None else t.column("ord").to_numpy()
 
     dords = sidecar_ords(sidecars.DELETES)
@@ -181,7 +185,7 @@ def check_segment(seg_dir: str) -> Dict:
 
     return {"segment_id": meta["segment_id"], "ok": not errors,
             "errors": errors[:20], "warnings": warnings[:20],
-            "terms": t.num_rows, "docs": n_docs}
+            "orphans": orphans, "terms": t.num_rows, "docs": n_docs}
 
 
 def check_index(index_dir: str) -> Dict:
@@ -204,6 +208,7 @@ def check_index(index_dir: str) -> Dict:
                 {"segment_id": r["segment_id"], "ok": r["ok"],
                  "errors": "; ".join(r["errors"]),
                  "warnings": "; ".join(r["warnings"]),
+                 "orphans": ", ".join(r["orphans"]),
                  "terms": r["terms"], "docs": r["docs"]}
                 for r in rows
             ]
@@ -221,6 +226,9 @@ def check_index(index_dir: str) -> Dict:
     warnings = [
         f"seg {r['segment_id']}: {r['warnings']}" for r in res if r["warnings"]
     ]
+    orphans = [
+        f"seg {r['segment_id']}: {r['orphans']}" for r in res if r["orphans"]
+    ]
     total_docs = sum(r["docs"] for r in res)
     if total_docs != manifest["doc_count"]:
         errors.append(
@@ -232,4 +240,5 @@ def check_index(index_dir: str) -> Dict:
         "docs": total_docs,
         "errors": errors,
         "warnings": warnings,
+        "orphans": orphans,
     }

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import re
 import uuid
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -84,20 +84,31 @@ def committed_files(entry: Dict) -> List[str]:
     return [file_name(k, g) for k, g in entry_gens(entry).items()]
 
 
+def _files(seg_dir: str) -> List[Tuple[str, int]]:
+    """(kind, gen) of every sidecar file in the dir, committed or not."""
+    try:
+        names = os.listdir(seg_dir)
+    except OSError:
+        return []
+    return [(m.group(1), int(m.group(2)))
+            for m in map(_NAME_RE.match, names) if m]
+
+
 def on_disk(seg_dir: str) -> Dict[str, int]:
     """{kind: newest generation} of the sidecar files in the dir,
     committed or not (next-generation choice is NOT made from this —
     writers advance the committed generation)."""
     out: Dict[str, int] = {}
-    try:
-        names = os.listdir(seg_dir)
-    except OSError:
-        return out
-    for name in names:
-        m = _NAME_RE.match(name)
-        if m and int(m.group(2)) > out.get(m.group(1), -1):
-            out[m.group(1)] = int(m.group(2))
+    for kind, gen in _files(seg_dir):
+        out[kind] = max(gen, out.get(kind, gen))
     return out
+
+
+def orphans(seg_dir: str, gens: Dict[str, int]) -> List[str]:
+    """Sorted names of the sidecar files newer than the generation
+    ``gens`` gives their kind: written by a pass that never committed."""
+    return sorted(file_name(kind, gen) for kind, gen in _files(seg_dir)
+                  if gen > gens.get(kind, 0))
 
 
 def committed_segment(seg_dir: str) -> Optional[Dict]:

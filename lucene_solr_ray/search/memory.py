@@ -19,6 +19,7 @@ from lucene_solr_ray.index.postings_codec import decode_postings
 from lucene_solr_ray.index.segment import build_segment_tables
 from lucene_solr_ray.search.parser import QueryParser
 from lucene_solr_ray.search.query import Query
+from lucene_solr_ray.search.reader import EntrySlices
 from lucene_solr_ray.search.scorer import GlobalStats, score_segment
 from lucene_solr_ray.search.searcher import match_terms, prepare_queries
 from lucene_solr_ray.search.similarity import BM25Similarity
@@ -49,22 +50,13 @@ class _OneDocReader:
             return None
         return decode_postings(self._blocks[r].as_py())
 
-    def postings_blob(self, term):
-        r = self._row.get(term)
-        return None if r is None else self._blocks[r].as_py()
-
     def positions(self, term):
         r = self._row.get(term)
         if r is None:
             return None
         ords, freqs = self.postings(term)
-        vals = np.frombuffer(self._pos[r].as_py() or b"", dtype="<i4")
-        offs = np.concatenate([[0], np.cumsum(freqs, dtype=np.int64)])
-
-        def posfn(i: int) -> np.ndarray:
-            return vals[offs[i]: offs[i + 1]]
-
-        return ords, posfn
+        blob = self._pos[r].as_py() or b""
+        return ords, EntrySlices(np.frombuffer(blob, dtype="<i4"), freqs)
 
 
 class MemoryIndex:

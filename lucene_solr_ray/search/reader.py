@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -21,17 +21,16 @@ import pyarrow.parquet as pq
 from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.postings_codec import decode_postings
 
-__all__ = ["SegmentReader"]
+__all__ = ["EntrySlices", "SegmentReader"]
 
 
-def _list_views(col: pa.ChunkedArray) -> Tuple[np.ndarray, np.ndarray]:
-    """(offsets, values) numpy views of a list<int32> column."""
-    arr = col.combine_chunks()
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.chunk(0) if arr.num_chunks else pa.array([], type=arr.type)
-    off = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    vals = arr.values.to_numpy(zero_copy_only=False)
-    return off, vals
+def _binary_views(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
+    """(offsets, bytes) zero-copy numpy views of a binary column: value r
+    is ``bytes[offsets[r]:offsets[r + 1]]`` (a null value is empty)."""
+    _, offs, data = arr.buffers()
+    offs = np.frombuffer(offs, dtype=np.int32)[
+        arr.offset: arr.offset + len(arr) + 1]
+    return offs, np.frombuffer(data, dtype=np.uint8)
 
 
 class SegmentReader:
@@ -88,7 +87,7 @@ class SegmentReader:
                 poscol = poscol.chunk(0) if poscol.num_chunks else pa.array(
                     [], type=pa.binary()
                 )
-            self._pos_blobs = poscol
+            self._pos_offs, self._pos_bytes = _binary_views(poscol)
             if self._has_offsets_col:
                 offcol = t.column("offsets").combine_chunks()
                 if isinstance(offcol, pa.ChunkedArray):
@@ -223,7 +222,8 @@ class SegmentReader:
     def postings(self, term: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """(ords asc int32, freqs int32) or None — decoded from the block
         codec on first access, cached per term (the hot-block cache of the
-        reference's ``LRUQueryCache`` idea, unbounded within an actor)."""
+        reference's ``LRUQueryCache`` idea).  Every query's scoring reads
+        through this cache, which is unbounded within an actor."""
         r = self._term_row.get(term)
         if r is None:
             return None
@@ -233,34 +233,24 @@ class SegmentReader:
             self._decoded[r] = hit
         return hit
 
-    def postings_blob(self, term: str) -> Optional[bytes]:
-        """Raw encoded posting blocks (for skip/impact-based traversal)."""
-        r = self._term_row.get(term)
-        if r is None:
-            return None
-        return self._blocks[r].as_py()
-
     def positions(
         self, term: str
-    ) -> Optional[Tuple[np.ndarray, Callable[[int], np.ndarray]]]:
-        """(ords, posfn) where posfn(i) = positions array of the i-th
-        posting entry. Requires load_positions=True."""
+    ) -> Optional[Tuple[np.ndarray, "EntrySlices"]]:
+        """(ords, pos): ``pos(i)`` is the positions array of the i-th
+        posting entry, and ``pos.flat`` / ``pos.offsets`` hold every
+        entry's at once.  Requires load_positions=True."""
         if not self._has_positions:
             raise RuntimeError("reader opened without positions")
         r = self._term_row.get(term)
         if r is None:
             return None
         ords, freqs = self.postings(term)
-        vals = np.frombuffer(self._pos_blobs[r].as_py() or b"", dtype="<i4")
-        offs = np.concatenate([[0], np.cumsum(freqs, dtype=np.int64)])
-
-        def posfn(i: int) -> np.ndarray:
-            return vals[offs[i]: offs[i + 1]]
-
-        return ords, posfn
+        # a view into the column: no copy of the term's positions
+        flat = self._pos_bytes[self._pos_offs[r]: self._pos_offs[r + 1]]
+        return ords, EntrySlices(flat.view("<i4"), freqs)
 
     def offsets(self, term: str):
-        """(ords, offfn) — offfn(i) = (start, end) int32 pairs array of the
+        """(ords, off) — off(i) = (start, end) int32 pairs array of the
         i-th posting entry (requires an offsets-enabled index)."""
         if not self._has_positions or self._off_blobs is None:
             raise RuntimeError("index built without offsets")
@@ -271,16 +261,11 @@ class SegmentReader:
         if blob is None:
             raise RuntimeError("index built without offsets")
         ords, freqs = self.postings(term)
-        vals = np.frombuffer(blob, dtype="<i4").reshape(-1, 2)
-        offs = np.concatenate([[0], np.cumsum(freqs, dtype=np.int64)])
-
-        def offfn(i: int) -> np.ndarray:
-            return vals[offs[i]: offs[i + 1]]
-
-        return ords, offfn
+        pairs = np.frombuffer(blob, dtype="<i4").reshape(-1, 2)
+        return ords, EntrySlices(pairs, freqs)
 
     def payloads(self, term: str):
-        """(ords, payfn) — payfn(i) = float32 payloads of the i-th posting
+        """(ords, pay) — pay(i) = float32 payloads of the i-th posting
         entry, aligned with ``positions``; None if the term is absent or
         the segment carries no payloads for it (PayloadAttribute read,
         reference ``index/PostingsEnum.getPayload``)."""
@@ -293,10 +278,22 @@ class SegmentReader:
         if blob is None:
             return None
         ords, freqs = self.postings(term)
-        vals = np.frombuffer(blob, dtype="<f4")
-        offs = np.concatenate([[0], np.cumsum(freqs, dtype=np.int64)])
+        return ords, EntrySlices(np.frombuffer(blob, dtype="<f4"), freqs)
 
-        def payfn(i: int) -> np.ndarray:
-            return vals[offs[i]: offs[i + 1]]
 
-        return ords, payfn
+class EntrySlices:
+    """Per-posting-entry values of one term (positions, offset pairs or
+    payloads), stored entry after entry: ``flat`` holds them all and
+    entry i's are ``flat[offsets[i]:offsets[i + 1]]``, which calling the
+    object with ``i`` returns."""
+
+    __slots__ = ("flat", "offsets")
+
+    def __init__(self, flat: np.ndarray, freqs: np.ndarray) -> None:
+        self.flat = flat
+        self.offsets = np.concatenate(
+            [[0], np.cumsum(freqs, dtype=np.int64)]
+        )
+
+    def __call__(self, i: int) -> np.ndarray:
+        return self.flat[self.offsets[i]: self.offsets[i + 1]]

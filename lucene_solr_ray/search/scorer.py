@@ -18,10 +18,12 @@ reproducing the reference's scoring contract exactly:
   scoring (see ``searcher.rewrite_query``), mirroring
   ``IndexSearcher.rewrite`` (``:665-672``) + CONSTANT_SCORE_REWRITE.
 
-This exhaustive path is the correctness oracle for the pruned (WAND /
-block-max) scorer, exactly as ``CheckHits.checkTopScores``
-(``lucene/test-framework/.../CheckHits.java:576-640``) uses
-totalHitsThreshold=MAX as the oracle for TOP_SCORES pruning.
+Every top-k is scored on this path (``topk_segment``): it is Lucene's
+COMPLETE mode, with no dynamic pruning.  The reference's block-max
+WAND / MaxScore scorers measured slower here than scoring every match
+with numpy and selecting the top k, on every query shape at 1k–100k
+docs, so they are not ported.  Exact phrases count their frequencies
+for all candidate docs in one vectorised pass (``exact_phrase_freqs``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from lucene_solr_ray.index.segment import field_term
 from lucene_solr_ray.search.join import (
     ToChildBlockJoinQuery,
     ToParentBlockJoinQuery,
@@ -70,6 +73,7 @@ __all__ = ["GlobalStats", "score_segment", "topk_segment"]
 
 _EMPTY_I = np.empty(0, dtype=np.int32)
 _EMPTY_F = np.empty(0, dtype=np.float32)
+_EMPTY_D = np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -175,8 +179,6 @@ class _Eval:
         Σ 1/(1 + gaps), scored with the summed idf of the span's terms
         (the SpanScorer + sloppyFreq shape).  Matching-doc semantics are
         pytest-oracled against an exhaustive position-tuple scan."""
-        from lucene_solr_ray.index.segment import field_term
-
         keys = [field_term(q.field, t) for t in q.span_terms]
         readers = []
         cand = None
@@ -231,8 +233,6 @@ class _Eval:
         NearSpans sees over a SpanOr subclause); scored like
         ``_span_near`` with the summed distinct idf of the PRESENT
         alternatives (SpanWeight skips absent TermStates)."""
-        from lucene_solr_ray.index.segment import field_term
-
         slot_readers = []
         cand = None
         present: List[str] = []
@@ -299,8 +299,6 @@ class _Eval:
         IntervalFunction advance rules) runs per candidate doc;
         freq = Σ 1/(end − start + 1) (IntervalScorer.java:73), scored
         with the summed distinct-leaf-term idf (buildSimScorer)."""
-        from lucene_solr_ray.index.segment import field_term
-
         leaf_terms = list(dict.fromkeys(q.source.leaves()))
         readers = {}
         # positions load for position_terms(): subtractive sources need
@@ -358,8 +356,6 @@ class _Eval:
 
     def _span_candidates(self, q) -> Optional[np.ndarray]:
         """Docs that COULD carry spans of q (sorted ords), None = none."""
-        from lucene_solr_ray.index.segment import field_term
-
         if isinstance(q, SpanTermQuery):
             pr = self.reader.positions(field_term(q.field, q.span_term))
             return pr[0] if pr is not None else None
@@ -387,8 +383,6 @@ class _Eval:
 
     def _doc_spans(self, q, d: int):
         """Spans of q in doc d: list of (start, end, gaps)."""
-        from lucene_solr_ray.index.segment import field_term
-
         if isinstance(q, SpanTermQuery):
             pr = self.reader.positions(field_term(q.field, q.span_term))
             if pr is None:
@@ -476,8 +470,6 @@ class _Eval:
         payloads a matched span consumes (SpanNot's ``exclude`` never
         contributes — the reference PayloadSpanCollector visits only the
         include side's term positions)."""
-        from lucene_solr_ray.index.segment import field_term
-
         if isinstance(q, SpanTermQuery):
             return [field_term(q.field, q.span_term)]
         if isinstance(q, SpanNearQuery):
@@ -676,8 +668,6 @@ class _Eval:
         return sel, np.full(len(sel), dt(boost), dtype=dt)
 
     def _term(self, term: str, boost: float, fld: Optional[str] = None):
-        from lucene_solr_ray.index.segment import field_term
-
         key = field_term(fld, term)
         p = self.reader.postings(key)
         if p is None:
@@ -804,49 +794,9 @@ class _Eval:
         return ords, acc[ords].astype(self.sim.out_dtype)
 
     def _phrase(self, q: PhraseQuery, boost: float):
-        from lucene_solr_ray.index.segment import field_term
-
-        keys = [field_term(q.field, t) for t in q.phrase_terms]
-        readers = []
-        for key in keys:
-            pp = self.reader.positions(key)
-            if pp is None or self.stats.df.get(key, 0) <= 0:
-                return _EMPTY_I, _EMPTY_F
-            readers.append(pp)
-        # candidate docs: intersection of all term ords
-        cand = readers[0][0]
-        for ords, _ in readers[1:]:
-            cand = np.intersect1d(cand, ords, assume_unique=True)
-        if len(cand) == 0:
+        ords, freqs = self._phrase_freqs(q)
+        if not len(ords):
             return _EMPTY_I, _EMPTY_F
-        # per-doc phrase frequency via offset-aligned position intersection
-        rel = np.asarray(q.positions, dtype=np.int64)
-        rel = rel - rel[0]
-        out_ords: List[int] = []
-        out_freqs: List[float] = []
-        for d in cand:
-            base = None
-            for (ords, posfn), off in zip(readers, rel):
-                idx = np.searchsorted(ords, d)
-                p = posfn(int(idx)) - off
-                base = p if base is None else np.intersect1d(base, p, assume_unique=True)
-                if len(base) == 0:
-                    break
-            if base is not None and len(base) and q.slop == 0:
-                out_ords.append(int(d))
-                out_freqs.append(float(len(base)))
-            elif q.slop > 0:
-                f = self._sloppy_freq(
-                    readers, d, q.slop, rel,
-                    terms_distinct=len(set(keys)) == len(keys),
-                )
-                if f > 0:
-                    out_ords.append(int(d))
-                    out_freqs.append(f)
-        if not out_ords:
-            return _EMPTY_I, _EMPTY_F
-        ords = np.asarray(out_ords, dtype=np.int32)
-        freqs = np.asarray(out_freqs, dtype=np.float64)
         # combined idf = sum of per-term idfs (BM25Similarity.idfExplain for
         # multiple TermStatistics), accumulated in the similarity's dtype
         dt = self.sim.out_dtype
@@ -855,7 +805,7 @@ class _Eval:
         # BM25Similarity.idfExplain(CollectionStatistics, TermStatistics[])
         # accumulates getValue().doubleValue() and casts once
         idf_acc = 0.0
-        for key in keys:
+        for key in q.terms():
             idf_acc += float(
                 dt(self.sim.idf_value(self.stats.df[key], doc_count))
             )
@@ -863,6 +813,36 @@ class _Eval:
         sc = self.sim.scorer_from_idf(boost, idf, doc_count, sttf)
         norms = self.reader.norms_for(q.field) if q.field else self.norms
         return ords, sc.score(freqs, norms[ords])
+
+    def _phrase_freqs(self, q: PhraseQuery) -> Tuple[np.ndarray, np.ndarray]:
+        """(ords asc int32, phrase freqs float64) of the docs matching the
+        phrase, tombstones included (``score_segment`` drops those)."""
+        keys = q.terms()
+        readers = []
+        for key in keys:
+            pp = self.reader.positions(key)
+            if pp is None or self.stats.df.get(key, 0) <= 0:
+                return _EMPTY_I, _EMPTY_D
+            readers.append(pp)
+        # candidate docs: intersection of all term ords
+        cand = readers[0][0]
+        for ords, _ in readers[1:]:
+            cand = np.intersect1d(cand, ords, assume_unique=True)
+        rel = np.asarray(q.positions, dtype=np.int64)
+        rel = rel - rel[0]
+        if q.slop == 0:
+            return exact_phrase_freqs(readers, cand, rel)
+        distinct = len(set(keys)) == len(keys)
+        out_ords: List[int] = []
+        out_freqs: List[float] = []
+        for d in cand:
+            f = self._sloppy_freq(readers, d, q.slop, rel,
+                                  terms_distinct=distinct)
+            if f > 0:
+                out_ords.append(int(d))
+                out_freqs.append(f)
+        return (np.asarray(out_ords, dtype=np.int32),
+                np.asarray(out_freqs, dtype=np.float64))
 
     def _sloppy_freq(self, readers, d, slop, rel,
                      terms_distinct: bool = True) -> float:
@@ -895,6 +875,48 @@ class _Eval:
         return freq
 
 
+def exact_phrase_freqs(readers, cand: np.ndarray, rel: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """(ords asc int32, freqs float64) of the candidate docs that hold the
+    exact phrase, from one numpy pass over all of them.
+
+    ``readers`` are the terms' ``positions()`` pairs, ``cand`` the sorted
+    ords every term occurs in and ``rel`` each term's offset in the
+    phrase.  Each term's positions in the candidates become keys
+    ``i << 32 | (pos - rel + bias)``, ``i`` the candidate's index: a
+    phrase occurrence gives every term the same key, so intersecting the
+    keys across terms leaves one key per occurrence, and a doc's phrase
+    frequency is its number of keys.  Candidates ascend and so do a
+    doc's positions, which are unique; ``bias`` keeps every shifted
+    position non-negative, in the low 32 bits, so each term's keys are
+    sorted and unique too, and intersect by binary search.  A repeated
+    term (``"a a"``) intersects with itself shifted."""
+    if not len(cand):
+        return _EMPTY_I, _EMPTY_D
+    bias = int(rel.max())
+    high = np.arange(len(cand), dtype=np.int64) << 32
+    keys = None
+    for (ords, pos), off in zip(readers, rel.tolist()):
+        idx = np.searchsorted(ords, cand)
+        start = pos.offsets[idx]
+        lens = pos.offsets[idx + 1] - start
+        # flat index of every candidate's positions, entry after entry
+        ends = np.cumsum(lens)
+        at = np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)
+        k = np.repeat(high, lens) | (
+            pos.flat[at].astype(np.int64) + (bias - off))
+        if keys is None:
+            keys = k
+        else:
+            i = np.minimum(np.searchsorted(k, keys), len(k) - 1)
+            keys = keys[k[i] == keys]
+            if not len(keys):
+                return _EMPTY_I, _EMPTY_D
+    counts = np.bincount(keys >> 32, minlength=len(cand))
+    hit = counts > 0
+    return cand[hit].astype(np.int32), counts[hit].astype(np.float64)
+
+
 def score_segment(
     reader, query: Query, stats: GlobalStats, sim: Optional[BM25Similarity] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -917,23 +939,13 @@ def topk_segment(
     sim: Optional[BM25Similarity] = None,
     pruning: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k of one segment, tie-broken by ascending ordinal (doc order),
-    as ``TopScoreDocCollector`` collects per leaf.
+    """Top-k of one segment: (score desc, global doc_id asc), as
+    ``TopScoreDocCollector`` collects per leaf.
 
-    With ``pruning`` (TOP_SCORES mode), pure term disjunctions and
-    conjunctions take the block-max WAND/MaxScore path (search/wand.py);
-    everything else — and ``pruning=False`` (COMPLETE mode, the
-    checkTopScores oracle) — scores exhaustively."""
-    # segments with tombstones take the exhaustive path: WAND's top-k would
-    # under-fill after post-hoc filtering (Lucene threads liveDocs through
-    # the scorer iterators; deleted segments merge away, so this slow path
-    # is transient per segment)
-    if pruning and not getattr(reader, "has_deletes", False):
-        from lucene_solr_ray.search.wand import topk_pruned
-
-        hit = topk_pruned(reader, query, stats, k, sim)
-        if hit is not None:
-            return hit
+    Every query is scored exhaustively, then selected.  ``pruning``
+    (TOP_SCORES against COMPLETE mode) is accepted for callers that name
+    it; both modes score exhaustively, because block-max WAND measured
+    slower than the numpy path on every query shape at 1k–100k docs."""
     ords, scores = score_segment(reader, query, stats, sim)
     if len(ords) > k:
         # keep every doc tied with the k-th score so the (score desc,

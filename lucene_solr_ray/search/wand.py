@@ -1,368 +1,22 @@
-"""Pruned (TOP_SCORES) top-k traversal: block-max WAND / MaxScore.
+"""Pruned (TOP_SCORES) top-k: no query shape takes a pruned path.
 
-The role of the reference's dynamic-pruning scorers
-(``lucene/core/src/java/org/apache/lucene/search/WANDScorer.java:28-567``,
-``BlockMaxConjunctionScorer.java:29-260``, ``ImpactsDISI.java:95-127`` +
-``MaxScoreCache.java:61-124``), re-expressed block-at-a-time over the
-numpy postings codec:
+The reference's dynamic-pruning scorers (``WANDScorer``,
+``BlockMaxConjunctionScorer``, ``ImpactsDISI`` + ``MaxScoreCache``) were
+ported here as block-max WAND / MaxScore over the postings codec's
+per-block impacts.  Measured on one-segment indexes of 1k, 20k and 100k
+docs, that path was slower than exhaustive numpy scoring
+(``scorer.topk_segment``) on every query shape, so it was removed; the
+segments still store their per-block impacts.
 
-- **Disjunctions** (pure SHOULD over terms): doc-ordered windows bounded by
-  the terms' current block boundaries; a window is skipped entirely when
-  ``float32(Σ per-term block-max scores) <= minCompetitiveScore`` — no
-  decode, no scoring.  Essential/non-essential term split per MaxScore:
-  terms whose summed maxes can't reach the threshold never *drive* windows
-  (their blocks are only decoded when an essential candidate needs them).
-- **Conjunctions** (pure MUST): the sparsest list leads
-  (``BlockMaxConjunctionScorer`` lead selection); a lead block is skipped
-  when ``lead block-max + Σ other-term global maxes <= threshold``.
-- Threshold semantics match ``TopScoreDocCollector`` (``:52-115``): once k
-  hits are buffered, ``minCompetitiveScore`` = the k-th score; equal-score
-  later docs lose the (score desc, doc asc) tie, so ``<=`` pruning is
-  rank-safe.  Bound arithmetic: block maxes are exact float32 score maxima
-  (from the stored competitive impacts) summed in float64; rounding to
-  float32 is monotone, so ``f32(Σ) ≤ f32(ub)`` and the prune can never
-  drop a competitive doc — the same guarantee WANDScorer's scaled-long
-  arithmetic provides (``:53-101``), reached via monotonicity instead of
-  integer scaling.
-
-Correctness contract: identical (doc, float32 score) top-k as the
-exhaustive scorer — property-checked in tests exactly like
-``CheckHits.checkTopScores`` (``test-framework/.../CheckHits.java:576-640``).
+``topk_pruned`` stays as the answer "not pruned" for callers that ask
+which queries take a pruned path.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
-
-from lucene_solr_ray.index.postings_codec import (
-    decode_block_skips,
-    decode_postings,
-)
-from lucene_solr_ray.search.query import (
-    BooleanQuery,
-    BoostQuery,
-    Occur,
-    Query,
-    TermQuery,
-)
-from lucene_solr_ray.search.scorer import GlobalStats
-from lucene_solr_ray.search.similarity import BM25Similarity
-
-__all__ = ["flatten_term_sum", "topk_pruned"]
+__all__ = ["topk_pruned"]
 
 
-def flatten_term_sum(q: Query) -> Optional[Tuple[str, List[Tuple]]]:
-    """If the query is a pure term disjunction or conjunction, return
-    ("or"|"and", [(term, boost, field), ...]); else None (caller falls
-    back to the exhaustive evaluator) — the Boolean2ScorerSupplier
-    dispatch subset.  Field-scoped terms participate: the pruning data
-    (impacts) was built with each field's own norms."""
-    boost = 1.0
-    while isinstance(q, BoostQuery):
-        boost *= q.boost
-        q = q.query
-    if isinstance(q, TermQuery):
-        return "or", [(q.term, boost, q.field)]
-    if not isinstance(q, BooleanQuery) or q.minimum_should_match > 1:
-        return None
-    occurs = {c.occur for c in q.clauses}
-    if occurs == {Occur.SHOULD}:
-        kind = "or"
-    elif occurs == {Occur.MUST}:
-        kind = "and"
-    else:
-        return None
-    terms: List[Tuple] = []
-    for c in q.clauses:
-        sub = c.query
-        b = boost
-        while isinstance(sub, BoostQuery):
-            b *= sub.boost
-            sub = sub.query
-        if not isinstance(sub, TermQuery):
-            return None
-        terms.append((sub.term, b, sub.field))
-    return kind, terms
-
-
-class _TermPostings:
-    __slots__ = ("ords", "freqs", "starts", "lasts", "counts", "offsets",
-                 "bmax", "scorer", "n_blocks", "gmax", "norms")
-
-    def __init__(self, blob: bytes, scorer, norms):
-        self.norms = norms  # the term's FIELD norms array
-        self.ords, self.freqs = decode_postings(blob)
-        skips = decode_block_skips(blob)
-        self.starts = np.array([s[0] for s in skips], dtype=np.int64)
-        self.lasts = np.array([s[1] for s in skips], dtype=np.int64)
-        self.counts = np.array([s[2] for s in skips], dtype=np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
-        self.bmax = np.array(
-            [
-                float(scorer.max_score_for(f.astype(np.float64), n))
-                for _b, _l, _c, f, n in skips
-            ],
-            dtype=np.float64,
-        )
-        self.scorer = scorer
-        self.n_blocks = len(skips)
-        self.gmax = float(self.bmax.max()) if self.n_blocks else 0.0
-
-
-def _build_terms(reader, terms, stats: GlobalStats, sim) -> List[_TermPostings]:
-    from lucene_solr_ray.index.segment import field_term
-
-    out = []
-    for term, boost, fld in terms:
-        key = field_term(fld, term)
-        df = stats.df.get(key, 0)
-        blob = reader.postings_blob(key)
-        if blob is None or df <= 0:
-            continue
-        doc_count, sttf = stats.collection_for(fld)
-        scorer = sim.scorer(
-            boost, doc_count, sttf, df,
-            total_term_freq=stats.ttf.get(key, df),
-        )
-        norms = reader.norms_for(fld) if fld else reader.norms
-        out.append(_TermPostings(blob, scorer, norms))
-    return out
-
-
-def _push_topk(heap_scores, heap_ords, heap_dids, cand_ords, cand_dids,
-               cand_scores, k):
-    """Merge window candidates into the running top-k (score desc,
-    global doc_id asc). Returns (scores, ords, dids, threshold)."""
-    if len(heap_scores):
-        all_s = np.concatenate([heap_scores, cand_scores])
-        all_o = np.concatenate([heap_ords, cand_ords])
-        all_d = np.concatenate([heap_dids, cand_dids])
-    else:
-        all_s, all_o, all_d = cand_scores, cand_ords, cand_dids
-    if len(all_s) > k:
-        order = np.lexsort((all_d, -all_s.astype(np.float64)))[:k]
-        all_s, all_o, all_d = all_s[order], all_o[order], all_d[order]
-    thresh = float(all_s.min()) if len(all_s) >= k else -np.inf
-    return all_s, all_o, all_d, thresh
-
-
-def topk_pruned(
-    reader, query: Query, stats: GlobalStats, k: int,
-    sim: Optional[BM25Similarity] = None,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Block-max pruned top-k; None if the query shape is unsupported."""
-    from lucene_solr_ray.search.query import PhraseQuery
-
-    sim = sim or BM25Similarity()
-    if (
-        isinstance(query, PhraseQuery)
-        and query.slop == 0
-        and query.field is None
-        and len(set(query.phrase_terms)) == len(query.phrase_terms)
-    ):
-        return _phrase_pruned(reader, query, stats, k, sim)
-    flat = flatten_term_sum(query)
-    if flat is None:
-        return None
-    kind, terms = flat
-    tps = _build_terms(reader, terms, stats, sim)
-    out_dtype = sim.out_dtype
-    empty = (np.empty(0, np.int32), np.empty(0, out_dtype))
-    if not tps:
-        return empty
-    if kind == "and" and len(tps) < len(terms):
-        return empty  # a required term is absent from this segment
-
-    # pruning windows run in ascending ORD order; "equal score loses the
-    # tie" (the <= prune) is only valid when doc_ids ascend with ords —
-    # true for built segments, not guaranteed after merges reorder docs.
-    # Otherwise prune strictly (<), still rank-safe, marginally weaker.
-    dids = reader.doc_ids
-    eq_prune = bool(np.all(np.diff(dids) > 0)) if len(dids) > 1 else True
-    if kind == "and" and len(tps) > 1:
-        return _conj(tps, dids, k, out_dtype, eq_prune)
-    return _disj(tps, dids, k, out_dtype, eq_prune)
-
-
-def _score_sum(tps, cand, out_dtype):
-    """Exact scores for candidate ords: per-term lookup via searchsorted,
-    accumulated in float64 in clause order, cast once (the
-    DisjunctionSumScorer double-accumulation contract).  Each term scores
-    against its own field's norms (``tp.norms``)."""
-    acc = np.zeros(len(cand), dtype=np.float64)
-    for tp in tps:
-        idx = np.searchsorted(tp.ords, cand)
-        idx_c = np.minimum(idx, len(tp.ords) - 1)
-        hit = tp.ords[idx_c] == cand
-        if hit.any():
-            sc = tp.scorer.score(
-                tp.freqs[idx_c[hit]].astype(np.float64),
-                tp.norms[cand[hit]],
-            )
-            acc[hit] += sc.astype(np.float64)
-    return acc.astype(out_dtype)
-
-
-def _prunable(ub, thresh, out_dtype, eq_prune):
-    ub_r = np.float32(ub) if out_dtype == np.float32 else ub
-    return (ub_r <= thresh) if eq_prune else (ub_r < thresh)
-
-
-def _disj(tps, doc_ids, k, out_dtype, eq_prune=True):
-    ptr = [0] * len(tps)  # current block index per term
-    heap_s = np.empty(0, dtype=out_dtype)
-    heap_o = np.empty(0, dtype=np.int64)
-    heap_d = np.empty(0, dtype=np.int64)
-    thresh = -np.inf
-    prev_end = -1  # docs ≤ prev_end are fully processed (window lower bound)
-    while True:
-        # window = [win_start, win_end]: the smallest current block span
-        active = [(i, tp) for i, tp in enumerate(tps) if ptr[i] < tp.n_blocks]
-        if not active:
-            break
-        win_end = min(tp.lasts[ptr[i]] for i, tp in active)
-        # upper bound: Σ block-maxes of blocks overlapping the window
-        ub = 0.0
-        for i, tp in active:
-            j = ptr[i]
-            if tp.starts[j] <= win_end:
-                ub += tp.bmax[j]
-        if not _prunable(ub, thresh, out_dtype, eq_prune):
-            # gather candidate ords within (prev_end, win_end] from
-            # overlapping blocks (blocks spanning several windows
-            # contribute each doc exactly once)
-            cands = []
-            for i, tp in active:
-                j = ptr[i]
-                if tp.starts[j] <= win_end:
-                    s, e = tp.offsets[j], tp.offsets[j + 1]
-                    seg = tp.ords[s:e]
-                    seg = seg[(seg > prev_end) & (seg <= win_end)]
-                    if len(seg):
-                        cands.append(seg)
-            if cands:
-                cand = np.unique(np.concatenate(cands)).astype(np.int64)
-                scores = _score_sum(tps, cand, out_dtype)
-                heap_s, heap_o, heap_d, thresh = _push_topk(
-                    heap_s, heap_o, heap_d, cand, doc_ids[cand], scores, k
-                )
-        prev_end = win_end
-        for i, tp in active:
-            j = ptr[i]
-            if tp.lasts[j] <= win_end:
-                ptr[i] += 1
-    order = np.lexsort((heap_d, -heap_s.astype(np.float64)))
-    return heap_o[order].astype(np.int32), heap_s[order]
-
-
-def _conj(tps, doc_ids, k, out_dtype, eq_prune=True):
-    # lead with the sparsest list (BlockMaxConjunctionScorer.java:48-60)
-    tps = sorted(tps, key=lambda tp: len(tp.ords))
-    lead, rest = tps[0], tps[1:]
-    rest_gmax = sum(tp.gmax for tp in rest)
-    heap_s = np.empty(0, dtype=out_dtype)
-    heap_o = np.empty(0, dtype=np.int64)
-    heap_d = np.empty(0, dtype=np.int64)
-    thresh = -np.inf
-    # candidate ords: intersect lead with the others, block by block on the
-    # lead; a lead block is skipped when its bound can't beat the threshold
-    for j in range(lead.n_blocks):
-        ub = lead.bmax[j] + rest_gmax
-        if _prunable(ub, thresh, out_dtype, eq_prune):
-            continue
-        s, e = lead.offsets[j], lead.offsets[j + 1]
-        cand = lead.ords[s:e].astype(np.int64)
-        for tp in rest:
-            idx = np.searchsorted(tp.ords, cand)
-            idx_c = np.minimum(idx, len(tp.ords) - 1)
-            cand = cand[tp.ords[idx_c] == cand]
-            if len(cand) == 0:
-                break
-        if len(cand) == 0:
-            continue
-        scores = _score_sum(tps, cand, out_dtype)
-        heap_s, heap_o, heap_d, thresh = _push_topk(
-            heap_s, heap_o, heap_d, cand, doc_ids[cand], scores, k
-        )
-    order = np.lexsort((heap_d, -heap_s.astype(np.float64)))
-    return heap_o[order].astype(np.int32), heap_s[order]
-
-
-def _phrase_pruned(reader, q, stats: GlobalStats, k: int, sim):
-    """Impact-pruned exact-phrase top-k (the phrase-impacts idea the
-    reference added for exact phrases in 8.x: ``PhraseQuery``'s impacts
-    merge term impacts; here the per-candidate upper bound is the phrase
-    scorer applied to min-over-terms term freq — phrase freq can never
-    exceed any term's freq).  Candidates verify positions in descending
-    bound order and stop once the bound can't beat the k-th score."""
-    keys = list(q.phrase_terms)
-    posts = []
-    for t in keys:
-        p = reader.postings(t)
-        if p is None or stats.df.get(t, 0) <= 0:
-            return (np.empty(0, np.int32), np.empty(0, sim.out_dtype))
-        posts.append(p)
-    cand = posts[0][0]
-    for ords, _ in posts[1:]:
-        cand = np.intersect1d(cand, ords, assume_unique=True)
-    if len(cand) == 0:
-        return (np.empty(0, np.int32), np.empty(0, sim.out_dtype))
-    # min term freq per candidate = phrase-freq upper bound
-    min_f = None
-    for ords, freqs in posts:
-        idx = np.searchsorted(ords, cand)
-        f = freqs[idx].astype(np.float64)
-        min_f = f if min_f is None else np.minimum(min_f, f)
-    dt = sim.out_dtype
-    doc_count, sttf = stats.collection_for(q.field)
-    # per-term float idfs summed in a double, one final cast (matches
-    # scorer._phrase / BM25Similarity.idfExplain over TermStatistics[])
-    idf_acc = 0.0
-    for t in keys:
-        idf_acc += float(dt(sim.idf_value(stats.df[t], doc_count)))
-    idf = dt(idf_acc)
-    sc = sim.scorer_from_idf(1.0, idf, doc_count, sttf)
-    norms = reader.norms
-    bounds = sc.score(min_f, norms[cand])
-    order = np.argsort(-bounds.astype(np.float64), kind="stable")
-
-    pos_readers = [reader.positions(t) for t in keys]
-    rel = np.asarray(q.positions, dtype=np.int64)
-    rel = rel - rel[0]
-    doc_ids = reader.doc_ids
-    import heapq
-
-    heap = []  # (score, -doc_id) min-heap of the current top-k
-    for ci in order:
-        d = int(cand[ci])
-        if len(heap) >= k and float(bounds[ci]) < heap[0][0]:
-            break  # bounds descend; nothing below can compete (equal
-            # bounds still verify: an equal score can win the doc-id tie)
-        # exact phrase freq via position intersection
-        base = None
-        ok = True
-        for (ords, posfn), off in zip(pos_readers, rel):
-            j = int(np.searchsorted(ords, d))
-            pos = posfn(j) - off
-            base = pos if base is None else np.intersect1d(
-                base, pos, assume_unique=True
-            )
-            if len(base) == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        score = sc.score(
-            np.asarray([float(len(base))]), norms[[d]]
-        )[0]
-        item = (float(score), -doc_ids[d], d)
-        if len(heap) < k:
-            heapq.heappush(heap, item)
-        elif item > heap[0]:
-            heapq.heapreplace(heap, item)
-    res = sorted(heap, key=lambda x: (-x[0], -x[1]))
-    o = np.asarray([r[2] for r in res], dtype=np.int32)
-    sarr = np.asarray([r[0] for r in res], dtype=dt)
-    return o, sarr
+def topk_pruned(reader, query, stats, k, sim=None) -> None:
+    """Always None: every top-k is scored exhaustively."""
+    return None

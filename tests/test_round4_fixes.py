@@ -695,15 +695,16 @@ def test_checkindex_soft_deletes_and_sort_marker(ray_session, tmp_path):
     )[0])
     r = check_segment(seg)
     assert r["ok"], r["errors"]
-    # corrupt: out-of-range soft ord
+    # corrupt: out-of-range soft ord in the COMMITTED generation's file
+    committed = os.path.join(seg, "softdel-1.parquet")
+    healthy = pq.read_table(committed)
     pq.write_table(
-        pa.table({"ord": pa.array([3, 999], pa.int32())}),
-        os.path.join(seg, "softdel-9.parquet"),
+        pa.table({"ord": pa.array([3, 999], pa.int32())}), committed
     )
     r2 = check_segment(seg)
     assert not r2["ok"]
     assert any("soft-deletes" in e for e in r2["errors"])
-    os.remove(os.path.join(seg, "softdel-9.parquet"))
+    pq.write_table(healthy, committed)
     # corrupt: break the recorded comparator order
     dm = pq.read_table(os.path.join(seg, "docmeta.parquet"))
     idx0 = dm.schema.get_field_index("prio")
@@ -715,6 +716,40 @@ def test_checkindex_soft_deletes_and_sort_marker(ray_session, tmp_path):
     )
     r3 = check_segment(seg)
     assert any("comparator order" in e for e in r3["errors"])
+
+
+def test_checkindex_orphan_sidecar_is_not_corruption(ray_session, tmp_path):
+    """A sidecar no commit names (a write that crashed before its manifest
+    commit) is listed as an orphan; the committed generations it would
+    shadow are what CheckIndex validates."""
+    import os
+
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.index.check import check_index, check_segment
+    from lucene_solr_ray.index.softdeletes import soft_delete_by_query
+
+    p = str(tmp_path / "c.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(20), pa.int64()),
+        "text": pa.array(["drop token"] * 5 + ["keep token"] * 15),
+    }), p)
+    out = str(tmp_path / "idx")
+    build_index(p, out, text_col="text", id_col="doc_id")
+    soft_delete_by_query(out, "drop")
+    seg = os.path.join(out, sorted(
+        d for d in os.listdir(out) if d.startswith("seg_")
+    )[0])
+    # an orphan that would fail every soft-delete check
+    pq.write_table(
+        pa.table({"ord": pa.array([7, 3, 999], pa.int32())}),
+        os.path.join(seg, "softdel-9.parquet"),
+    )
+    r = check_segment(seg)
+    assert r["ok"], r["errors"]
+    assert r["orphans"] == ["softdel-9.parquet"]
+    rep = check_index(out)
+    assert rep["ok"], rep["errors"]
+    assert rep["orphans"] == [f"seg {r['segment_id']}: softdel-9.parquet"]
 
 
 def test_replicate_carries_late_sidecars(ray_session, tmp_path):

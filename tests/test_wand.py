@@ -1,12 +1,15 @@
-"""checkTopScores property: the pruned (block-max WAND/MaxScore) path must
-return exactly the same top-k (docs AND float32 scores) as the exhaustive
-COMPLETE-mode scorer — the reference's key pruning oracle
-(``lucene/test-framework/.../CheckHits.java:576-640``, used by
-``TestBlockMaxConjunction.java:43-81`` and ``TestWANDScorer``).
+"""Top-k rank contract: ``topk_segment`` at k must equal the first k of
+a COMPLETE ranking — every match scored by ``score_segment`` and fully
+sorted by (score desc, global doc_id asc) — docs AND float32 scores.
+This is the reference's checkTopScores idea
+(``lucene/test-framework/.../CheckHits.java:576-640``): a top-k collector
+may never lose or reorder a hit of the complete collection.
 
 Corpora follow the reference's randomized-index style: docs drawn from a
 small integer vocabulary to force shared terms and deep posting lists
-(``TestBlockMaxConjunction.java:43-60``)."""
+(``TestBlockMaxConjunction.java:43-60``).  Doc ids run in the
+reverse of segment order, so a tie broken by ordinal instead of doc id
+shows."""
 
 import random
 
@@ -15,7 +18,12 @@ import pytest
 
 from lucene_solr_ray.index.segment import build_segment_tables
 from lucene_solr_ray.search.parser import parse
-from lucene_solr_ray.search.scorer import GlobalStats, topk_segment
+from lucene_solr_ray.search.reader import EntrySlices
+from lucene_solr_ray.search.scorer import (
+    GlobalStats,
+    score_segment,
+    topk_segment,
+)
 from lucene_solr_ray.search.similarity import BM25Similarity
 
 
@@ -23,8 +31,6 @@ class _MemReader:
     """SegmentReader protocol over in-memory tables (no files)."""
 
     def __init__(self, seg):
-        import numpy as np
-
         self._seg = seg
         self.norms = seg.docmeta.column("norm").to_numpy()
         self.doc_ids = seg.docmeta.column("doc_id").to_numpy()
@@ -32,33 +38,20 @@ class _MemReader:
         t = seg.postings
         self._row = {x: i for i, x in enumerate(t.column("term").to_pylist())}
         self._blocks = t.column("blocks")
-        self._df = t.column("df").to_numpy()
-
-    def postings_blob(self, term):
-        r = self._row.get(term)
-        return None if r is None else self._blocks[r].as_py()
 
     def postings(self, term):
         from lucene_solr_ray.index.postings_codec import decode_postings
 
-        blob = self.postings_blob(term)
-        return None if blob is None else decode_postings(blob)
+        r = self._row.get(term)
+        return None if r is None else decode_postings(self._blocks[r].as_py())
 
     def positions(self, term):
-        import numpy as np
-
         r = self._row.get(term)
         if r is None:
             return None
         ords, freqs = self.postings(term)
         blob = self._seg.postings.column("positions")[r].as_py() or b""
-        vals = np.frombuffer(blob, dtype="<i4")
-        offs = np.concatenate([[0], np.cumsum(freqs, dtype=np.int64)])
-
-        def posfn(i):
-            return vals[offs[i]: offs[i + 1]]
-
-        return ords, posfn
+        return ords, EntrySlices(np.frombuffer(blob, dtype="<i4"), freqs)
 
 
 def _make_corpus(rng: random.Random, n_docs: int, vocab_n: int):
@@ -96,37 +89,38 @@ QUERIES = [
 ]
 
 
+def _reader(texts):
+    n = len(texts)
+    seg = build_segment_tables(list(range(n - 1, -1, -1)), texts)
+    reader = _MemReader(seg)
+    return reader, _stats(seg, reader)
+
+
+def _assert_rank_contract(reader, stats, k):
+    sim = BM25Similarity()
+    for qs in QUERIES:
+        q = parse(qs)
+        ords, scores = score_segment(reader, q, stats, sim)
+        order = np.lexsort(
+            (reader.doc_ids[ords], -scores.astype(np.float64))
+        )[:k]
+        for pruning in (True, False):
+            o, s = topk_segment(reader, q, stats, k, sim, pruning=pruning)
+            assert list(o) == list(ords[order]), (qs, k, pruning)
+            np.testing.assert_array_equal(s, scores[order],
+                                          err_msg=f"{qs} k={k}")
+            assert s.dtype == np.float32
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 10])
 def test_check_top_scores(seed, k):
     rng = random.Random(seed)
-    texts = _make_corpus(rng, 400, 50)
-    seg = build_segment_tables(list(range(400)), texts)
-    reader = _MemReader(seg)
-    stats = _stats(seg, reader)
-    sim = BM25Similarity()
-    for qs in QUERIES:
-        q = parse(qs)
-        o_ex, s_ex = topk_segment(reader, q, stats, k, sim, pruning=False)
-        o_pr, s_pr = topk_segment(reader, q, stats, k, sim, pruning=True)
-        assert list(o_ex) == list(o_pr), (qs, k, list(o_ex), list(o_pr))
-        np.testing.assert_array_equal(s_ex, s_pr, err_msg=f"{qs} k={k}")
-        assert s_pr.dtype == np.float32
-
-
-def test_pruned_skips_are_exercised():
-    """Deep posting lists + small k: the pruned path must actually skip
-    windows (sanity that the threshold machinery engages)."""
-    rng = random.Random(9)
-    texts = _make_corpus(rng, 3000, 10)
-    seg = build_segment_tables(list(range(3000)), texts)
-    reader = _MemReader(seg)
-    stats = _stats(seg, reader)
-    q = parse("t0 OR t1")
-    o_ex, s_ex = topk_segment(reader, q, stats, 5, pruning=False)
-    o_pr, s_pr = topk_segment(reader, q, stats, 5, pruning=True)
-    assert list(o_ex) == list(o_pr)
-    np.testing.assert_array_equal(s_ex, s_pr)
+    _assert_rank_contract(*_reader(_make_corpus(rng, 400, 50)), k)
+    # deep posting lists over a 10-term vocabulary: every query whose
+    # terms are in it matches hundreds of docs
+    deep = _reader(_make_corpus(random.Random(9), 3000, 10))
+    _assert_rank_contract(*deep, k)
 
 
 def test_missing_required_term_short_circuits():
