@@ -11,7 +11,9 @@ segment (distributed — one task per segment) and globally:
 - impacts are exact: stored competitive pairs dominate every (freq, norm)
   in their block;
 - norms/docmeta row counts match doc_count; sha256 column present;
-- global stats = Σ per-segment stats.
+- global stats = Σ per-segment stats;
+- sidecars: deletes, soft deletes and doc-values overlays hold strictly
+  ascending, in-range ords, and each overlay a value per ord.
 
 Sidecars are validated at their committed generations; newer, never
 committed sidecar files are reported under ``orphans``, not as errors.
@@ -142,6 +144,21 @@ def check_segment(seg_dir: str) -> Dict:
                 "soft-deletes: overlap with hard tombstones "
                 "(hard wins; soft entry is inert)"
             )
+
+    # doc-values overlays: per field, ords sorted, unique and in range,
+    # each with its value
+    for field, gen in sorted(sidecars.dv_fields(gens).items()):
+        dv = sidecars.read(seg_dir, sidecars.dvu(field), gen)
+        where = f"dv {field!r} gen {gen}"
+        ords = dv.column("ord").to_numpy()
+        if (np.diff(ords) <= 0).any():
+            errors.append(f"{where}: ords not strictly ascending")
+        if len(ords) and (ords.min() < 0 or ords.max() >= n_docs):
+            errors.append(f"{where}: ord out of range")
+        if "value" not in dv.schema.names:
+            errors.append(f"{where}: no value column")
+        elif dv.column("value").null_count:
+            errors.append(f"{where}: values not aligned with ords")
 
     # index_sort marker (round 4): docmeta rows must actually be in the
     # recorded comparator order

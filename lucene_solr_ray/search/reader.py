@@ -63,7 +63,8 @@ class SegmentReader:
         t = pq.read_table(
             os.path.join(seg_dir, "postings.parquet"), columns=cols
         )
-        self._terms: List[str] = t.column("term").to_pylist()
+        self._terms: List[str] = t.column("term").to_numpy(
+            zero_copy_only=False).tolist()
         # Arrow view of the term dictionary (zero extra copy) — pattern
         # expansion runs C kernels over it instead of a Python loop
         self._terms_arrow = t.column("term").combine_chunks()
@@ -211,6 +212,11 @@ class SegmentReader:
     @property
     def terms_arrow(self) -> "pa.Array":
         return self._terms_arrow
+
+    @property
+    def term_columns(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """The dictionary's sorted terms with their df and ttf."""
+        return self._terms, self._df, self._ttf
 
     def term_stats(self, term: str) -> Optional[Tuple[int, int]]:
         r = self._term_row.get(term)

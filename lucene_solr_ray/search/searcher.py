@@ -12,8 +12,11 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    to Solr's ``ExactStatsCache`` extra round-trip (rank-identical across
    shardings, unlike the default LocalStatsCache).
    Steps 1–2 are :func:`prepare_queries`, shared by every batch search
-   (:meth:`Index.prepare`), the warm ``QueryEngine`` and ``MemoryIndex``;
-   each segment's share of them is :func:`segment_term_meta`.
+   (:meth:`Index.prepare`), the warm ``QueryEngine`` and ``MemoryIndex``.
+   A batch search runs them as one map over the segments, each
+   segment's share being :func:`segment_term_meta`; the warm engine
+   answers them on the driver from a global term dictionary it fetches
+   once (the in-process leaf sum, with no per-query round trip).
 3. **Segment scan** — :meth:`Index.scan`, one stateless ``map_batches``
    over the segment list: each task opens its batch's ``SegmentReader``s
    once and hands the ``(reader, seg_ord)`` pairs to a *collector*, a
@@ -144,28 +147,34 @@ def match_terms_arrow(pattern: Query, terms: "pa.ChunkedArray") -> List[str]:
     return _match_bare_arrow(pattern, pc.filter(terms, mask))
 
 
+def _tolist(terms) -> List[str]:
+    """A term column as a Python list, through numpy: about 20x faster
+    than ``to_pylist`` on a dictionary-sized column."""
+    return terms.to_numpy(zero_copy_only=False).tolist()
+
+
 def _match_bare_arrow(pattern: Query, terms) -> List[str]:
     import pyarrow.compute as pc
 
     if isinstance(pattern, PrefixQuery):
         m = pc.starts_with(terms, pattern=pattern.prefix)
-        return pc.filter(terms, m).to_pylist()
+        return _tolist(pc.filter(terms, m))
     if isinstance(pattern, WildcardQuery):
         rx = "".join(
             ".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
             for ch in pattern.pattern
         )
         m = pc.match_substring_regex(terms, pattern=f"^(?:{rx})$")
-        return pc.filter(terms, m).to_pylist()
+        return _tolist(pc.filter(terms, m))
     if isinstance(pattern, RegexpQuery):
         try:
             m = pc.match_substring_regex(
                 terms, pattern=f"^(?:{pattern.pattern})$"
             )
-            return pc.filter(terms, m).to_pylist()
+            return _tolist(pc.filter(terms, m))
         except Exception:
             # RE2 rejected the syntax — exact Python-re semantics fallback
-            return _match_bare(pattern, terms.to_pylist())
+            return _match_bare(pattern, _tolist(terms))
     if isinstance(pattern, TermRangeQuery):
         m = None
         if pattern.lower is not None:
@@ -176,8 +185,8 @@ def _match_bare_arrow(pattern: Query, terms) -> List[str]:
             m2 = cmp(terms, pattern.upper)
             m = m2 if m is None else pc.and_(m, m2)
         return (
-            pc.filter(terms, m).to_pylist() if m is not None
-            else terms.to_pylist()
+            _tolist(pc.filter(terms, m)) if m is not None
+            else _tolist(terms)
         )
     if isinstance(pattern, FuzzyQuery):
         base = pattern.term
@@ -194,7 +203,7 @@ def _match_bare_arrow(pattern: Query, terms) -> List[str]:
                     terms, pattern=base[: pattern.prefix_length]
                 ),
             )
-        cand = pc.filter(terms, m).to_pylist()
+        cand = _tolist(pc.filter(terms, m))
         if len(cand) > 64:
             keep = _edit_distance_le_bulk(base, cand, k)
             return [t for t, ok in zip(cand, keep) if ok]
@@ -255,7 +264,9 @@ def _match_bare(pattern: Query, terms: Sequence[str]) -> List[str]:
         )
         return [t for t in terms if rx.match(t)]
     if isinstance(pattern, RegexpQuery):
-        rx = re.compile(pattern.pattern + r"\Z")  # Lucene regexps are anchored
+        # Lucene regexps are anchored: the group keeps a top-level
+        # alternation inside the anchor
+        rx = re.compile(f"(?:{pattern.pattern})\\Z")
         return [t for t in terms if rx.match(t)]
     if isinstance(pattern, TermRangeQuery):
         lo, hi = pattern.lower, pattern.upper
@@ -273,7 +284,7 @@ def _match_bare(pattern: Query, terms: Sequence[str]) -> List[str]:
         return [
             t
             for t in terms
-            if t[:pl] == base[:pl]
+            if t.startswith(base[:pl])
             and _edit_distance_le(base, t, pattern.max_edits)
         ]
     raise TypeError(type(pattern))
@@ -395,8 +406,9 @@ def segment_term_meta(
     pattern match to its (df, ttf), every key counted once (a term can be
     an explicit query term and match several patterns); ``matches[i]``
     lists ``patterns[i]``'s matches in ``term_col``.  ``lookup(term)``
-    returns the segment's (df, ttf) or None.  Both the batch stats map and
-    the warm engine's actors fold their segments through this."""
+    returns the segment's (df, ttf) or None.  The batch stats map
+    (:class:`_StatsFn`) folds each segment through this; the warm engine
+    resolves the same metadata over its summed dictionary instead."""
     stats: Dict[str, Tuple[int, int]] = {}
     for t in terms:
         st = lookup(t)

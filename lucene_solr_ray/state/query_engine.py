@@ -12,12 +12,11 @@ executor, ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher
   segments (round-robin by size), postings loaded once in the constructor
   and kept hot across queries;
 - the batch search's prepare step (``searcher.prepare_queries``: collect
-  patterns, fetch stats + expansions, rewrite), fed by an engine-side
-  cache of term stats and pattern expansions (the ExactStatsCache role).
-  A query with uncached terms or patterns costs ONE ``cold_meta`` round
-  trip, in which each actor folds its segments through
-  ``searcher.segment_term_meta`` (explicit-term stats, pattern matches and
-  the matches' stats); a repeated query costs none;
+  patterns, fetch stats + expansions, rewrite), answered on the driver
+  from a global term dictionary summed over every segment once per
+  engine (``IndexSearcher`` summing leaves in-process, not Solr's
+  ExactStatsCache round trip), so a first-seen query costs no more
+  round trips than a repeat;
 - ``search`` = one actor round-trip per query batch + driver TopDocs
   merge.  This is the only place the engine drops to raw ``@ray.remote``
   actors — the Dataset API cannot express a resident service.
@@ -25,7 +24,10 @@ executor, ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher
 
 from __future__ import annotations
 
+import bisect
 import os
+from collections import OrderedDict
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
@@ -38,10 +40,15 @@ from lucene_solr_ray.search.searcher import (
     _merge_topk,
     _parse_batch,
     _prepare_batch,
+    match_terms_arrow,
 )
 from lucene_solr_ray.search.similarity import BM25Similarity
 
 __all__ = ["QueryEngine"]
+
+#: entries in each actor's result cache and in the driver's expansion
+#: cache (both LRU)
+CACHE_CAP = 1024
 
 
 def _make_actor_cls():
@@ -51,8 +58,6 @@ def _make_actor_cls():
     class SegmentSearcherActor:
         def __init__(self, seg_dirs: List[str], seg_ords: List[int],
                      load_positions: bool):
-            from collections import OrderedDict
-
             from lucene_solr_ray.search.reader import SegmentReader
 
             self.readers = [
@@ -65,41 +70,24 @@ def _make_actor_cls():
             # stats are append-stable within one engine, so repeats are
             # bit-identical). 1024 entries ≈ a few MB.
             self._cache: "OrderedDict" = OrderedDict()
-            self._cache_cap = 1024
 
-        def cold_meta(self, terms: List[str], patterns):
-            """Everything a cold query needs in ONE round trip: this
-            actor's (df, ttf) partials for the explicit terms, each
-            pattern's expansion, AND the expanded terms' partials — over
-            the resident term dictionary, with no per-call conversion."""
-            from lucene_solr_ray.search.searcher import segment_term_meta
-
-            stats: Dict[str, Tuple[int, int]] = {}
-            expansions: List[set] = [set() for _ in patterns]
-            for reader, _ in self.readers:
-                seg_stats, matches = segment_term_meta(
-                    terms, patterns, reader.terms_arrow, reader.term_stats
-                )
-                for t, (df, ttf) in seg_stats.items():
-                    df0, ttf0 = stats.get(t, (0, 0))
-                    stats[t] = (df0 + df, ttf0 + ttf)
-                for acc, ms in zip(expansions, matches):
-                    acc.update(ms)
-            return {
-                "stats": stats,
-                "expansions": [sorted(e) for e in expansions],
-            }
+        def term_columns(self) -> List[Tuple]:
+            """Every resident segment's (terms, df, ttf), for the driver
+            to sum into the global dictionary.  A list and numpy arrays,
+            not Arrow: the first Arrow reply imports Ray Data into the
+            actor (about 1 s and several MB)."""
+            return [r.term_columns for r, _ in self.readers]
 
         def prime(self) -> int:
             """firstSearcher warming (Solr's solrconfig warm-up queries):
-            exercise the scoring + expansion code paths once so the first
-            real query doesn't pay module-import and kernel-JIT costs."""
-            from lucene_solr_ray.search.query import FuzzyQuery, TermQuery
+            exercise the scoring code path once so the first real query
+            doesn't pay module-import and kernel-JIT costs (patterns
+            expand on the driver)."""
+            from lucene_solr_ray.search.query import TermQuery
             from lucene_solr_ray.search.scorer import (
                 GlobalStats,
                 topk_segment,
             )
-            from lucene_solr_ray.search.searcher import match_terms_arrow
 
             n = 0
             for reader, _ in self.readers:
@@ -116,10 +104,6 @@ def _make_actor_cls():
                 )
                 gs.df[t0], gs.ttf[t0] = st
                 topk_segment(reader, TermQuery(t0), gs, 1)
-                match_terms_arrow(
-                    FuzzyQuery(t0[:3] or t0, max_edits=1),
-                    reader.terms_arrow,
-                )
                 n += 1
             return n
 
@@ -137,7 +121,7 @@ def _make_actor_cls():
                     else:
                         ords, scores = topk_segment(reader, q, stats, k, sim)
                         self._cache[key] = (ords, scores)
-                        if len(self._cache) > self._cache_cap:
+                        if len(self._cache) > CACHE_CAP:
                             self._cache.popitem(last=False)
                     dids = reader.doc_ids[ords]
                     for o, d, s in zip(ords, dids, scores):
@@ -168,8 +152,8 @@ class QueryEngine:
         self.index = index
         self.parser = index.make_parser(analyzer)
         self.sim = similarity or BM25Similarity()
-        self._stats_cache: Dict[str, Tuple[int, int]] = {}
-        self._expansion_cache: Dict[Query, Tuple[str, ...]] = {}
+        self._dict: Optional[Tuple] = None  # see ``_dictionary``
+        self._expansion_cache: "OrderedDict[Query, Tuple]" = OrderedDict()
         self._load_positions = load_positions
 
         # replica-aware serving (reference ``lucene/replicator/.../
@@ -257,53 +241,63 @@ class QueryEngine:
     def warm(self, queries: Optional[Sequence[str]] = None,
              k: int = 10) -> None:
         """Block until every actor has loaded its segments AND run the
-        firstSearcher-style warm-up: one scoring + one expansion per
-        reader, plus (optionally) a list of representative warm-up
-        queries executed end-to-end with results discarded — the role of
+        firstSearcher-style warm-up (one scoring per reader), fetch the
+        term dictionary, then run (optionally) a list of representative
+        warm-up queries end-to-end with results discarded — the role of
         Solr's configured ``firstSearcher``/``newSearcher`` listener
         queries (``solr/core/src/java/org/apache/solr/core/
         QuerySenderListener.java``), which exist precisely so production
         latency never pays first-execution costs."""
         self._gather("prime")
+        self._dictionary()
         for q in queries or ():
             self.search({0: q}, k=k)
+
+    def _dictionary(self) -> Tuple:
+        """The global term dictionary: sorted terms (Arrow, to expand
+        patterns, and a list, to binary-search) and their df and ttf
+        lists, summed over every segment.  Fetched once per engine: one
+        engine serves one commit point, and an actor rebuilt on failover
+        serves the same segments."""
+        if self._dict is None:
+            sums: Dict[str, List[int]] = {}
+            for part in self._gather("term_columns"):
+                for terms, dfs, ttfs in part:
+                    for t, df, ttf in zip(terms, dfs.tolist(), ttfs.tolist()):
+                        acc = sums.setdefault(t, [0, 0])
+                        acc[0] += df
+                        acc[1] += ttf
+            keys = sorted(sums)
+            self._dict = (pa.array(keys, pa.string()), keys,
+                          [sums[t][0] for t in keys],
+                          [sums[t][1] for t in keys])
+        return self._dict
+
+    def _expand(self, pattern: Query) -> Tuple[str, ...]:
+        """``pattern``'s matches in the global dictionary, LRU-cached."""
+        cache = self._expansion_cache
+        if pattern in cache:
+            cache.move_to_end(pattern)
+        else:
+            cache[pattern] = tuple(sorted(
+                match_terms_arrow(pattern, self._dictionary()[0])))
+            if len(cache) > CACHE_CAP:
+                cache.popitem(last=False)
+        return cache[pattern]
 
     def _stats_for(self, terms: Sequence[str],
                    patterns: List[Query]) -> Tuple[GlobalStats, Dict]:
         """``Index.collect_stats``'s contract (stats for the terms AND
-        every expansion term, plus the expansions) served from the
-        engine cache; whatever is not cached costs one ``cold_meta``
-        round trip."""
-        missing = [t for t in terms if t not in self._stats_cache]
-        new_patterns = [p for p in patterns if p not in self._expansion_cache]
-        if missing or new_patterns:
-            parts = self._gather("cold_meta", missing, new_patterns)
-            # sum per-actor partials for keys we did NOT already have
-            # (an actor re-reports a cached term only when a new pattern
-            # matches it; adding that would double-count)
-            known = set(self._stats_cache)
-            fresh: Dict[str, Tuple[int, int]] = {}
-            for part in parts:
-                for t, (df, ttf) in part["stats"].items():
-                    if t in known:
-                        continue
-                    df0, ttf0 = fresh.get(t, (0, 0))
-                    fresh[t] = (df0 + df, ttf0 + ttf)
-            self._stats_cache.update(fresh)
-            for t in missing:
-                self._stats_cache.setdefault(t, (0, 0))
-            for pi, pat in enumerate(new_patterns):
-                acc = set()
-                for part in parts:
-                    acc.update(part["expansions"][pi])
-                self._expansion_cache[pat] = tuple(sorted(acc))
-        expansions = {p: self._expansion_cache[p] for p in patterns}
+        every expansion term, plus the expansions), answered on the
+        driver by binary search over the global dictionary; a term
+        absent from it reads (0, 0)."""
+        _, keys, dfs, ttfs = self._dictionary()
+        expansions = {p: self._expand(p) for p in patterns}
         stats = self.index.collection_stats()
-        for t in terms:
-            stats.df[t], stats.ttf[t] = self._stats_cache[t]
-        for ts in expansions.values():
-            for t in ts:
-                stats.df[t], stats.ttf[t] = self._stats_cache[t]
+        for t in chain(terms, *expansions.values()):
+            i = bisect.bisect_left(keys, t)
+            found = i < len(keys) and keys[i] == t
+            stats.df[t], stats.ttf[t] = (dfs[i], ttfs[i]) if found else (0, 0)
         return stats, expansions
 
     def search(self, queries: Dict[int, str] | Sequence[str],

@@ -203,3 +203,38 @@ def test_orphan_sidecar_in_untouched_segment_stays_invisible(built, write):
             out, "prio", {0: 100}),
     }[write]()
     assert seg1_state() == before
+
+
+def test_check_segment_validates_dv_overlays(tmp_path):
+    """CheckIndex validates each doc-values overlay at its visible
+    generation: ords strictly ascending and in range, and an aligned
+    ``value`` column."""
+    from lucene_solr_ray.index import sidecars
+    from lucene_solr_ray.index.check import check_segment
+    from lucene_solr_ray.index.manifest import write_segment_dir
+    from lucene_solr_ray.index.segment import build_segment_tables
+
+    seg = build_segment_tables([0, 1, 2], ["merge sort", "fast", "slow"])
+    d = write_segment_dir(str(tmp_path), 0, seg.postings, seg.docmeta,
+                          {"segment_id": 0, "stats": seg.stats})
+    assert check_segment(d)["ok"]
+
+    def errors(table, gen):
+        pq.write_table(table, os.path.join(
+            d, sidecars.file_name(sidecars.dvu("prio"), gen)))
+        return check_segment(d)["errors"]
+
+    sidecars.write(d, sidecars.dvu("prio"), 1, [2, 999], [5, 6])
+    r = check_segment(d)
+    assert not r["ok"]
+    assert r["errors"] == ["dv 'prio' gen 1: ord out of range"]
+    assert errors(sidecars.table(np.array([0, 2]), np.array([5, 6])),
+                  2) == []
+    assert errors(pa.table({"ord": pa.array([2, 0], pa.int32()),
+                            "value": pa.array([5, 6], pa.int64())}), 3) \
+        == ["dv 'prio' gen 3: ords not strictly ascending"]
+    assert errors(sidecars.table(np.array([0, 1])), 4) \
+        == ["dv 'prio' gen 4: no value column"]
+    assert errors(pa.table({"ord": pa.array([0, 1], pa.int32()),
+                            "value": pa.array([5, None], pa.int64())}),
+                  5) == ["dv 'prio' gen 5: values not aligned with ords"]

@@ -172,9 +172,9 @@ def test_knn_classify_runs(docs_index, sf_dir):
 
 # -- warm query engine -------------------------------------------------------
 
-def _count_gathers(eng, method):
-    """Wrap ``eng._gather``; returns a callable giving how many ``method``
-    fan-outs (actor round trips) the engine has made so far."""
+def _spy_gathers(eng):
+    """Wrap ``eng._gather``; returns the list of actor methods the engine
+    fans out to (one entry per round trip), appended as it goes."""
     calls = []
     gather = eng._gather
 
@@ -183,7 +183,7 @@ def _count_gathers(eng, method):
         return gather(m, *args)
 
     eng._gather = spy
-    return lambda: calls.count(method)
+    return calls
 
 
 def _assert_same_topk(a, b):
@@ -223,35 +223,85 @@ def _check_query_engine(index, q):
     a = index.search(q, k=10).to_pandas()
     assert set(a["qid"]) == set(q)
 
+    # never warmed: the first search fetches the term dictionary, and
+    # that is the engine's only fetch; every batch, cold or repeated,
+    # fans out to ``search`` alone
     eng = QueryEngine(index, num_actors=2)
     try:
-        cold_meta = _count_gathers(eng, "cold_meta")
+        calls = _spy_gathers(eng)
         b = eng.search(q, k=10).to_pandas()
         _assert_same_topk(a, b)
-        assert cold_meta() == 1
-        # stats cache: repeated search gives identical results and makes
-        # no stats round trip
+        assert calls == ["term_columns", "search"]
         c = eng.search(q, k=10).to_pandas()
         _assert_same_topk(b, c)
-        assert cold_meta() == 1
+        assert calls == ["term_columns", "search", "search"]
     finally:
         eng.shutdown()
 
-    # one query at a time, in reverse order: later queries find some of
-    # their terms cached by earlier patterns' expansions
+    # warmed, one query at a time in reverse order: the dictionary comes
+    # with ``warm``, and each first-seen query or repeat costs exactly
+    # one ``search`` round trip
     eng = QueryEngine(index, num_actors=2)
     try:
-        cold_meta = _count_gathers(eng, "cold_meta")
+        calls = _spy_gathers(eng)
+        eng.warm()
+        assert calls == ["prime", "term_columns"]
         singles = []
         for qid in sorted(q, reverse=True):
-            n = cold_meta()
+            del calls[:]
             singles.append(eng.search({qid: q[qid]}, k=10).to_pandas())
-            assert cold_meta() <= n + 1
-            n = cold_meta()
-            eng.search({qid: q[qid]}, k=10)  # a repeat: no round trip
-            assert cold_meta() == n
+            eng.search({qid: q[qid]}, k=10)  # a repeat
+            assert calls == ["search", "search"]
         b = pd.concat(singles).sort_values(["qid", "rank"])
         _assert_same_topk(a, b)
+    finally:
+        eng.shutdown()
+
+
+def test_query_engine_over_empty_index(ray_session, tmp_path):
+    """An index built from no documents has no segments, so no actors:
+    the engine still answers, with no hits."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.state.query_engine import QueryEngine
+
+    p = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([], pa.int64()),
+                             "text": pa.array([], pa.string())}), p)
+    build_index(p, str(tmp_path / "idx"), text_col="text", id_col="doc_id")
+    eng = QueryEngine(str(tmp_path / "idx"))
+    try:
+        eng.warm()
+        assert eng.search({0: "merge", 1: "mer*"}, k=10).num_rows == 0
+    finally:
+        eng.shutdown()
+
+
+def test_query_engine_expansion_cache_is_bounded(docs_index_3seg,
+                                                 monkeypatch):
+    """More distinct patterns than the cache holds: the expansion LRU
+    stays at its cap, and patterns evicted and expanded again still give
+    the batch search's answers."""
+    from lucene_solr_ray.state import query_engine
+    from lucene_solr_ray.state.query_engine import QueryEngine
+
+    monkeypatch.setattr(query_engine, "CACHE_CAP", 4)
+    words = ["merge", "sort", "fast", "slow", "batch", "index", "query",
+             "data", "search", "test"]
+    q = {i: f"{w[:3]}* OR {w[:4]}~1" for i, w in enumerate(words)}
+    a = docs_index_3seg.search(q, k=10).to_pandas()
+    eng = QueryEngine(docs_index_3seg, num_actors=2)
+    try:
+        for _ in range(2):  # the second pass re-expands evicted patterns
+            singles = []
+            for qid in sorted(q):
+                singles.append(eng.search({qid: q[qid]}, k=10).to_pandas())
+                assert len(eng._expansion_cache) <= 4
+            _assert_same_topk(a, pd.concat(singles))
+        _assert_same_topk(a, eng.search(q, k=10).to_pandas())
+        assert len(eng._expansion_cache) <= 4
     finally:
         eng.shutdown()
 
@@ -477,10 +527,10 @@ def test_multifield_query_engine(mf_index):
     try:
         a = mf_index.search(q, k=10).to_pandas()
         assert set(a["qid"]) == set(q)
-        cold_meta = _count_gathers(eng, "cold_meta")
+        calls = _spy_gathers(eng)
         _assert_same_topk(a, eng.search(q, k=10).to_pandas())
         _assert_same_topk(a, eng.search(q, k=10).to_pandas())
-        assert cold_meta() == 1
+        assert calls == ["term_columns", "search", "search"]
     finally:
         eng.shutdown()
 

@@ -3,11 +3,14 @@
 real property-based engine.
 
 All properties run on pure kernels (no Ray): codec round-trips, SmallFloat
-monotonicity, tokenizer window laws, BM25 bounds, checkTopScores.
+monotonicity, tokenizer window laws, BM25 bounds, checkTopScores, and
+multi-term expansion (Arrow kernels against the Python reference).
 """
 
+from itertools import product
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lucene_solr_ray.analysis.smallfloat import byte4_to_int, int_to_byte4
@@ -17,6 +20,7 @@ from lucene_solr_ray.index.postings_codec import (
     decode_postings,
     encode_postings,
 )
+from lucene_solr_ray.search.query import FuzzyQuery, RegexpQuery
 from lucene_solr_ray.search.similarity import BM25Similarity
 
 
@@ -101,3 +105,80 @@ def test_bm25_bounds(df, extra, freq, norm):
     # monotone in freq
     s2 = sc.score(np.array([freq + 1.0]), np.array([norm], dtype=np.uint8))[0]
     assert s2 >= s
+
+
+# -- multi-term expansion: Arrow kernels against the Python reference ------
+
+_WORD = st.text("abé日.-", min_size=1, max_size=5)
+_FIELD = st.sampled_from([None, "lang", "la"])
+
+
+@st.composite
+def _vocabulary(draw):
+    """A term dictionary as stored: sorted unique bare terms plus
+    ``field\\x1f``-prefixed keyword terms."""
+    from lucene_solr_ray.index.segment import field_term
+
+    bare = draw(st.lists(_WORD, max_size=150))
+    keyed = draw(st.lists(
+        st.tuples(st.sampled_from(["lang", "tag"]), _WORD), max_size=60))
+    return sorted(set(bare) | {field_term(f, w) for f, w in keyed})
+
+
+@st.composite
+def _pattern(draw):
+    from lucene_solr_ray.search.query import (
+        FuzzyQuery,
+        PrefixQuery,
+        RegexpQuery,
+        TermRangeQuery,
+        WildcardQuery,
+    )
+
+    fld = draw(_FIELD)
+    kind = draw(st.sampled_from(
+        ["prefix", "wildcard", "regexp", "range", "fuzzy"]))
+    if kind == "prefix":
+        return PrefixQuery(draw(st.text("abé日", max_size=3)), field=fld)
+    if kind == "wildcard":
+        return WildcardQuery(
+            draw(st.text("abé日.-*?", min_size=1, max_size=5)), field=fld)
+    if kind == "regexp":
+        atom = st.sampled_from(["a", "b", "é", "日", ".", "[aé]", "(a|b)"])
+        piece = st.tuples(atom, st.sampled_from(["", "*", "+", "?"]))
+        alts = st.lists(st.lists(piece, min_size=1, max_size=4),
+                        min_size=1, max_size=2)
+        return RegexpQuery("|".join(
+            "".join(a + q for a, q in alt) for alt in draw(alts)),
+            field=fld)
+    if kind == "range":
+        lo, hi = draw(st.one_of(st.none(), _WORD)), draw(
+            st.one_of(st.none(), _WORD))
+        return TermRangeQuery(lo, hi, draw(st.booleans()),
+                              draw(st.booleans()), field=fld)
+    return FuzzyQuery(draw(_WORD), max_edits=draw(st.integers(0, 2)),
+                      prefix_length=draw(st.integers(0, 2)), field=fld)
+
+
+#: every word of up to three letters over four: more than 64 fuzzy
+#: candidates, which sends ``match_terms_arrow`` down its bulk
+#: edit-distance path
+_ALL3 = sorted("".join(w) for n in (1, 2, 3)
+               for w in product("abé日", repeat=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_vocabulary(), _pattern())
+@example(_ALL3, FuzzyQuery("aé", max_edits=2))
+@example(_ALL3, FuzzyQuery("日b", max_edits=1, prefix_length=1))
+# a top-level alternation stays inside the anchor
+@example(["."], RegexpQuery("a*|a"))
+# a prefix longer than the term: the whole term is the prefix
+@example(["日a"], FuzzyQuery("日", max_edits=1, prefix_length=2))
+def test_match_terms_arrow_equals_python(vocab, pattern):
+    import pyarrow as pa
+
+    from lucene_solr_ray.search.searcher import match_terms, match_terms_arrow
+
+    assert match_terms_arrow(pattern, pa.array(vocab, pa.string())) == \
+        match_terms(pattern, vocab)

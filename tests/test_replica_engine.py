@@ -76,12 +76,18 @@ def test_failover_to_primary(replicated):
     primary, replica = replicated
     eng = QueryEngine(primary, num_actors=2, replicas=[replica])
     try:
-        before = eng.search({0: "merge"}, k=10)
+        calls = []
+        gather = eng._gather
+        eng._gather = lambda m, *a: calls.append(m) or gather(m, *a)
+        q = {0: "merge", 1: "word3 common", 2: "word*", 3: "wrod3~1"}
+        before = eng.search(q, k=10)
         # kill one serving actor: the next search must fail over to a
-        # rebuilt PRIMARY actor and return identical results
+        # rebuilt PRIMARY actor and return identical results, with the
+        # engine's term dictionary (fetched before the kill) unchanged
         ray.kill(eng.actors[0])
-        after = eng.search({0: "merge"}, k=10)
+        after = eng.search(q, k=10)
         assert before.equals(after)
+        assert calls == ["term_columns", "search", "search"]
         # the rebuilt actor serves from the primary dirs
         assert eng.actors[0] is not None
     finally:
