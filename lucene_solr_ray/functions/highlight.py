@@ -318,14 +318,15 @@ def highlight_from_index(
     from lucene_solr_ray.search.reader import SegmentReader
 
     spans = []  # (start, end, term)
-    # pass a shared ``readers`` dict when highlighting many docs: loading a
-    # SegmentReader per call re-reads the segment's whole postings table
+    # pass a shared ``readers`` dict when highlighting many docs: a fresh
+    # SegmentReader per call re-reads the segment's doc ids, term
+    # dictionary and offsets column
     if readers is None:
         readers = {}
     for seg_dir in index.seg_dirs:
         reader = readers.get(seg_dir)
         if reader is None:
-            reader = SegmentReader(seg_dir, load_positions=True)
+            reader = SegmentReader(seg_dir)
             readers[seg_dir] = reader
         idx = np.searchsorted(reader.doc_ids, doc_id)
         if idx >= reader.ndocs or reader.doc_ids[idx] != doc_id:

@@ -170,7 +170,7 @@ def _current_stored(index_dir: str, ids: Sequence[int],
         return {}
     by_ids = np.asarray(sorted(set(int(i) for i in ids)), dtype=np.int64)
     rows = Index(index_dir).scan(
-        partial(_collect_stored, ids=by_ids, columns=columns), []
+        partial(_collect_stored, ids=by_ids, columns=columns)
     ).take_all()
     return {int(r["doc_id"]): {c: r[c] for c in columns} for r in rows}
 

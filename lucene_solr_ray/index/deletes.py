@@ -97,7 +97,7 @@ def _apply_delete(index_dir: str, query=None, stats=None,
     return sidecars.write_pass(
         index_dir,
         partial(_collect_deletes, query=query, stats=stats, ids=by_doc_ids),
-        [] if query is None else [query], commit=commit,
+        commit=commit,
     )
 
 

@@ -195,7 +195,7 @@ def update_numeric_docvalue(
     return sidecars.write_pass(index_dir, partial(
         _collect_dv_updates, field=field, query=q, stats=stats,
         value=int(value),
-    ), [q])
+    ))
 
 
 def update_numeric_docvalues_by_id(

@@ -196,18 +196,19 @@ def _apply_row(entry: Dict, kind: str, gen: int, count: int) -> None:
                             kind[len(_DVU):]: gen}
 
 
-def write_pass(index_dir: str, collect, queries=(), commit: bool = True):
-    """Run a write collector over every segment (``Index.scan``; readers
-    load positions when ``queries`` need them) and fold its
-    :func:`advance` rows into the manifest's segment entries.  Commits
-    one new manifest generation and returns it, or with
-    ``commit=False`` returns the updated segment entries so the caller
-    can fold more changes into the same commit."""
+def write_pass(index_dir: str, collect, commit: bool = True):
+    """Run a write collector over every segment (``Index.scan``: each
+    reader loads only the parts the collector touches, so an id-keyed
+    pass reads ``doc_id`` and no postings) and fold its :func:`advance`
+    rows into the manifest's segment entries.  Commits one new manifest
+    generation and returns it, or with ``commit=False`` returns the
+    updated segment entries so the caller can fold more changes into
+    the same commit."""
     from lucene_solr_ray.search.searcher import Index
 
     idx = Index(index_dir)
     segs = [dict(s) for s in idx.manifest["segments"]]
-    for r in idx.scan(collect, queries).take_all():
+    for r in idx.scan(collect).take_all():
         _apply_row(segs[int(r["seg_ord"])], r["kind"], int(r["gen"]),
                    int(r["count"]))
     return commit_manifest(index_dir, segs) if commit else segs

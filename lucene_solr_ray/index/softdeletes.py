@@ -78,7 +78,7 @@ def _apply_soft_delete(index_dir: str, query=None, stats=None,
         index_dir,
         partial(_collect_soft_deletes, query=query, stats=stats,
                 ids=by_doc_ids),
-        [] if query is None else [query], commit=commit,
+        commit=commit,
     )
 
 
@@ -190,6 +190,5 @@ def apply_soft_deletes_policy(
             [idx.make_parser(analyzer).parse(retention_query)]
         )
     return sidecars.write_pass(
-        index_dir, partial(_collect_policy, query=q, stats=stats),
-        [] if q is None else [q],
+        index_dir, partial(_collect_policy, query=q, stats=stats)
     )

@@ -1145,7 +1145,7 @@ def intervals_docs(sf_dir: str) -> pa.Table:
         out_qid, out_doc, out_n = [], [], []
         for seg_dir, qid in zip(t.column("seg_dir").to_pylist(),
                                 t.column("qid").to_pylist()):
-            reader = SegmentReader(seg_dir, load_positions=True)
+            reader = SegmentReader(seg_dir)
             src = srcmap[int(qid)]
             leaf_terms = list(dict.fromkeys(src.leaves()))
             readers = {}

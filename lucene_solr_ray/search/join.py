@@ -183,8 +183,7 @@ def join_util_query(
         [index.make_parser(analyzer).parse(from_query_str)]
     )
     rows = index.scan(
-        partial(_collect_join_terms, q=fq, stats=stats, ffield=from_field),
-        [fq],
+        partial(_collect_join_terms, q=fq, stats=stats, ffield=from_field)
     ).take_all()
     values = sorted({r["value"] for r in rows})
     if not values:

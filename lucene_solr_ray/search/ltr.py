@@ -375,7 +375,6 @@ def ltr_rescore(
                 fqs={f.name: q for f, q in zip(solr, qs[1:])},
                 features=list(features), efi=dict(efi or {}), stats=stats,
                 sim=similarity or BM25Similarity(), window=window),
-        qs,
     ).to_pandas()
     if df.empty:
         return pa.table(

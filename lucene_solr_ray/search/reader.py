@@ -1,17 +1,39 @@
-"""SegmentReader — mmap-style in-memory view of one segment's files.
+"""SegmentReader — a lazy, point-in-time view of one segment's files.
 
 The per-actor hot state of the query path (the analogue of an
 ``IndexSearcher`` leaf over a ``DirectoryReader``,
-``lucene/core/src/java/org/apache/lucene/search/IndexSearcher.java:183-209``):
-postings loaded once per actor, term → row dict as the term dictionary
-(FST analogue), posting arrays exposed as zero-copy numpy views over the
-Arrow list buffers.
+``lucene/core/src/java/org/apache/lucene/search/IndexSearcher.java:183-209``).
+Opening a reader reads ``segment.json``, the committed sidecar
+generations with their tombstones, and the footers of
+``postings.parquet`` (to refuse an outdated format) and
+``docmeta.parquet``, whose files it keeps open.  The sidecars are read
+eagerly on purpose: they fix the reader's live set when it opens, so a
+delete committed later never changes it.  Every other part loads the
+first time it is used, reading only its own columns through the open
+file, and then stays cached:
+
+- docmeta: ``doc_ids``; the norm columns when a scorer first needs them;
+- the term dictionary (sorted terms, df, ttf); a term lookup bisects the
+  sorted terms (the FST role);
+- the posting blocks, each term's decoded on its first ``postings()``;
+- positions, offsets and payloads, each on the first ``positions()`` /
+  ``offsets()`` / ``payloads()`` call — as Lucene's postings reader opens
+  ``.pos`` only when a scorer asks its ``PostingsEnum`` for positions.
+
+Segment files are immutable once written, so a lazy load sees what an
+eager one would have; and as Lucene's open ``IndexInput``s do, the open
+files stay readable after a merge or ``vacuum`` drops the segment's
+directory (``points.parquet``, read per field by ``points()``, is still
+opened by path).  Posting arrays are zero-copy numpy views over the
+Arrow buffers.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +56,12 @@ def _binary_views(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class SegmentReader:
+    """One segment's view; parts load on first use (module docstring).
+
+    ``load_positions`` is accepted for callers that name it (the
+    benchmark's) and ignored: positions load on the first
+    ``positions()`` call."""
+
     def __init__(self, seg_dir: str, load_positions: bool = False,
                  respect_soft_deletes: bool = False) -> None:
         self.seg_dir = seg_dir
@@ -42,8 +70,11 @@ class SegmentReader:
         self.segment_id = int(self.meta["segment_id"])
         self.stats = self.meta["stats"]
 
-        cols = ["term", "df", "ttf", "blocks"]
-        pq_schema = pq.read_schema(os.path.join(seg_dir, "postings.parquet"))
+        self._postings = pq.ParquetFile(
+            os.path.join(seg_dir, "postings.parquet"))
+        self._docmeta = pq.ParquetFile(
+            os.path.join(seg_dir, "docmeta.parquet"))
+        pq_schema = self._postings.schema_arrow
         if "positions" in pq_schema.names and not pa.types.is_binary(
             pq_schema.field("positions").type
         ):
@@ -52,74 +83,8 @@ class SegmentReader:
                 "(nested-list positions); rebuild the index with the "
                 "current engine (FORMAT_VERSION >= 3)"
             )
-        self._has_offsets_col = "offsets" in pq_schema.names
-        self._has_payloads_col = "payloads" in pq_schema.names
-        if load_positions:
-            cols.append("positions")
-            if self._has_offsets_col:
-                cols.append("offsets")
-            if self._has_payloads_col:
-                cols.append("payloads")
-        t = pq.read_table(
-            os.path.join(seg_dir, "postings.parquet"), columns=cols
-        )
-        self._terms: List[str] = t.column("term").to_numpy(
-            zero_copy_only=False).tolist()
-        # Arrow view of the term dictionary (zero extra copy) — pattern
-        # expansion runs C kernels over it instead of a Python loop
-        self._terms_arrow = t.column("term").combine_chunks()
-        self._term_row: Dict[str, int] = {
-            term: i for i, term in enumerate(self._terms)
-        }
-        self._df = t.column("df").to_numpy()
-        self._ttf = t.column("ttf").to_numpy()
-        blocks = t.column("blocks").combine_chunks()
-        if isinstance(blocks, pa.ChunkedArray):
-            blocks = blocks.chunk(0) if blocks.num_chunks else pa.array(
-                [], type=pa.binary()
-            )
-        self._blocks = blocks
-        self._decoded: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-        self._has_positions = load_positions
-        if load_positions:
-            poscol = t.column("positions").combine_chunks()
-            if isinstance(poscol, pa.ChunkedArray):
-                poscol = poscol.chunk(0) if poscol.num_chunks else pa.array(
-                    [], type=pa.binary()
-                )
-            self._pos_offs, self._pos_bytes = _binary_views(poscol)
-            if self._has_offsets_col:
-                offcol = t.column("offsets").combine_chunks()
-                if isinstance(offcol, pa.ChunkedArray):
-                    offcol = offcol.chunk(0) if offcol.num_chunks else \
-                        pa.array([], type=pa.binary())
-                self._off_blobs = offcol
-            else:
-                self._off_blobs = None
-            if self._has_payloads_col:
-                paycol = t.column("payloads").combine_chunks()
-                if isinstance(paycol, pa.ChunkedArray):
-                    paycol = paycol.chunk(0) if paycol.num_chunks else \
-                        pa.array([], type=pa.binary())
-                self._pay_blobs = paycol
-            else:
-                self._pay_blobs = None
-
-        dm_schema = pq.read_schema(os.path.join(seg_dir, "docmeta.parquet"))
-        extra = [c for c in dm_schema.names if c.startswith("norm__")]
-        dm = pq.read_table(
-            os.path.join(seg_dir, "docmeta.parquet"),
-            columns=["doc_id", "norm", "field_len", *extra],
-        )
-        self.doc_ids: np.ndarray = dm.column("doc_id").to_numpy()
-        self.norms: np.ndarray = dm.column("norm").to_numpy()
-        self.field_lens: np.ndarray = dm.column("field_len").to_numpy()
-        #: per-extra-field norms (default field stays on the legacy column)
-        self.field_norms: Dict[str, np.ndarray] = {
-            c[len("norm__"):]: dm.column(c).to_numpy() for c in extra
-        }
-        self.ndocs = len(self.doc_ids)
+        self._decoded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._points: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
         # live docs: deleted ordinals from the COMMITTED sidecar generations
         # (an uncommitted sidecar stays invisible, and a crash between
@@ -142,32 +107,54 @@ class SegmentReader:
                 self.deleted_ords = np.union1d(self.deleted_ords, so)
         self.has_deletes = len(self.deleted_ords) > 0
 
+    def _column(self, name: str) -> Optional[pa.Array]:
+        """One postings column, or None if the segment has none."""
+        if name not in self._postings.schema_arrow.names:
+            return None
+        return self._postings.read(columns=[name]).column(0).combine_chunks()
+
+    # -- docmeta -----------------------------------------------------------
+    @cached_property
+    def doc_ids(self) -> np.ndarray:
+        return self._docmeta.read(columns=["doc_id"]).column(0).to_numpy()
+
+    @property
+    def ndocs(self) -> int:
+        return len(self.doc_ids)
+
+    @cached_property
+    def _norm_columns(self) -> Dict[str, np.ndarray]:
+        """``norm`` plus every ``norm__<field>`` column, read together."""
+        names = [c for c in self._docmeta.schema_arrow.names
+                 if c == "norm" or c.startswith("norm__")]
+        t = self._docmeta.read(columns=names)
+        return {c: t.column(c).to_numpy() for c in names}
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Norm bytes of the default field."""
+        return self._norm_columns["norm"]
+
     def points(self, field: str):
         """(values float64 sorted asc, ords int32 aligned) of one numeric
         point field, or None if the segment has no values for it.  Lazy:
         points.parquet loads on first use and caches per field (the BKD
         leaf-block read of the 1-D flat-sorted representation)."""
-        cached = getattr(self, "_points_cache", None)
-        if cached is None:
-            cached = self._points_cache = {}
-        hit = cached.get(field)
-        if hit is not None:
-            return hit if hit != () else None
+        if field in self._points:
+            return self._points[field]
+        out = None
         path = os.path.join(self.seg_dir, "points.parquet")
-        if not os.path.exists(path):
-            cached[field] = ()
-            return None
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
+        if os.path.exists(path):
+            import pyarrow.compute as pc
+            import pyarrow.dataset as pads
 
-        t = pads.dataset(path, format="parquet").to_table(
-            filter=pc.field("field") == field
-        )
-        if t.num_rows == 0:
-            cached[field] = ()
-            return None
-        out = (t.column("value").to_numpy(), t.column("ord").to_numpy())
-        cached[field] = out
+            t = pads.dataset(path, format="parquet").to_table(
+                filter=pc.field("field") == field
+            )
+            if t.num_rows:
+                out = (t.column("value").to_numpy(),
+                       t.column("ord").to_numpy())
+        self._points[field] = out
         return out
 
     def live_mask(self, ords: np.ndarray) -> np.ndarray:
@@ -198,45 +185,76 @@ class SegmentReader:
         """Norm bytes for a field (None/default → the legacy column)."""
         if not field:
             return self.norms
-        arr = self.field_norms.get(field)
+        arr = self._norm_columns.get("norm__" + field)
         if arr is None:
             # field absent from this segment: all docs norm 0 (no terms)
             arr = np.zeros(self.ndocs, dtype=np.uint8)
         return arr
 
     # -- term dictionary ---------------------------------------------------
+    @cached_property
+    def _dictionary(self) -> Tuple[pa.Array, List[str], np.ndarray,
+                                   np.ndarray]:
+        t = self._postings.read(columns=["term", "df", "ttf"])
+        terms = t.column("term").combine_chunks()
+        return (terms, terms.to_numpy(zero_copy_only=False).tolist(),
+                t.column("df").to_numpy(), t.column("ttf").to_numpy())
+
     @property
     def terms(self) -> List[str]:
-        return self._terms
+        return self._dictionary[1]
 
     @property
     def terms_arrow(self) -> "pa.Array":
-        return self._terms_arrow
+        """The sorted terms as Arrow, for C-kernel pattern expansion."""
+        return self._dictionary[0]
 
     @property
     def term_columns(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
         """The dictionary's sorted terms with their df and ttf."""
-        return self._terms, self._df, self._ttf
+        return self._dictionary[1:]
+
+    def _row(self, term: str) -> Optional[int]:
+        terms = self._dictionary[1]
+        r = bisect.bisect_left(terms, term)
+        return r if r < len(terms) and terms[r] == term else None
 
     def term_stats(self, term: str) -> Optional[Tuple[int, int]]:
-        r = self._term_row.get(term)
+        r = self._row(term)
         if r is None:
             return None
-        return int(self._df[r]), int(self._ttf[r])
+        _, _, df, ttf = self._dictionary
+        return int(df[r]), int(ttf[r])
 
     # -- postings ----------------------------------------------------------
+    @cached_property
+    def _blocks(self) -> pa.Array:
+        return self._column("blocks")
+
+    @cached_property
+    def _positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _binary_views(self._column("positions"))
+
+    @cached_property
+    def _offsets(self) -> Optional[pa.Array]:
+        return self._column("offsets")
+
+    @cached_property
+    def _payloads(self) -> Optional[pa.Array]:
+        return self._column("payloads")
+
     def postings(self, term: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """(ords asc int32, freqs int32) or None — decoded from the block
         codec on first access, cached per term (the hot-block cache of the
         reference's ``LRUQueryCache`` idea).  Every query's scoring reads
         through this cache, which is unbounded within an actor."""
-        r = self._term_row.get(term)
-        if r is None:
-            return None
-        hit = self._decoded.get(r)
+        hit = self._decoded.get(term)
         if hit is None:
-            hit = decode_postings(self._blocks[r].as_py())
-            self._decoded[r] = hit
+            r = self._row(term)
+            if r is None:
+                return None
+            hit = self._decoded[term] = decode_postings(
+                self._blocks[r].as_py())
         return hit
 
     def positions(
@@ -244,26 +262,25 @@ class SegmentReader:
     ) -> Optional[Tuple[np.ndarray, "EntrySlices"]]:
         """(ords, pos): ``pos(i)`` is the positions array of the i-th
         posting entry, and ``pos.flat`` / ``pos.offsets`` hold every
-        entry's at once.  Requires load_positions=True."""
-        if not self._has_positions:
-            raise RuntimeError("reader opened without positions")
-        r = self._term_row.get(term)
+        entry's at once."""
+        r = self._row(term)
         if r is None:
             return None
         ords, freqs = self.postings(term)
+        offs, data = self._positions
         # a view into the column: no copy of the term's positions
-        flat = self._pos_bytes[self._pos_offs[r]: self._pos_offs[r + 1]]
+        flat = data[offs[r]: offs[r + 1]]
         return ords, EntrySlices(flat.view("<i4"), freqs)
 
     def offsets(self, term: str):
         """(ords, off) — off(i) = (start, end) int32 pairs array of the
         i-th posting entry (requires an offsets-enabled index)."""
-        if not self._has_positions or self._off_blobs is None:
+        if self._offsets is None:
             raise RuntimeError("index built without offsets")
-        r = self._term_row.get(term)
+        r = self._row(term)
         if r is None:
             return None
-        blob = self._off_blobs[r].as_py()
+        blob = self._offsets[r].as_py()
         if blob is None:
             raise RuntimeError("index built without offsets")
         ords, freqs = self.postings(term)
@@ -275,12 +292,10 @@ class SegmentReader:
         entry, aligned with ``positions``; None if the term is absent or
         the segment carries no payloads for it (PayloadAttribute read,
         reference ``index/PostingsEnum.getPayload``)."""
-        if not self._has_positions:
-            raise RuntimeError("reader opened without positions")
-        r = self._term_row.get(term)
-        if r is None or self._pay_blobs is None:
+        r = self._row(term)
+        if r is None or self._payloads is None:
             return None
-        blob = self._pay_blobs[r].as_py()
+        blob = self._payloads[r].as_py()
         if blob is None:
             return None
         ords, freqs = self.postings(term)

@@ -21,11 +21,13 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    over the segment list: each task opens its batch's ``SegmentReader``s
    once and hands the ``(reader, seg_ord)`` pairs to a *collector*, a
    plain callable returning one Arrow table (the ``Collector`` /
-   ``LeafCollector`` split).  Collectors here: top score, field sort,
-   multi-field sort, count, grouped, export, rescore; LTR features, join
-   gather and topic pull live with their features.  Write passes are
-   collectors too: delete, soft delete, soft-deletes policy and
-   doc-values update return per-segment sidecar rows that
+   ``LeafCollector`` split).  A reader loads each part (doc ids, norms,
+   term dictionary, blocks, positions) on first use, so a collector
+   reads only what its queries touch.  Collectors here: top score,
+   field sort, multi-field sort, count, grouped, export, rescore; LTR
+   features, join gather and topic pull live with their features.
+   Write passes are collectors too: delete, soft delete, soft-deletes
+   policy and doc-values update return per-segment sidecar rows that
    ``index.sidecars.write_pass`` folds into one manifest commit; the
    atomic-update stored-column read is a plain scan.
 4. **Merge** — ``TopDocs.merge`` tie-break (score desc, segment asc,
@@ -59,7 +61,6 @@ from lucene_solr_ray.search.query import (
     FuzzyQuery,
     MatchNoDocsQuery,
     Occur,
-    PhraseQuery,
     PrefixQuery,
     Query,
     RegexpQuery,
@@ -787,7 +788,6 @@ class Index:
     def scan(
         self,
         collect,
-        queries: Sequence[Query],
         concurrency: Optional[int] = None,
         respect_soft_deletes: bool = False,
         segments: Optional[Sequence[int]] = None,
@@ -796,11 +796,11 @@ class Index:
         Dataset of the tables ``collect`` returns, one call per batch of
         segments with that batch's ``(SegmentReader, seg_ord)`` pairs.
 
-        Readers load positions only when a query in ``queries`` needs
-        them.  ``segments`` restricts the scan to those segment ordinals
-        (default: all).  Without ``concurrency`` every segment is its own
-        batch; with it, at most ``concurrency`` tasks run and each batch
-        holds ``nseg // concurrency`` segments.
+        Readers load their parts on first use, so a collector reads only
+        the columns it touches.  ``segments`` restricts the scan to those
+        segment ordinals (default: all).  Without ``concurrency`` every
+        segment is its own batch; with it, at most ``concurrency`` tasks
+        run and each batch holds ``nseg // concurrency`` segments.
 
         STATELESS tasks, concurrency = a task cap: each segment is visited
         exactly once per scan, so every reader is built once regardless of
@@ -816,12 +816,11 @@ class Index:
             {"seg_dir": seg_dirs[i], "seg_ord": i}
             for i in (range(len(seg_dirs)) if segments is None else segments)
         ]
-        positions = any(_has_phrase(q) for q in queries)
 
         def _scan(batch: pa.Table) -> pa.Table:
             return collect(
-                (SegmentReader(d, load_positions=positions,
-                               respect_soft_deletes=respect_soft_deletes), o)
+                (SegmentReader(d, respect_soft_deletes=respect_soft_deletes),
+                 o)
                 for d, o in zip(batch.column("seg_dir").to_pylist(),
                                 batch.column("seg_ord").to_pylist())
             )
@@ -848,7 +847,7 @@ class Index:
         sim = similarity or BM25Similarity()
         rows = self.scan(
             partial(_collect_topk, parsed=parsed, stats=stats, sim=sim),
-            [q for _, q, _ in parsed], concurrency=concurrency,
+            concurrency=concurrency,
             respect_soft_deletes=respect_soft_deletes,
         ).take_all()
         # TopDocs.merge — score desc, segment asc, doc asc (TopDocs.java)
@@ -868,40 +867,6 @@ def _prepare_batch(fetch, parsed):
     """:func:`prepare_queries` over ``(qid, Query, k)`` triples."""
     qs, stats = prepare_queries([q for _, q, _ in parsed], fetch)
     return [(qid, q, k) for (qid, _, k), q in zip(parsed, qs)], stats
-
-
-def _has_phrase(q: Query) -> bool:
-    from lucene_solr_ray.search.join import ToParentBlockJoinQuery
-    from lucene_solr_ray.search.query import (
-        IntervalQuery,
-        ComplexPhraseQuery,
-        PayloadScoreQuery,
-        SpanFirstQuery,
-        SpanNearQuery,
-        SpanNotQuery,
-        SpanOrQuery,
-        SpanTermQuery,
-    )
-
-    if isinstance(q, (PhraseQuery, SpanNearQuery, SpanTermQuery,
-                      SpanFirstQuery, SpanNotQuery, SpanOrQuery,
-                      PayloadScoreQuery, IntervalQuery,
-                      ComplexPhraseQuery)):
-        return True
-    if isinstance(q, ToParentBlockJoinQuery):
-        return _has_phrase(q.child_query)
-    if isinstance(q, BooleanQuery):
-        return any(_has_phrase(c.query) for c in q.clauses)
-    if isinstance(q, DisjunctionMaxQuery):
-        return any(_has_phrase(d) for d in q.disjuncts)
-    if isinstance(q, (BoostQuery, ConstantScoreQuery)):
-        return _has_phrase(q.query)
-    from lucene_solr_ray.search.query import (ExpressionScoreQuery,
-                                              FunctionScoreQuery)
-
-    if isinstance(q, (ExpressionScoreQuery, FunctionScoreQuery)):
-        return _has_phrase(q.query)
-    return False
 
 
 def _merge_topk(rows: List[dict], parsed, score_dtype=np.float32) -> pa.Table:
@@ -1025,7 +990,6 @@ def search_by_field(
     rows = index.scan(
         partial(_collect_field_sort, parsed=parsed, stats=stats,
                 field=sort_field, descending=descending),
-        [q for _, q, _ in parsed],
     ).take_all()
     by_q: Dict[int, List[dict]] = {qid: [] for qid, _, _ in parsed}
     for r in rows:
@@ -1155,7 +1119,6 @@ def search_by_fields(
     rows = index.scan(
         partial(_collect_multi_field_sort, parsed=parsed, stats=stats,
                 sort_fields=sort_fields),
-        [q for _, q, _ in parsed],
     ).take_all()
     by_q: Dict[int, List[dict]] = {qid: [] for qid, _, _ in parsed}
     for r in rows:
@@ -1214,7 +1177,6 @@ def count_hits(index: "Index", queries,
     )
     rows = index.scan(
         partial(_collect_count, parsed=parsed, stats=stats),
-        [q for _, q, _ in parsed],
     ).take_all()
     totals: Dict[int, int] = {qid: 0 for qid, _, _ in parsed}
     for r in rows:
@@ -1422,7 +1384,6 @@ def search_grouped(
                 sim=similarity or BM25Similarity(),
                 group_table=group_table, group_col=group_col, key=key,
                 docs_per_group=docs_per_group, sort_field=sort_field),
-        [q],
     ).to_pandas()
     if rows.empty:
         return pa.table(
@@ -1595,7 +1556,7 @@ def export_sorted(
     block, resumable by rerunning into a fresh dir).  Returns row count."""
     (q,), stats = index.prepare([index.make_parser(analyzer).parse(query)])
     index.scan(
-        partial(_collect_export, q=q, stats=stats, field=sort_field), [q]
+        partial(_collect_export, q=q, stats=stats, field=sort_field)
     ).sort(
         [sort_field, "doc_id"], descending=[descending, False]
     ).write_parquet(out_dir)
@@ -1621,10 +1582,8 @@ def explain(
     leaves with their (df, ttf, freq, norm-decoded length) inputs.
 
     Runs entirely on the driver against the ONE segment holding the doc
-    (manifest doc-id range lookup): explain is a debugging call, not a
-    throughput path."""
-    import pyarrow.parquet as pq
-
+    (found by each segment's ``doc_ids``): explain is a debugging call,
+    not a throughput path."""
     from lucene_solr_ray.analysis.smallfloat import BYTE4_DECODE_TABLE
     from lucene_solr_ray.index.segment import field_term
     from lucene_solr_ray.search.query import (
@@ -1643,13 +1602,10 @@ def explain(
     reader = None
     ord_ = None
     for d in index.seg_dirs:
-        ids = pq.read_table(
-            os.path.join(d, "docmeta.parquet"), columns=["doc_id"]
-        ).column("doc_id").to_numpy()
-        hit = np.nonzero(ids == doc_id)[0]
+        r = SegmentReader(d)
+        hit = np.nonzero(r.doc_ids == doc_id)[0]
         if len(hit):
-            reader = SegmentReader(d, load_positions=True)
-            ord_ = int(hit[0])
+            reader, ord_ = r, int(hit[0])
             break
     if reader is None:
         return {"match": False, "value": 0.0,
@@ -1764,7 +1720,6 @@ def rescore(
     df = index.scan(
         partial(_collect_rescore, q1=q1, q2=q2, stats=stats,
                 sim=similarity or BM25Similarity(), window=window),
-        [q1, q2],
     ).to_pandas()
     if df.empty:
         return pa.table(

@@ -90,7 +90,7 @@ class TopicStream:
         rows = idx.scan(
             partial(_collect_topic, q=q, stats=stats, ckpt=ckpt,
                     cap=batch_size),
-            [q], segments=live,
+            segments=live,
         ).to_pandas()
         if rows.empty:
             return _empty_topic_table()

@@ -9,8 +9,9 @@ executor, ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher
 .java:183-209,564-593``; Solr's scatter-gather over shard replicas):
 
 - N ``SegmentSearcher`` actors, each OWNING a static partition of the
-  segments (round-robin by size), postings loaded once in the constructor
-  and kept hot across queries;
+  segments (round-robin by size) as lazy ``SegmentReader``s: ``warm()``
+  loads their term dictionaries, norms, posting blocks and positions,
+  which then stay hot across queries;
 - the batch search's prepare step (``searcher.prepare_queries``: collect
   patterns, fetch stats + expansions, rewrite), answered on the driver
   from a global term dictionary summed over every segment once per
@@ -56,13 +57,11 @@ def _make_actor_cls():
 
     @ray.remote
     class SegmentSearcherActor:
-        def __init__(self, seg_dirs: List[str], seg_ords: List[int],
-                     load_positions: bool):
+        def __init__(self, seg_dirs: List[str], seg_ords: List[int]):
             from lucene_solr_ray.search.reader import SegmentReader
 
             self.readers = [
-                (SegmentReader(d, load_positions=load_positions), o)
-                for d, o in zip(seg_dirs, seg_ords)
+                (SegmentReader(d), o) for d, o in zip(seg_dirs, seg_ords)
             ]
             # per-actor LRU of per-segment top-k results — the
             # LRUQueryCache role (reference ``search/LRUQueryCache.java``;
@@ -80,9 +79,10 @@ def _make_actor_cls():
 
         def prime(self) -> int:
             """firstSearcher warming (Solr's solrconfig warm-up queries):
-            exercise the scoring code path once so the first real query
-            doesn't pay module-import and kernel-JIT costs (patterns
-            expand on the driver)."""
+            exercise the scoring code path once, and load each reader's
+            positions, so the first real query doesn't pay module-import,
+            kernel-JIT or segment-read costs (patterns expand on the
+            driver)."""
             from lucene_solr_ray.search.query import TermQuery
             from lucene_solr_ray.search.scorer import (
                 GlobalStats,
@@ -104,6 +104,7 @@ def _make_actor_cls():
                 )
                 gs.df[t0], gs.ttf[t0] = st
                 topk_segment(reader, TermQuery(t0), gs, 1)
+                reader.positions(t0)
                 n += 1
             return n
 
@@ -142,7 +143,6 @@ class QueryEngine:
         self,
         index: Index | str,
         num_actors: int = 4,
-        load_positions: bool = True,
         analyzer: Optional[StandardAnalyzer] = None,
         similarity: Optional[BM25Similarity] = None,
         replicas: Optional[Sequence[str]] = None,
@@ -154,7 +154,6 @@ class QueryEngine:
         self.sim = similarity or BM25Similarity()
         self._dict: Optional[Tuple] = None  # see ``_dictionary``
         self._expansion_cache: "OrderedDict[Query, Tuple]" = OrderedDict()
-        self._load_positions = load_positions
 
         # replica-aware serving (reference ``lucene/replicator/.../
         # IndexRevision.java``: replicas exist to SERVE searches): actors
@@ -179,7 +178,7 @@ class QueryEngine:
             parts[i % n][1].append(i)
         self._parts = [(dirs, ords) for dirs, ords in parts if dirs]
         self.actors = [
-            cls.remote(self._serve_dirs(ai, dirs), ords, load_positions)
+            cls.remote(self._serve_dirs(ai, dirs), ords)
             for ai, (dirs, ords) in enumerate(self._parts)
         ]
 
@@ -230,9 +229,7 @@ class QueryEngine:
                 out.append(ray.get(f))
             except ray.exceptions.RayActorError:
                 dirs, ords = self._parts[i]
-                self.actors[i] = self._actor_cls.remote(
-                    dirs, ords, self._load_positions
-                )
+                self.actors[i] = self._actor_cls.remote(dirs, ords)
                 out.append(ray.get(
                     getattr(self.actors[i], method).remote(*args)
                 ))

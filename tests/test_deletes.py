@@ -396,7 +396,8 @@ def test_sharded_merge_points_with_deletes(ray_session, tmp_path):
 
 def test_phrase_soft_delete_and_policy(ray_session, tmp_path):
     """Soft deletes and the retention policy evaluate phrase queries:
-    their readers load positions, as the hard-delete pass's do."""
+    their readers load positions on first use, as the hard-delete
+    pass's do."""
     import pyarrow.parquet as pq
 
     from lucene_solr_ray.index.softdeletes import (
@@ -435,3 +436,182 @@ def test_phrase_soft_delete_and_policy(ray_session, tmp_path):
     apply_soft_deletes_policy(out, '"drop token"')
     assert docs(soft) == phrase
     assert docs(hard) == token - phrase
+
+
+@pytest.fixture()
+def stored(ray_session, tmp_path):
+    """``_mk_corpus`` plus a stored numeric column ``pop`` and a side
+    table grouping the docs by ``grp``."""
+    import pyarrow.parquet as pq
+
+    corpus, texts = _mk_corpus(tmp_path)
+    t = pq.read_table(corpus)
+    n = t.num_rows
+    pq.write_table(t.append_column(
+        "pop", pa.array(np.arange(n, dtype=np.int64) % 7)), corpus)
+    side = str(tmp_path / "groups.parquet")
+    pq.write_table(pa.table({"doc_id": t.column("doc_id"),
+                             "grp": [f"g{i % 4}" for i in range(n)]}), side)
+    out = str(tmp_path / "idx")
+    build_index(corpus, out, text_col="text", id_col="doc_id",
+                stored_cols=["pop"], docs_per_segment=25)
+    return out, texts, side
+
+
+def _spy_parquet_reads(monkeypatch):
+    """Record the file of every ``pyarrow.parquet`` / ``pyarrow.dataset``
+    data read (schema and footer reads are not recorded)."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    seen = []
+
+    def wrap(fn, source_of):
+        def spy(*args, **kwargs):
+            seen.append(str(source_of(*args, **kwargs)))
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(pq, "read_table", wrap(
+        pq.read_table, lambda source, *a, **kw: source))
+    monkeypatch.setattr(pads, "dataset", wrap(
+        pads.dataset, lambda source, *a, **kw: source))
+    init = pq.ParquetFile.__init__
+
+    def remember(self, source, *args, **kwargs):
+        self._spied_source = source
+        init(self, source, *args, **kwargs)
+
+    monkeypatch.setattr(pq.ParquetFile, "__init__", remember)
+    for name in ("read", "read_row_group", "read_row_groups",
+                 "iter_batches"):
+        monkeypatch.setattr(pq.ParquetFile, name, wrap(
+            getattr(pq.ParquetFile, name),
+            lambda self, *a, **kw: getattr(self, "_spied_source", "?")))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["delete", "soft_delete", "dv_update",
+                                  "stored"])
+def test_id_keyed_write_pass_reads_no_postings(stored, monkeypatch, name):
+    """An id-keyed write collector needs ``doc_id`` and the tombstones
+    only: its readers never read ``postings.parquet``."""
+    from functools import partial
+
+    from lucene_solr_ray.index import atomic, deletes, docvalues, softdeletes
+    from lucene_solr_ray.search.reader import SegmentReader
+
+    out, _, _ = stored
+    ids = np.array([3, 30, 31, 77, 119], dtype=np.int64)
+    collect = {
+        "delete": partial(deletes._collect_deletes, query=None, stats=None,
+                          ids=ids),
+        "soft_delete": partial(softdeletes._collect_soft_deletes,
+                               query=None, stats=None, ids=ids),
+        "dv_update": partial(docvalues._collect_dv_updates, field="pop",
+                             ids=ids, id_values=ids * 10),
+        "stored": partial(atomic._collect_stored, ids=ids,
+                          columns=["pop"]),
+    }[name]
+    seg_dirs = Index(out).seg_dirs
+
+    def run():
+        return collect((SegmentReader(d), o) for o, d in enumerate(seg_dirs))
+
+    want = run()
+    seen = _spy_parquet_reads(monkeypatch)
+    got = run()
+    assert got.equals(want)
+    assert seen, "the spy saw no reads"
+    assert not [p for p in seen if p.endswith("postings.parquet")]
+
+
+def test_open_reader_view_is_fixed(built):
+    """A reader's live set is the commit it opened on: a delete committed
+    after open changes only readers opened later."""
+    from lucene_solr_ray.search.query import TermQuery
+    from lucene_solr_ray.search.reader import SegmentReader
+    from lucene_solr_ray.search.scorer import score_segment
+
+    out, _ = built
+    idx = Index(out)
+    seg = idx.seg_dirs[0]
+    (q,), stats = idx.prepare([TermQuery("merge")])
+    probe = SegmentReader(seg)
+    ids = np.sort(probe.doc_ids)
+    want_live = probe.live_ords(ids)
+    want_hits = score_segment(probe, q, stats)
+    victims = np.sort(probe.doc_ids[want_hits[0][:3]])
+    assert len(victims) == 3
+
+    reader = SegmentReader(seg)  # opened before the delete, nothing read
+    delete_doc_ids(out, victims.tolist())
+    for got, want in zip(reader.live_ords(ids), want_live):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(score_segment(reader, q, stats), want_hits):
+        np.testing.assert_array_equal(got, want)
+
+    fresh = SegmentReader(seg)
+    live_ids = fresh.doc_ids[fresh.live_ords(ids)[0]]
+    assert not set(victims.tolist()) & set(live_ids.tolist())
+    assert len(live_ids) == len(want_live[0]) - 3
+    assert not set(victims.tolist()) & set(
+        fresh.doc_ids[score_segment(fresh, q, stats)[0]].tolist())
+
+
+def test_open_reader_reads_after_its_segment_is_dropped(built, tmp_path):
+    """A reader keeps its segment's files open: a merge or ``vacuum``
+    that removes the directory after open leaves every lazy part
+    readable."""
+    import shutil
+
+    from lucene_solr_ray.search.reader import SegmentReader
+
+    out, _ = built
+    src = Index(out).seg_dirs[0]
+    seg = str(tmp_path / "seg")
+    shutil.copytree(src, seg)
+    want = SegmentReader(src)
+    reader = SegmentReader(seg)  # nothing but the sidecars read yet
+    shutil.rmtree(seg)
+    np.testing.assert_array_equal(reader.doc_ids, want.doc_ids)
+    np.testing.assert_array_equal(reader.norms, want.norms)
+    assert reader.terms == want.terms
+    for term in want.terms:
+        got_ords, got_pos = reader.positions(term)
+        want_ords, want_pos = want.positions(term)
+        np.testing.assert_array_equal(got_ords, want_ords)
+        np.testing.assert_array_equal(got_pos.flat, want_pos.flat)
+
+
+def test_count_sort_grouped_see_deletes_between_calls(stored):
+    """``count_hits``, ``search_by_field`` and ``search_grouped`` on one
+    ``Index`` drop a doc hard-deleted between two calls, and still see a
+    soft-deleted one (the unwrapped view is the default, as in
+    ``Index.search``)."""
+    from lucene_solr_ray.index.softdeletes import soft_delete_doc_ids
+    from lucene_solr_ray.search.searcher import (
+        count_hits,
+        search_by_field,
+        search_grouped,
+    )
+
+    out, texts, side = stored
+    idx = Index(out)
+
+    def views():
+        n = count_hits(idx, {0: "merge"}).column("total_hits")[0].as_py()
+        by_field = search_by_field(idx, {0: "merge"}, "pop", k=1000)
+        grouped = search_grouped(idx, "merge", side, "grp", top_groups=100,
+                                 docs_per_group=1000)
+        return (n, set(by_field.column("doc_id").to_pylist()),
+                set(grouped.column("doc_id").to_pylist()))
+
+    want = {i for i, t in enumerate(texts) if "merge" in t.split()}
+    assert views() == (len(want), want, want)
+    gone, soft = sorted(want)[:2]
+    delete_doc_ids(out, [gone])
+    soft_delete_doc_ids(out, [soft])
+    left = want - {gone}
+    assert soft in left
+    assert views() == (len(left), left, left)

@@ -394,7 +394,8 @@ def test_count_and_fieldsort_with_phrases(docs_index):
 
 
 def test_dismax_with_phrase_and_wildcard(docs_index):
-    """_has_phrase/_collect_patterns recurse into DisMax (review finding)."""
+    """A DisMax holding a phrase and a wildcard: the phrase reads
+    positions and the wildcard expands (review finding)."""
     from lucene_solr_ray.search.query import (
         DisjunctionMaxQuery,
         PhraseQuery,
@@ -555,7 +556,7 @@ def test_offsets_round_trip_and_index_highlight(ray_session, sf_dir, tmp_path):
     t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     did = t.column("doc_id")[3].as_py()
     text = t.column("text")[3].as_py()
-    reader = SegmentReader(idx.seg_dirs[0], load_positions=True)
+    reader = SegmentReader(idx.seg_dirs[0])
     loc = int(np.searchsorted(reader.doc_ids, did))
     tok0 = text.split()[0]
     ords, offfn = reader.offsets(tok0)
@@ -585,7 +586,7 @@ def test_offsets_survive_merge(ray_session, sf_dir, tmp_path):
                                floor_segment_bytes=1 * MB),
     )
     idx = Index(out)
-    reader = SegmentReader(idx.seg_dirs[0], load_positions=True)
+    reader = SegmentReader(idx.seg_dirs[0])
     ords, offfn = reader.offsets("merge")
     assert len(ords) > 0 and len(offfn(0)) > 0
 
@@ -757,7 +758,7 @@ def test_field_terms_topk_rank_contract(mf_index):
         terms = sorted(set(q.terms()))
         stats, _ = mf_index.collect_stats(terms)
         for seg_dir in mf_index.seg_dirs:
-            reader = SegmentReader(seg_dir, load_positions=True)
+            reader = SegmentReader(seg_dir)
             ords, scores = score_segment(reader, q, stats)
             order = np.lexsort(
                 (reader.doc_ids[ords], -scores.astype(np.float64))

@@ -109,7 +109,7 @@ def test_join_util(ray_session, tmp_path):
 
 def test_to_child_block_join(family_index):
     from lucene_solr_ray.search.join import ToChildBlockJoinQuery
-    from lucene_solr_ray.search.query import TermQuery
+    from lucene_solr_ray.search.query import PhraseQuery
 
     idx = family_index
     # parents matching "two" (parent doc 6) select their children 3,4,5
@@ -124,6 +124,15 @@ def test_to_child_block_join(family_index):
     # a child-term query matches no parents → no children
     q2 = ToChildBlockJoinQuery(TermQuery("alpha"))
     assert idx.search_parsed([(0, q2, 100)]).num_rows == 0
+    # a phrase parent query reads positions through the join
+    phrase = PhraseQuery(("parent", "two"), (0, 1))
+    hits = idx.search_parsed(
+        [(0, ToChildBlockJoinQuery(phrase), 100)]
+    ).to_pandas()
+    assert sorted(hits.doc_id) == [3, 4, 5]
+    pscore = idx.search_parsed([(0, phrase, 10)]).to_pandas()
+    assert list(pscore.doc_id) == [6]
+    assert (abs(hits.score - pscore.score.iloc[0]) < 1e-6).all()
 
 
 def test_function_score_query(ray_session, tmp_path):

@@ -65,8 +65,7 @@ def test_concurrency_batches_merge_partials_identically(sf_dir, tmp_path):
     assert len(m["segments"]) >= 4
     idx = Index(out)
     sizes = idx.scan(
-        lambda pairs: pa.table({"n": [len(list(pairs))]}), [],
-        concurrency=2,
+        lambda pairs: pa.table({"n": [len(list(pairs))]}), concurrency=2,
     ).take_all()
     assert max(r["n"] for r in sizes) > 1
     queries = {0: "merge", 1: "the", 2: '"batch batch"',

@@ -106,7 +106,7 @@ def test_exact_phrase_freqs_match_loop(docs, words, deleted):
         dead = sorted(d for d in deleted if d < len(docs))
         if dead:
             sidecars.write(seg_dir, sidecars.DELETES, 1, np.asarray(dead))
-        reader = SegmentReader(seg_dir, load_positions=True)
+        reader = SegmentReader(seg_dir)
         assert reader.has_deletes == bool(dead)
         stats, want = _assert_same(reader, q)
         # tombstones leave the phrase's matches, not its frequencies
@@ -123,7 +123,7 @@ def test_field_phrase_freqs_match_loop(body, title, words):
         analyzer=ANALYZER,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        reader = SegmentReader(_write(tmp, seg), load_positions=True)
+        reader = SegmentReader(_write(tmp, seg))
         _assert_same(reader, _query(words, field="title"))
         _assert_same(reader, _query(words))
 
