@@ -20,20 +20,25 @@ vector kernels (not a byte-level port):
 - the tail block (<128 entries) is stored like any other (the reference
   uses VInts there — a serialization detail, not semantics).
 
-Layout: one ``bytes`` blob per posting list; numpy bit-unpacking decodes a
-whole list (all blocks) in a handful of vector ops.
+Layout: one ``bytes`` blob per posting list.  A segment build encodes
+all of its terms' lists in one pass of block-level vector kernels
+(:func:`encode_postings_batch`); :func:`encode_postings` encodes one list
+(merge compaction and remapping use it).  Decoding walks a list block by
+block in Python, one numpy bit-unpack per block and stream.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
+import pyarrow as pa
 
 __all__ = [
     "BLOCK_SIZE",
     "encode_postings",
+    "encode_postings_batch",
     "decode_postings",
     "decode_block_skips",
     "block_max_scores",
@@ -131,181 +136,154 @@ def encode_postings(
     return b"".join(out)
 
 
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each non-negative value (exact below 2^53)."""
+    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
+
+
+def _as_bytes(arr: np.ndarray) -> np.ndarray:
+    """Rows of a packed structured array as an (n, itemsize) uint8 view."""
+    return arr.view(np.uint8).reshape(len(arr), arr.dtype.itemsize)
+
+
+_TERM_HDR = np.dtype({"names": ["magic", "n"], "formats": ["<u2", "<u4"],
+                      "offsets": [0, 2], "itemsize": 6})
+#: one block header, the numpy twin of ``struct`` format "<IHBBIHI"
+_BLOCK_HDR = np.dtype(
+    {
+        "names": ["base", "cnt", "bpv_d", "bpv_f", "eq", "nimp", "last"],
+        "formats": ["<u4", "<u2", "u1", "u1", "<u4", "<u2", "<u4"],
+        "offsets": [0, 4, 6, 7, 8, 12, 14],
+        "itemsize": 18,
+    }
+)
+
+
 def encode_postings_batch(
     g_ord: np.ndarray,
     g_freq: np.ndarray,
     norm_bytes: np.ndarray,
     t_starts: np.ndarray,
     t_counts: np.ndarray,
-) -> List[bytes]:
-    """Encode MANY terms' posting lists at once, byte-identical to
-    :func:`encode_postings` per term.
+) -> pa.BinaryArray:
+    """Encode MANY terms' posting lists at once: one binary value per term,
+    byte-identical to :func:`encode_postings` applied to each term.
 
-    The per-term encoder was the measured index-build hotspot (~44% of
-    segment build on the code corpus: tens of thousands of tiny posting
-    lists, each paying struct/bit-pack/impact Python overhead).  Here every
-    SINGLE-BLOCK term (df ≤ BLOCK_SIZE — the overwhelming majority) is
-    processed by shared numpy kernels: deltas, bit widths, ALL_VALUES_EQUAL
-    detection, competitive impacts (one global lexsort + segmented cummax)
-    and bit-packing grouped by bits-per-value; only the final blob
-    assembly walks terms in Python.  Multi-block terms (stop-word scale)
-    fall back to the scalar encoder.
+    Every term is a run of ``BLOCK_SIZE`` blocks (its tail block shorter),
+    and every step works on all blocks of all terms together: deltas, bit
+    widths and ALL_VALUES_EQUAL detection are segmented reductions over
+    the blocks; the competitive impacts are one sort of (block, norm)
+    keys, a segmented max and a segmented cummax; the delta and freq
+    streams of every block go through one
+    variable-width bit-pack whose bit offsets already are their byte
+    positions in the output; and the term headers, block headers and
+    impacts are scattered into that same buffer.
 
     Inputs are the inverted-group arrays of ``build_segment_tables``:
     ``g_ord``/``g_freq`` sorted by (term, ord), with term *i* occupying
     rows ``[t_starts[i], t_starts[i] + t_counts[i])``.
     """
-    n_terms = len(t_starts)
-    out: List[Optional[bytes]] = [None] * n_terms
-    df = t_counts.astype(np.int64)
-    single = df <= BLOCK_SIZE
-    for i in np.nonzero(~single)[0]:
-        s, e = t_starts[i], t_starts[i] + t_counts[i]
-        out[i] = encode_postings(
-            g_ord[s:e], g_freq[s:e], norm_bytes[g_ord[s:e]]
-        )
-    sidx = np.nonzero(single)[0]
-    k = len(sidx)
-    if k == 0:
-        return out  # type: ignore[return-value]
+    df = np.asarray(t_counts, dtype=np.int64)
+    n_terms = len(df)
+    if n_terms == 0:
+        return pa.array([], type=pa.binary())
+    ords = np.asarray(g_ord, dtype=np.int64)
+    freqs = np.asarray(g_freq, dtype=np.int64)
+    norms = np.asarray(norm_bytes)[ords].astype(np.int64)
+    n = len(ords)
 
-    rows_mask = np.repeat(single, t_counts)
-    sub_ord = g_ord[rows_mask].astype(np.int64)
-    sub_freq = g_freq[rows_mask].astype(np.int64)
-    sub_norm = norm_bytes[sub_ord]
-    s_df = df[sidx]
-    sub_tid = np.repeat(np.arange(k, dtype=np.int64), s_df)
-    S = np.concatenate([[0], np.cumsum(s_df)])  # term row offsets
+    # blocks: term i owns nb[i] consecutive blocks starting at posting
+    # t_starts[i] + k * BLOCK_SIZE
+    nb = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
+    n_blocks = int(nb.sum())
+    b_first = np.cumsum(nb) - nb  # each term's first block
+    b_term = np.repeat(np.arange(n_terms, dtype=np.int64), nb)
+    b_k = np.arange(n_blocks, dtype=np.int64) - b_first[b_term]
+    b_start = np.asarray(t_starts, dtype=np.int64)[b_term] + b_k * BLOCK_SIZE
+    b_cnt = np.minimum(df[b_term] - b_k * BLOCK_SIZE, BLOCK_SIZE)
+    b_of = np.repeat(np.arange(n_blocks, dtype=np.int64), b_cnt)
+    first = np.zeros(n, dtype=bool)
+    first[b_start] = True
 
-    base = sub_ord[S[:-1]]
-    last = sub_ord[S[1:] - 1]
+    # deltas beyond each block's first are >= 1: store delta - 1
+    dstore = np.zeros(n, dtype=np.int64)
+    dstore[1:] = ords[1:] - ords[:-1] - 1
+    dstore[first] = 0
+    bpv_d = _bit_length(np.maximum.reduceat(dstore, b_start))
+    fstore = freqs - 1  # freqs >= 1
+    fmax = np.maximum.reduceat(fstore, b_start)
+    f0 = fstore[b_start]
+    all_eq = fmax == np.minimum.reduceat(fstore, b_start)
+    bpv_f = np.where(all_eq, 0, _bit_length(fmax))
 
-    # deltas (minus 1) + per-term max → bpv_d
-    d_all = np.empty(len(sub_ord), dtype=np.int64)
-    d_all[1:] = sub_ord[1:] - sub_ord[:-1] - 1
-    d_all[S[:-1]] = -1  # mask term-boundary positions
-    bpv_d = np.zeros(k, dtype=np.int64)
-    multi_mask = s_df > 1
-    if multi_mask.any():
-        # max delta per term over rows (S[i]+1 .. S[i+1])
-        mx = np.maximum.reduceat(
-            d_all, np.minimum(S[:-1] + 1, len(d_all) - 1)
-        )
-        mx = np.where(multi_mask, mx, 0)
-        pos = mx > 0
-        bl = np.zeros(k, dtype=np.int64)
-        bl[pos] = np.frexp(mx[pos].astype(np.float64))[1]
-        bpv_d = np.where(multi_mask, bl, 0)
-
-    # freqs: ALL_VALUES_EQUAL detection + bpv_f
-    fstore = sub_freq - 1
-    fmax = np.maximum.reduceat(fstore, S[:-1])
-    fmin = np.minimum.reduceat(fstore, S[:-1])
-    f0 = fstore[S[:-1]]
-    all_eq = fmax == fmin
-    bpv_f = np.zeros(k, dtype=np.int64)
-    ne = ~all_eq
-    if ne.any():
-        posf = ne & (fmax > 0)
-        blf = np.zeros(k, dtype=np.int64)
-        blf[posf] = np.frexp(fmax[posf].astype(np.float64))[1]
-        bpv_f = np.where(ne, blf, 0)
-    eq_field = np.where(all_eq, f0, 0)
-
-    # competitive impacts: per term, (norm asc, freq desc) order, first per
-    # distinct norm, then keep strictly-increasing freqs (segmented cummax)
-    order = np.lexsort((-sub_freq, sub_norm, sub_tid))
-    o_tid = sub_tid[order]
-    o_norm = sub_norm[order]
-    o_freq = sub_freq[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (o_tid[1:] != o_tid[:-1]) | (o_norm[1:] != o_norm[:-1])
-    f_tid, f_norm, f_freq = o_tid[first], o_norm[first], o_freq[first]
-    comb = (f_tid << np.int64(34)) | f_freq
-    cm = np.maximum.accumulate(comb)
+    # competitive impacts per block: the max freq of each distinct norm in
+    # norm order, then only the strictly increasing freqs
+    bn = (b_of << np.int64(8)) | norms
+    by_bn = np.argsort(bn)
+    bn = bn[by_bn]
+    head = np.flatnonzero(np.append(True, bn[1:] != bn[:-1]))
+    o_freq = np.maximum.reduceat(freqs[by_bn], head)
+    o_blk, o_norm = bn[head] >> np.int64(8), bn[head] & 255
+    comb = (o_blk << np.int64(34)) | o_freq
     keep = np.ones(len(comb), dtype=bool)
-    keep[1:] = comb[1:] > cm[:-1]
-    i_tid = f_tid[keep]
-    imp_f = f_freq[keep].astype("<i4")
-    imp_n = f_norm[keep].astype(np.uint8)
-    n_imp = np.bincount(i_tid, minlength=k).astype(np.int64)
-    imp_off = np.concatenate([[0], np.cumsum(n_imp)])
-    imp_f_bytes = imp_f.tobytes()
-    imp_n_bytes = imp_n.tobytes()
+    keep[1:] = comb[1:] > np.maximum.accumulate(comb)[:-1]
+    i_blk, i_norm, i_freq = o_blk[keep], o_norm[keep], o_freq[keep]
+    n_imp = np.bincount(i_blk, minlength=n_blocks).astype(np.int64)
 
-    # headers: one packed struct row per term (matches "<IHBBIHI")
-    hdr_dtype = np.dtype(
-        {
-            "names": ["base", "cnt", "bpv_d", "bpv_f", "eq", "nimp",
-                      "last"],
-            "formats": ["<u4", "<u2", "u1", "u1", "<u4", "<u2", "<u4"],
-            "offsets": [0, 4, 6, 7, 8, 12, 14],
-            "itemsize": 18,
-        }
+    # byte layout: each term is a 6-byte header and then its blocks; each
+    # block is its header (18), impact freqs (4 each), impact norms (1
+    # each), delta bits and freq bits
+    d_bytes = ((b_cnt - 1) * bpv_d + 7) // 8
+    f_bytes = (b_cnt * bpv_f + 7) // 8
+    b_size = 18 + 5 * n_imp + d_bytes + f_bytes
+    b_off = np.cumsum(b_size) - b_size + 6 * (b_term + 1)
+    t_off = np.append(b_off[b_first] - 6,
+                      int(b_size.sum()) + 6 * n_terms)
+    d_off = b_off + 18 + 5 * n_imp
+
+    # one variable-width bit-pack: every stored value is OR-ed into the
+    # (at most two) little-endian 64-bit words that hold its bits at their
+    # final offset in the output buffer
+    at = np.arange(n, dtype=np.int64) - b_start[b_of]  # rank in block
+    w_d, w_f = bpv_d[b_of], bpv_f[b_of]
+    sel_d, sel_f = ~first & (w_d > 0), w_f > 0
+    bit0 = np.concatenate([
+        (8 * d_off[b_of] + (at - 1) * w_d)[sel_d],
+        (8 * (d_off + d_bytes)[b_of] + at * w_f)[sel_f],
+    ])
+    vals = np.concatenate([dstore[sel_d], fstore[sel_f]]).astype(np.uint64)
+    shift = (bit0 & 63).astype(np.uint64)
+    total = int(t_off[-1])
+    words = np.zeros(total // 8 + 2, dtype="<u8")
+    np.bitwise_or.at(words, bit0 >> 6, vals << shift)
+    np.bitwise_or.at(words, (bit0 >> 6) + 1,
+                     (vals >> np.uint64(1)) >> (np.uint64(63) - shift))
+    out = words.view(np.uint8)[:total]
+
+    # headers and impacts, scattered into the same buffer
+    hdr = np.zeros(n_terms, dtype=_TERM_HDR)
+    hdr["magic"] = _MAGIC
+    hdr["n"] = df
+    out[t_off[:-1, None] + np.arange(6)] = _as_bytes(hdr)
+    bh = np.zeros(n_blocks, dtype=_BLOCK_HDR)
+    bh["base"] = ords[b_start]
+    bh["cnt"] = b_cnt
+    bh["bpv_d"] = bpv_d
+    bh["bpv_f"] = bpv_f
+    bh["eq"] = np.where(all_eq, f0, 0)
+    bh["nimp"] = n_imp
+    bh["last"] = ords[b_start + b_cnt - 1]
+    out[b_off[:, None] + np.arange(18)] = _as_bytes(bh)
+    i_rank = np.arange(len(i_blk), dtype=np.int64) - (
+        np.cumsum(n_imp) - n_imp)[i_blk]
+    i_at = b_off[i_blk] + 18
+    out[(i_at + 4 * i_rank)[:, None] + np.arange(4)] = \
+        i_freq.astype("<i4").view(np.uint8).reshape(-1, 4)
+    out[i_at + 4 * n_imp[i_blk] + i_rank] = i_norm
+    return pa.Array.from_buffers(
+        pa.binary(), n_terms,
+        [None, pa.py_buffer(t_off.astype(np.int32)), pa.py_buffer(out)],
     )
-    hdr = np.zeros(k, dtype=hdr_dtype)
-    hdr["base"] = base
-    hdr["cnt"] = s_df
-    hdr["bpv_d"] = bpv_d
-    hdr["bpv_f"] = bpv_f
-    hdr["eq"] = eq_field
-    hdr["nimp"] = n_imp
-    hdr["last"] = last
-    hdr_bytes = hdr.tobytes()
-
-    # bit-packing grouped by bits-per-value: rows padded to the group max,
-    # packbits per row, then sliced to each term's exact byte count (the
-    # padding zeros land past the stored bytes, so slices are identical to
-    # the scalar _pack_bits output)
-    def _pack_group(values_per_term, counts, bpvs):
-        packed: List[bytes] = [b""] * len(counts)
-        bpv_vals = np.unique(bpvs[counts > 0])
-        for b in bpv_vals.tolist():
-            if b == 0:
-                continue
-            grp = np.nonzero((bpvs == b) & (counts > 0))[0]
-            cnts = counts[grp]
-            P = int(cnts.max())
-            matv = np.zeros((len(grp), P), dtype=np.uint32)
-            row_idx = np.repeat(np.arange(len(grp)), cnts)
-            col_idx = np.concatenate(
-                [np.arange(c) for c in cnts.tolist()]
-            ) if len(grp) else np.empty(0, np.int64)
-            matv[row_idx, col_idx] = np.concatenate(
-                [values_per_term(int(g)) for g in grp.tolist()]
-            ).astype(np.uint32)
-            bits = (
-                (matv[:, :, None] >> _SHIFTS[b]) & 1
-            ).astype(np.uint8).reshape(len(grp), P * b)
-            pb = np.packbits(bits, axis=1, bitorder="little")
-            for r, g in enumerate(grp.tolist()):
-                nbytes = (int(cnts[r]) * b + 7) // 8
-                packed[g] = pb[r, :nbytes].tobytes()
-        return packed
-
-    d_counts = (s_df - 1).astype(np.int64)
-    d_packed = _pack_group(
-        lambda g: d_all[S[g] + 1: S[g + 1]], d_counts, bpv_d
-    )
-    f_counts = np.where(all_eq, 0, s_df).astype(np.int64)
-    f_packed = _pack_group(
-        lambda g: fstore[S[g]: S[g + 1]], f_counts, bpv_f
-    )
-
-    # final assembly (cheap byte concatenation per term)
-    for r in range(k):
-        i = int(sidx[r])
-        out[i] = b"".join(
-            (
-                struct.pack("<HI", _MAGIC, int(s_df[r])),
-                hdr_bytes[18 * r: 18 * (r + 1)],
-                imp_f_bytes[4 * imp_off[r]: 4 * imp_off[r + 1]],
-                imp_n_bytes[imp_off[r]: imp_off[r + 1]],
-                d_packed[r],
-                f_packed[r],
-            )
-        )
-    return out  # type: ignore[return-value]
 
 
 def _iter_blocks(blob: bytes):

@@ -28,17 +28,16 @@ doc_id assignment; ``docmeta`` row *i* is ordinal *i* (ords → doc_id is one
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
 from lucene_solr_ray.analysis.smallfloat import int_to_byte4_np
-from lucene_solr_ray.index.postings_codec import (
-    encode_postings,
-    encode_postings_batch,
-)
+from lucene_solr_ray.index.postings_codec import encode_postings_batch
 
 __all__ = ["build_segment_tables", "SegmentData", "POSTINGS_SCHEMA",
            "DOCMETA_SCHEMA", "FORMAT_VERSION"]
@@ -90,6 +89,17 @@ class SegmentData:
         self.stats = stats
 
 
+def _term_blobs(values: np.ndarray, tok_edges: np.ndarray) -> pa.Array:
+    """One binary value per term over per-token rows: term *i* is the bytes
+    of ``values[tok_edges[i]:tok_edges[i + 1]]``, built from one values
+    buffer and one offsets buffer."""
+    offsets = (tok_edges * values.strides[0]).astype(np.int32)
+    return pa.Array.from_buffers(
+        pa.binary(), len(tok_edges) - 1,
+        [None, pa.py_buffer(offsets), pa.py_buffer(values)],
+    )
+
+
 def build_segment_tables(
     doc_ids: Sequence[int],
     texts: Sequence[Optional[str]],
@@ -122,181 +132,99 @@ def build_segment_tables(
     n = len(texts)
     assert len(doc_ids) == n
 
-    # vectorized inversion (the TermsHash + sortPostings analogue,
-    # reference index/TermsHashPerField.java / FreqProxTermsWriter.java):
-    # flatten every (token, doc, position) occurrence into parallel arrays,
-    # stable-sort by (term, doc) once, and derive postings/freqs/positions
-    # from group boundaries — no per-token dict work in Python.
+    # analysis: one analyzer call per doc; everything after it is columnar
     shas = [
         hashlib.sha256((t or "").encode("utf-8")).digest() for t in texts
     ]
-    all_terms: List[str] = []
     doc_lens = np.zeros(n, dtype=np.int64)
-    all_pos_parts: List[List[int]] = []
-    all_off_parts: List[List[int]] = []  # interleaved (start, end) per token
-    all_pay_parts: List[List[float]] = []  # one float payload per token
-    if with_payloads:
-        for ord_, text in enumerate(texts):
-            if text is None:
-                text = ""
+    term_lists: List[List[str]] = []
+    pos_lists: List[List[int]] = []
+    start_lists: List[List[int]] = []
+    end_lists: List[List[int]] = []
+    pay_lists: List[List[float]] = []
+    for ord_, text in enumerate(texts):
+        if text is None:
+            text = ""
+        if with_payloads:
             terms, positions, payloads, flen = \
                 analyzer.analyze_with_payloads(text)
-            all_terms.extend(terms)
-            all_pos_parts.append(positions)
-            all_pay_parts.append(payloads)
-            doc_lens[ord_] = flen
-    elif with_offsets:
-        for ord_, text in enumerate(texts):
-            if text is None:
-                text = ""
+            pay_lists.append(payloads)
+        elif with_offsets:
             terms, positions, starts, ends, flen = \
                 analyzer.analyze_with_offsets(text)
-            all_off_parts.append(
-                [v for se in zip(starts, ends) for v in se]
-            )
-            all_terms.extend(terms)
-            all_pos_parts.append(positions)
-            doc_lens[ord_] = flen
-    else:
-        for ord_, text in enumerate(texts):
-            if text is None:
-                text = ""
+            start_lists.append(starts)
+            end_lists.append(ends)
+        else:
             terms, positions, flen = analyzer.analyze_with_positions(text)
-            all_terms.extend(terms)
-            all_pos_parts.append(positions)
-            doc_lens[ord_] = flen
+        term_lists.append(terms)
+        pos_lists.append(positions)
+        doc_lens[ord_] = flen
 
-    # dict-coded terms: only the ~|vocab| unique strings get sorted,
-    # not every token occurrence (object-dtype np.unique sorts all)
-    code_map: Dict[str, int] = {}
-    inv_list: List[int] = []
-    for t in all_terms:
-        c = code_map.get(t)
-        if c is None:
-            c = len(code_map)
-            code_map[t] = c
-        inv_list.append(c)
-    vocab = list(code_map)
-    vocab_order = sorted(range(len(vocab)), key=vocab.__getitem__)
-    rank = np.empty(len(vocab), dtype=np.int64)
-    rank[vocab_order] = np.arange(len(vocab), dtype=np.int64)
-    uniq_terms = [vocab[i] for i in vocab_order]
-    inv = rank[np.asarray(inv_list, dtype=np.int64)]
-    n_toks_per_doc = np.array(
-        [len(p) for p in all_pos_parts], dtype=np.int64
-    )
-    all_ords = np.repeat(np.arange(n, dtype=np.int64), n_toks_per_doc)
-    all_pos = (
-        np.concatenate([np.asarray(p, dtype=np.int64)
-                        for p in all_pos_parts if p])
-        if with_positions and any(all_pos_parts)
-        else np.zeros(len(all_terms), dtype=np.int64)
-    )
-    n_occurrences = len(all_terms)
+    # columnar inversion (the TermsHash + sortPostings analogue, reference
+    # index/TermsHashPerField.java / FreqProxTermsWriter.java): dictionary-
+    # code the flat token column, rank the dictionary by byte order, stable-
+    # sort the tokens by term rank (they arrive in (doc, position) order, so
+    # this is the (term, doc, occurrence) order), and read the (term, doc)
+    # groups and the term groups off the boundaries of the sorted columns
+    tokens = pa.array(term_lists, type=pa.list_(pa.string()))
+    n_toks = pc.list_value_length(tokens).to_numpy(zero_copy_only=False)
+    enc = pc.dictionary_encode(tokens.flatten())
+    by_term = pc.sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(by_term), dtype=np.int64)
+    rank[by_term] = np.arange(len(by_term), dtype=np.int64)
+    # the smallest unsigned type that holds the ranks (numpy radix-sorts
+    # 8- and 16-bit keys)
+    code = rank.astype(np.min_scalar_type(len(rank)))[enc.indices.to_numpy()]
+    order = np.argsort(code, kind="stable")
+    n_occurrences = len(order)
+    s_code = code[order]
+    s_ord = np.repeat(np.arange(n, dtype=np.int64), n_toks)[order]
+    new_group = np.ones(n_occurrences, dtype=bool)
+    new_group[1:] = (s_code[1:] != s_code[:-1]) | (s_ord[1:] != s_ord[:-1])
+    g_start = np.flatnonzero(new_group)
+    g_freq = np.diff(np.append(g_start, n_occurrences))
+    g_ord = s_ord[g_start]
+    g_code = s_code[g_start]
+    new_term = np.ones(len(g_start), dtype=bool)
+    new_term[1:] = g_code[1:] != g_code[:-1]
+    t_starts = np.flatnonzero(new_term)
+    t_counts = np.diff(np.append(t_starts, len(g_start)))
+    # every dictionary entry occurs, so the sorted dictionary is the terms
+    terms_sorted = enc.dictionary.take(pa.array(by_term))
+    df = t_counts.astype(np.int32)
+    tok_edges = np.append(g_start[t_starts], n_occurrences)
+    ttf = np.diff(tok_edges)
 
     field_lens = doc_lens.astype(np.int32)
     norm_bytes = int_to_byte4_np(doc_lens)
+    blobs = encode_postings_batch(g_ord, g_freq, norm_bytes, t_starts,
+                                  t_counts)
 
-    if n_occurrences:
-        key = inv * n + all_ords
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        group_keys, group_starts, group_counts = np.unique(
-            skey, return_index=True, return_counts=True
-        )
-        g_term = group_keys // n  # term code per (term, doc) group
-        g_ord = (group_keys % n).astype(np.int64)
-        g_freq = group_counts.astype(np.int64)
-        # per-term row ranges over the (term, doc) groups
-        t_codes, t_starts, t_counts = np.unique(
-            g_term, return_index=True, return_counts=True
-        )
-        terms_sorted = [uniq_terms[c] for c in t_codes]
-        df = t_counts.astype(np.int32)
-        ttf_per_group_cum = np.concatenate([[0], np.cumsum(g_freq)])
-        t_ends = t_starts + t_counts
-        ttf = ttf_per_group_cum[t_ends] - ttf_per_group_cum[t_starts]
-        blobs = encode_postings_batch(
-            g_ord, g_freq, norm_bytes, t_starts, t_counts
-        )
-        offsets_arr = pa.array([None] * len(t_codes), type=pa.binary())
-        if with_positions:
-            # positions sorted by (term, doc): one '<i4' blob per term
-            # spanning its (doc, occurrence)-ordered values
-            pos_values = all_pos[order].astype("<i4")
-            inner_offsets = np.concatenate([[0], np.cumsum(g_freq)])
-            term_val_edges = inner_offsets[
-                np.concatenate([[0], np.cumsum(t_counts)])
-            ]
-            positions_arr = pa.array(
-                [
-                    pos_values[term_val_edges[i]: term_val_edges[i + 1]]
-                    .tobytes()
-                    for i in range(len(t_codes))
-                ],
-                type=pa.binary(),
-            )
-            if with_offsets and all_off_parts:
-                # (start, end) pairs follow the same (term, doc, occurrence)
-                # sort; gather pairwise via the occurrence order
-                flat = np.concatenate(
-                    [np.asarray(p, dtype=np.int64).reshape(-1, 2)
-                     for p in all_off_parts if p]
-                ) if any(all_off_parts) else np.zeros((0, 2), np.int64)
-                pairs = flat[order].astype("<i4")
-                offsets_arr = pa.array(
-                    [
-                        pairs[term_val_edges[i]: term_val_edges[i + 1]]
-                        .tobytes()
-                        for i in range(len(t_codes))
-                    ],
-                    type=pa.binary(),
-                )
-            if with_payloads and all_pay_parts:
-                # payloads follow the same (term, doc, occurrence) sort as
-                # positions: one '<f4' blob per term
-                flat_pay = (
-                    np.concatenate(
-                        [np.asarray(p, dtype=np.float64)
-                         for p in all_pay_parts if p]
-                    )
-                    if any(all_pay_parts)
-                    else np.zeros(0, np.float64)
-                )
-                pay_values = flat_pay[order].astype("<f4")
-                payloads_arr = pa.array(
-                    [
-                        pay_values[term_val_edges[i]: term_val_edges[i + 1]]
-                        .tobytes()
-                        for i in range(len(t_codes))
-                    ],
-                    type=pa.binary(),
-                )
-            else:
-                payloads_arr = pa.array(
-                    [None] * len(t_codes), type=pa.binary()
-                )
-        else:
-            positions_arr = pa.array(
-                [None] * len(t_codes), type=pa.binary()
-            )
-            payloads_arr = pa.array(
-                [None] * len(t_codes), type=pa.binary()
-            )
-    else:
-        terms_sorted = []
-        df = np.empty(0, dtype=np.int32)
-        ttf = np.empty(0, dtype=np.int64)
-        blobs = []
-        positions_arr = pa.array([], type=pa.binary())
-        offsets_arr = pa.array([], type=pa.binary())
-        payloads_arr = pa.array([], type=pa.binary())
+    def flat(lists: List[list], dtype) -> np.ndarray:
+        """Per-doc value lists as one array in (term, doc, occurrence)
+        order."""
+        return np.fromiter(chain.from_iterable(lists), dtype,
+                           n_occurrences)[order]
+
+    n_terms = len(t_starts)
+    positions_arr = offsets_arr = payloads_arr = pa.nulls(
+        n_terms, pa.binary())
+    if with_positions:
+        positions_arr = _term_blobs(
+            flat(pos_lists, np.int64).astype("<i4"), tok_edges)
+    if with_offsets:
+        pairs = np.stack([flat(start_lists, np.int64),
+                          flat(end_lists, np.int64)], axis=1)
+        offsets_arr = _term_blobs(pairs.astype("<i4"), tok_edges)
+    if with_payloads:
+        payloads_arr = _term_blobs(
+            flat(pay_lists, np.float64).astype("<f4"), tok_edges)
 
     postings_cols: Dict[str, pa.Array] = {
-        "term": pa.array(terms_sorted, type=pa.string()),
+        "term": terms_sorted,
         "df": pa.array(df),
         "ttf": pa.array(ttf),
-        "blocks": pa.array(blobs, type=pa.binary()),
+        "blocks": blobs,
         "positions": positions_arr,
         "offsets": offsets_arr,
         "payloads": payloads_arr,
@@ -372,13 +300,11 @@ def build_segment_tables_multi(
     for f, seg in segs.items():
         t = seg.postings
         if f != default_field:
-            terms = [field_term(f, x) for x in t.column("term").to_pylist()]
-            t = t.set_column(
-                0, "term", pa.array(terms, pa.string())
-            )
+            t = t.set_column(0, "term", pc.binary_join_element_wise(
+                field_term(f, ""), t.column("term"), ""))
         tables.append(t)
     postings = pa.concat_tables(tables)
-    order = pa.compute.sort_indices(postings.column("term"))
+    order = pc.sort_indices(postings.column("term"))
     postings = postings.take(order)
 
     docmeta = base.docmeta

@@ -23,9 +23,9 @@ file, and then stays cached:
 Segment files are immutable once written, so a lazy load sees what an
 eager one would have; and as Lucene's open ``IndexInput``s do, the open
 files stay readable after a merge or ``vacuum`` drops the segment's
-directory (``points.parquet``, read per field by ``points()``, is still
-opened by path).  Posting arrays are zero-copy numpy views over the
-Arrow buffers.
+directory.  ``points.parquet``, when the segment has one, is opened with
+the other two and read per field by ``points()``.  Posting arrays are
+zero-copy numpy views over the Arrow buffers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.index import sidecars
@@ -83,6 +84,9 @@ class SegmentReader:
                 "(nested-list positions); rebuild the index with the "
                 "current engine (FORMAT_VERSION >= 3)"
             )
+        points = os.path.join(seg_dir, "points.parquet")
+        self._points_file = (pq.ParquetFile(points)
+                             if os.path.exists(points) else None)
         self._decoded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._points: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -138,19 +142,14 @@ class SegmentReader:
     def points(self, field: str):
         """(values float64 sorted asc, ords int32 aligned) of one numeric
         point field, or None if the segment has no values for it.  Lazy:
-        points.parquet loads on first use and caches per field (the BKD
-        leaf-block read of the 1-D flat-sorted representation)."""
+        each field reads the open points.parquet on first use and caches
+        (the BKD leaf-block read of the 1-D flat-sorted representation)."""
         if field in self._points:
             return self._points[field]
         out = None
-        path = os.path.join(self.seg_dir, "points.parquet")
-        if os.path.exists(path):
-            import pyarrow.compute as pc
-            import pyarrow.dataset as pads
-
-            t = pads.dataset(path, format="parquet").to_table(
-                filter=pc.field("field") == field
-            )
+        if self._points_file is not None:
+            t = self._points_file.read(columns=["field", "value", "ord"])
+            t = t.filter(pc.equal(t.column("field"), field))
             if t.num_rows:
                 out = (t.column("value").to_numpy(),
                        t.column("ord").to_numpy())

@@ -584,6 +584,48 @@ def test_open_reader_reads_after_its_segment_is_dropped(built, tmp_path):
         np.testing.assert_array_equal(got_pos.flat, want_pos.flat)
 
 
+def test_open_reader_points_after_its_segment_is_dropped(ray_session,
+                                                        tmp_path):
+    """A reader keeps ``points.parquet`` open too: after its directory is
+    dropped, a numeric range query still finds its hits."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.search.query import PointRangeQuery
+    from lucene_solr_ray.search.reader import SegmentReader
+    from lucene_solr_ray.search.scorer import GlobalStats, score_segment
+
+    n = 40
+    rng = random.Random(11)
+    sizes = [rng.randint(0, 1000) for _ in range(n)]
+    p = str(tmp_path / "c.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": [" ".join(rng.choice(WORDS) for _ in range(5))
+                 for _ in range(n)],
+        "size": pa.array(sizes, pa.int64())}), p)
+    out = str(tmp_path / "idx")
+    build_index(p, out, text_col="text", id_col="doc_id",
+                numeric_fields={"size": "size"}, docs_per_segment=n)
+    src = Index(out).seg_dirs[0]
+    seg = str(tmp_path / "seg")
+    shutil.copytree(src, seg)
+    want = SegmentReader(src)
+    reader = SegmentReader(seg)
+    shutil.rmtree(seg)
+    got = reader.points("size")
+    assert got is not None
+    for g, w in zip(got, want.points("size")):
+        np.testing.assert_array_equal(g, w)
+    assert reader.points("absent") is None
+    q = PointRangeQuery("size", 100, 300)
+    ords, _ = score_segment(
+        reader, q, GlobalStats(doc_count=n, sum_total_term_freq=1))
+    assert sorted(reader.doc_ids[ords].tolist()) == [
+        i for i, s in enumerate(sizes) if 100 <= s <= 300]
+
+
 def test_count_sort_grouped_see_deletes_between_calls(stored):
     """``count_hits``, ``search_by_field`` and ``search_grouped`` on one
     ``Index`` drop a doc hard-deleted between two calls, and still see a

@@ -1,9 +1,13 @@
 """Block postings codec: round-trip fuzz + skip/impact invariants
 (Base*FormatTestCase style, reference
-``test-framework/.../index/BasePostingsFormatTestCase.java``)."""
+``test-framework/.../index/BasePostingsFormatTestCase.java``), and the
+batch encoder against the per-term one."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucene_solr_ray.index.postings_codec import (
     BLOCK_SIZE,
@@ -11,6 +15,7 @@ from lucene_solr_ray.index.postings_codec import (
     decode_block_skips,
     decode_postings,
     encode_postings,
+    encode_postings_batch,
 )
 from lucene_solr_ray.search.similarity import BM25Similarity
 
@@ -104,3 +109,56 @@ def test_concat_postings_equals_reencode():
         for b, last, cnt, _, _ in decode_block_skips(blob):
             assert o[i] == b and o[i + cnt - 1] == last
             i += cnt
+
+
+@st.composite
+def _term_sets(draw):
+    """Posting lists of several terms over one segment: (per-term ords,
+    freqs) and the segment's norm bytes.  The df values sit on and around
+    the 128-entry block edges; freqs are drawn from one value (an
+    ALL_VALUES_EQUAL block), small values or values up to 2^20; ordinals
+    reach past 2^16."""
+    ndocs = draw(st.sampled_from([300, 5000, 70_000, 2**20]))
+    norms = np.random.RandomState(draw(st.integers(0, 2**31 - 1))).randint(
+        0, 256, ndocs).astype(np.uint8)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        df = draw(st.one_of(
+            st.sampled_from([1, 2, 127, 128, 129, 255, 256, 257]),
+            st.integers(1, 300)))
+        rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+        ords = np.sort(rng.choice(ndocs, min(df, ndocs), replace=False))
+        kind = draw(st.sampled_from(["equal", "small", "wide"]))
+        if kind == "equal":
+            freqs = np.full(len(ords), draw(st.integers(1, 2**20)))
+        elif kind == "small":
+            freqs = rng.randint(1, 4, len(ords))
+        else:
+            freqs = rng.randint(1, 2**20 + 1, len(ords))
+        terms.append((ords, freqs.astype(np.int64)))
+    return terms, norms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_sets())
+def test_encode_postings_batch_equals_per_term(case):
+    """The block-level batch encoder gives, byte for byte, what
+    ``encode_postings`` gives for each term on its own."""
+    terms, norms = case
+    counts = np.array([len(o) for o, _ in terms])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    got = encode_postings_batch(
+        np.concatenate([o for o, _ in terms]),
+        np.concatenate([f for _, f in terms]),
+        norms, starts, counts,
+    )
+    assert got.type == pa.binary()
+    assert got.to_pylist() == [
+        encode_postings(o, f, norms[o]) for o, f in terms]
+
+
+def test_encode_postings_batch_no_terms():
+    empty = np.empty(0, np.int64)
+    got = encode_postings_batch(empty, empty, np.zeros(3, np.uint8),
+                                empty, empty)
+    assert len(got) == 0 and got.type == pa.binary()
