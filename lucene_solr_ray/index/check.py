@@ -130,8 +130,8 @@ def check_segment(seg_dir: str) -> Dict:
 
     # soft-deletes sidecar (round 4): sorted, in-range.  Overlap with hard
     # tombstones is LEGAL (soft_delete then delete_by_query hard-deletes a
-    # soft-deleted doc without purging the soft sidecar; merge.py's
-    # _merged_soft_ords setdiffs the overlap) — report it informationally,
+    # soft-deleted doc without purging the soft sidecar; a merge's DocMap
+    # drops the overlap) — report it informationally,
     # not as corruption.
     sords = sidecar_ords(sidecars.SOFT)
     if len(sords):

@@ -1,4 +1,4 @@
-"""Deletes and updates: per-segment live-docs tombstones + compaction.
+"""Deletes and updates: per-segment live-docs tombstones (reclaimed by merge).
 
 The reference's delete path (``lucene/core/src/java/org/apache/lucene/
 index/IndexWriter.java`` ``deleteDocuments(Term/Query)`` /
@@ -41,6 +41,7 @@ import pyarrow.parquet as pq
 from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.manifest import (
     commit_manifest,
+    next_segment_id,
     read_latest_manifest,
     segment_dir_name,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "delete_doc_ids",
     "add_documents",
     "update_documents",
-    "compact_postings_rows",
     "segment_deleted_ords",
 ]
 
@@ -148,7 +148,7 @@ def add_documents(
         raise FileNotFoundError(index_dir)
     analyzer = analyzer or StandardAnalyzer()
     seg = build_segment_tables(list(doc_ids), list(texts), analyzer)
-    new_id = max(s["segment_id"] for s in manifest["segments"]) + 1
+    new_id = next_segment_id(index_dir, manifest)
     meta = {
         "segment_id": new_id,
         "stats": seg.stats,
@@ -257,7 +257,7 @@ def update_documents(
         for c, vals in stored.items():
             docmeta = docmeta.append_column(c, pa.array(list(vals)))
     segs = _apply_delete(index_dir, by_doc_ids=ids, commit=False)
-    new_id = max(s["segment_id"] for s in segs) + 1
+    new_id = next_segment_id(index_dir, manifest)
     meta = {
         "segment_id": new_id,
         "stats": seg.stats,
@@ -267,115 +267,3 @@ def update_documents(
     write_segment_dir(index_dir, new_id, seg.postings, docmeta, meta)
     # 2) ONE commit carrying both the del_gen bumps and the new segment
     return commit_manifest(index_dir, segs + [meta])
-
-
-# ---------------------------------------------------------------------------
-# merge-time compaction: physically drop tombstoned docs
-# ---------------------------------------------------------------------------
-
-
-def compact_postings_rows(
-    postings: pa.Table,
-    deleted: np.ndarray,
-    norm_for_field,
-) -> pa.Table:
-    """Rewrite a postings table with deleted ordinals dropped and survivors
-    renumbered densely (new_ord = old_ord − #deleted_below, the
-    ``MergeState.DocMap`` function).  ``norm_for_field(field_or_None)`` must
-    return the COMPACTED norm byte array (indexed by new ord) so re-encoded
-    blocks carry correct competitive impacts.  Terms whose postings empty
-    out are dropped, as ``SegmentMerger`` omits terms with no live docs."""
-    from lucene_solr_ray.index.postings_codec import decode_postings, encode_postings
-    from lucene_solr_ray.index.segment import FIELD_SEP, POSTINGS_SCHEMA
-
-    if len(deleted) == 0:
-        return postings
-    deleted = np.sort(np.asarray(deleted, dtype=np.int64))
-    has_off = "offsets" in postings.schema.names
-    has_pay = "payloads" in postings.schema.names
-    terms = postings.column("term").to_pylist()
-    blocks = postings.column("blocks").to_pylist()
-    poss = postings.column("positions").to_pylist()
-    offs = (
-        postings.column("offsets").to_pylist() if has_off
-        else [None] * postings.num_rows
-    )
-    pays = (
-        postings.column("payloads").to_pylist() if has_pay
-        else [None] * postings.num_rows
-    )
-    out = {"term": [], "df": [], "ttf": [], "blocks": [], "positions": [],
-           "offsets": [], "payloads": []}
-    for term, blob, posblob, offblob, payblob in zip(
-        terms, blocks, poss, offs, pays
-    ):
-        ords, freqs = decode_postings(blob)
-        ords64 = ords.astype(np.int64)
-        idx = np.searchsorted(deleted, ords64)
-        idx_c = np.minimum(idx, len(deleted) - 1)
-        live = ~((idx < len(deleted)) & (deleted[idx_c] == ords64))
-        if not live.any():
-            continue
-        kept_ords = ords64[live]
-        kept_freqs = freqs[live]
-        # dense renumbering: shift each ord down by #deleted before it
-        new_ords = kept_ords - np.searchsorted(deleted, kept_ords)
-        fld = term.split(FIELD_SEP, 1)[0] if FIELD_SEP in term else None
-        norms = norm_for_field(fld)
-        out["term"].append(term)
-        out["df"].append(int(live.sum()))
-        out["ttf"].append(int(kept_freqs.sum()))
-        out["blocks"].append(
-            encode_postings(new_ords, kept_freqs, norms[new_ords])
-        )
-        if posblob is not None:
-            vals = np.frombuffer(posblob or b"", dtype="<i4")
-            keep_vals = np.repeat(live, freqs)
-            out["positions"].append(vals[keep_vals].tobytes())
-        else:
-            out["positions"].append(None)
-        if offblob is not None:
-            pairs = np.frombuffer(offblob or b"", dtype="<i4").reshape(-1, 2)
-            keep_vals = np.repeat(live, freqs)
-            out["offsets"].append(pairs[keep_vals].tobytes())
-        else:
-            out["offsets"].append(None)
-        if payblob is not None:
-            pvals = np.frombuffer(payblob or b"", dtype="<f4")
-            keep_vals = np.repeat(live, freqs)
-            out["payloads"].append(pvals[keep_vals].tobytes())
-        else:
-            out["payloads"].append(None)
-    return pa.table(
-        {
-            "term": pa.array(out["term"], pa.string()),
-            "df": pa.array(np.asarray(out["df"], dtype=np.int32)),
-            "ttf": pa.array(np.asarray(out["ttf"], dtype=np.int64)),
-            "blocks": pa.array(out["blocks"], pa.binary()),
-            "positions": pa.array(out["positions"], type=pa.binary()),
-            "offsets": pa.array(out["offsets"], type=pa.binary()),
-            "payloads": pa.array(out["payloads"], type=pa.binary()),
-        },
-        schema=POSTINGS_SCHEMA,
-    )
-
-
-def _compacted_norm_lookup(docmeta: pa.Table):
-    """norm_for_field over a COMPACTED docmeta table."""
-    base = docmeta.column("norm").to_numpy()
-    cache: Dict[Optional[str], np.ndarray] = {None: base}
-
-    def norm_for_field(fld: Optional[str]) -> np.ndarray:
-        arr = cache.get(fld)
-        if arr is None:
-            col = f"norm__{fld}"
-            if col in docmeta.schema.names:
-                arr = docmeta.column(col).to_numpy()
-            else:
-                arr = np.zeros(docmeta.num_rows, dtype=np.uint8)
-            cache[fld] = arr
-        return arr
-
-    return norm_for_field
-
-

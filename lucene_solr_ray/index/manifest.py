@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 __all__ = [
     "SEGMENT_PREFIX",
     "segment_dir_name",
+    "next_segment_id",
     "write_segment_dir",
     "read_segment_meta",
     "list_valid_segments",
@@ -42,10 +43,26 @@ __all__ = [
 
 SEGMENT_PREFIX = "seg_"
 _MANIFEST_RE = re.compile(r"^manifest-(\d+)\.json$")
+_SEGMENT_RE = re.compile(r"^" + SEGMENT_PREFIX + r"(\d+)$")
 
 
 def segment_dir_name(segment_id: int) -> str:
     return f"{SEGMENT_PREFIX}{segment_id:06d}"
+
+
+def next_segment_id(out_dir: str, manifest: Dict) -> int:
+    """The id for a new segment: past every id the manifest lists AND
+    every ``seg_<id>`` dir on disk, committed or not.  A dir left by a
+    rolled-back commit or by a write that crashed before its commit is
+    not live, but :func:`write_segment_dir` keeps an existing dir, so
+    reusing its id would publish the stale segment in place of the new
+    one."""
+    ids = [s["segment_id"] for s in manifest["segments"]]
+    for name in os.listdir(out_dir):
+        m = _SEGMENT_RE.match(name)
+        if m:
+            ids.append(int(m.group(1)))
+    return max(ids, default=-1) + 1
 
 
 def write_segment_dir(
@@ -59,9 +76,12 @@ def write_segment_dir(
 ) -> str:
     """Write one segment atomically (tmp dir + rename). Idempotent: if the
     final dir already exists (another attempt won), keep the existing one.
+    ``postings`` is one Arrow table, or an iterable of term-ordered part
+    tables streamed in as one row group each (bounded memory).
     ``extra_files`` maps file names to Arrow tables written alongside
     (e.g. a carried-through soft-delete sidecar) INSIDE the atomic
     rename, so the meta never references a missing file."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     final = os.path.join(out_dir, segment_dir_name(segment_id))
@@ -71,9 +91,18 @@ def write_segment_dir(
         return final
     tmp = final + ".tmp-" + uuid.uuid4().hex[:8]
     os.makedirs(tmp, exist_ok=True)
-    pq.write_table(
-        postings, os.path.join(tmp, "postings.parquet"), compression="zstd"
-    )
+    path = os.path.join(tmp, "postings.parquet")
+    if isinstance(postings, pa.Table):
+        pq.write_table(postings, path, compression="zstd")
+    else:
+        writer = None
+        for part in postings:
+            if writer is None:
+                writer = pq.ParquetWriter(path, part.schema,
+                                          compression="zstd")
+            if part.num_rows:
+                writer.write_table(part)
+        writer.close()
     pq.write_table(
         docmeta, os.path.join(tmp, "docmeta.parquet"), compression="zstd"
     )

@@ -15,8 +15,9 @@ int64 values ride the float64 column exactly up to 2^53 — beyond that a
 dedicated int64 column would be needed (the synthetic corpora stay far
 below; the dtype is recorded per field in the manifest for parsing).
 
-Merging is ord-rebase + re-sort (linear merge of sorted runs); compaction
-drops tombstoned ords and renumbers, as postings do.
+Merging sends each input's ords through its merge DocMap (rebase,
+compaction and any sort permutation in one map, as postings do), then
+re-sorts (a linear merge of sorted runs).
 """
 
 from __future__ import annotations
@@ -73,38 +74,32 @@ def build_points_table(field_values: Dict[str, np.ndarray]) -> pa.Table:
 
 
 def merge_points_tables(
-    tables: List[Optional[pa.Table]],
-    bases: List[int],
-    deleted: Optional[List[np.ndarray]] = None,
+    tables: List[Optional[pa.Table]], doc_maps: List[np.ndarray],
 ) -> Optional[pa.Table]:
-    """Merge per-segment points with ord rebasing (+ optional tombstone
-    compaction with dense renumbering, matching the postings DocMap)."""
+    """Merge per-segment points through each input's DocMap (old ord →
+    merged ord, −1 for a deleted doc — the map postings use).  Rows stay
+    sorted by (field, value, inputs' order), so equal values keep the
+    merged order from before any sort permutation."""
     parts = []
-    for si, t in enumerate(tables):
+    for si, (t, doc_map) in enumerate(zip(tables, doc_maps)):
         if t is None or t.num_rows == 0:
             continue
         f = t.column("field").to_numpy(zero_copy_only=False)
         v = t.column("value").to_numpy()
         o = t.column("ord").to_numpy().astype(np.int64)
-        if deleted is not None and len(deleted[si]):
-            d = deleted[si]
-            idx = np.searchsorted(d, o)
-            idx_c = np.minimum(idx, len(d) - 1)
-            live = ~((idx < len(d)) & (d[idx_c] == o))
-            f, v, o = f[live], v[live], o[live]
-            o = o - np.searchsorted(d, o)
-        parts.append((f, v, o + bases[si]))
+        new = doc_map[o]
+        live = new >= 0
+        parts.append((f[live], v[live], o[live],
+                      np.full(int(live.sum()), si), new[live]))
     if not parts:
         return None
-    f = np.concatenate([p[0] for p in parts])
-    v = np.concatenate([p[1] for p in parts])
-    o = np.concatenate([p[2] for p in parts])
-    order = np.lexsort((o, v, f))
+    f, v, o, src, new = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((o, src, v, f))
     return pa.table(
         {
             "field": pa.array(f[order].tolist(), pa.string()),
             "value": pa.array(v[order]),
-            "ord": pa.array(o[order].astype(np.int32)),
+            "ord": pa.array(new[order].astype(np.int32)),
         },
         schema=POINTS_SCHEMA,
     )

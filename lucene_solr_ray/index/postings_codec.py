@@ -23,7 +23,7 @@ vector kernels (not a byte-level port):
 Layout: one ``bytes`` blob per posting list.  A segment build encodes
 all of its terms' lists in one pass of block-level vector kernels
 (:func:`encode_postings_batch`); :func:`encode_postings` encodes one list
-(merge compaction and remapping use it).  Decoding walks a list block by
+(the merge DocMap rewrite uses it).  Decoding walks a list block by
 block in Python, one numpy bit-unpack per block and stream.
 """
 

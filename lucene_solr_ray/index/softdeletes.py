@@ -39,7 +39,11 @@ import pyarrow as pa
 
 from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.deletes import matching_ords, resolve_update_config
-from lucene_solr_ray.index.manifest import commit_manifest, read_latest_manifest
+from lucene_solr_ray.index.manifest import (
+    commit_manifest,
+    next_segment_id,
+    read_latest_manifest,
+)
 
 __all__ = [
     "soft_delete_by_query",
@@ -132,7 +136,7 @@ def soft_update_documents(
         with_offsets=with_offsets, with_payloads=with_payloads,
     )
     segs = _apply_soft_delete(index_dir, by_doc_ids=ids, commit=False)
-    new_id = max(s["segment_id"] for s in segs) + 1
+    new_id = next_segment_id(index_dir, manifest)
     meta = {
         "segment_id": new_id,
         "stats": seg.stats,

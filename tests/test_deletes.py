@@ -11,14 +11,13 @@ import pytest
 from lucene_solr_ray.index.build import build_index
 from lucene_solr_ray.index.deletes import (
     add_documents,
-    compact_postings_rows,
     delete_by_query,
     delete_by_term,
     delete_doc_ids,
     update_documents,
 )
 from lucene_solr_ray.index.manifest import commit_manifest, read_latest_manifest
-from lucene_solr_ray.index.merge import merge_segments
+from lucene_solr_ray.index.merge import merge_segments, remap_postings_rows
 from lucene_solr_ray.search.searcher import Index
 from lucene_solr_ray.search.similarity import BM25SimilarityF64
 
@@ -177,9 +176,12 @@ def test_compact_postings_byte_identity():
     kept = ords[live_mask]
     new_ords = kept - np.searchsorted(deleted, kept)
     new_norms = norms[np.setdiff1d(np.arange(ndocs), deleted)]
+    # the compaction DocMap: survivors renumbered densely, deleted → −1
+    doc_map = np.arange(ndocs) - np.searchsorted(deleted, np.arange(ndocs))
+    doc_map[deleted] = -1
 
-    out = compact_postings_rows(
-        table, deleted, lambda fld: new_norms
+    out = remap_postings_rows(
+        table, doc_map, lambda fld: new_norms
     )
     assert out.num_rows == 1
     expect_blob = encode_postings(
@@ -279,7 +281,7 @@ def test_numeric_points_range_and_merge(ray_session, tmp_path):
 def test_multifield_delete_merge_matches_fresh(ray_session, tmp_path):
     """Deletes + merge-time compaction on a MULTI-FIELD index: per-field
     norms/stats recompute correctly (the norm__<f> lookup path in
-    compact_postings_rows)."""
+    remap_postings_rows)."""
     import pyarrow.parquet as pq
 
     from lucene_solr_ray.analysis.analyzer import KeywordAnalyzer
@@ -341,14 +343,12 @@ def test_sharded_merge_with_deletes_byte_identical(built, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from lucene_solr_ray.index.merge import merge_segments_sharded
-
     out, texts = built
     delete_by_term(out, "window")
     m = read_latest_manifest(out)
     ids = [s["segment_id"] for s in m["segments"]]
     m1 = merge_segments(out, ids, max(ids) + 1)
-    m2 = merge_segments_sharded(out, ids, max(ids) + 2, num_shards=3)
+    m2 = merge_segments(out, ids, max(ids) + 2, num_shards=3)
     a = pq.read_table(
         os.path.join(out, f"seg_{m1['segment_id']:06d}",
                      "postings.parquet"))
@@ -363,8 +363,6 @@ def test_sharded_merge_points_with_deletes(ray_session, tmp_path):
     import os
 
     import pyarrow.parquet as pq
-
-    from lucene_solr_ray.index.merge import merge_segments_sharded
 
     rng = random.Random(17)
     n = 60
@@ -384,7 +382,7 @@ def test_sharded_merge_points_with_deletes(ray_session, tmp_path):
     m = read_latest_manifest(out)
     ids = [s["segment_id"] for s in m["segments"]]
     m1 = merge_segments(out, ids, max(ids) + 1)
-    m2 = merge_segments_sharded(out, ids, max(ids) + 2, num_shards=3)
+    m2 = merge_segments(out, ids, max(ids) + 2, num_shards=3)
     pa1 = pq.read_table(os.path.join(
         out, f"seg_{m1['segment_id']:06d}", "points.parquet"))
     pa2 = pq.read_table(os.path.join(

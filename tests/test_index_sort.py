@@ -322,14 +322,12 @@ def test_sorted_merge_with_deletes(ray_session, corpus_mf, tmp_path):
 
 
 def test_sharded_sorted_merge_identity(ray_session, corpus_mf, tmp_path):
-    """merge_segments_sharded on SORTED inputs is byte-identical to the
-    single-task sorted merge (broadcast DocMap per term-range task)."""
+    """A term-range merge (num_shards=3) on SORTED inputs is
+    byte-identical to the single-task sorted merge (the DocMaps ride to
+    every term-range task)."""
     import pyarrow.parquet as pq2
 
-    from lucene_solr_ray.index.merge import (
-        merge_segments,
-        merge_segments_sharded,
-    )
+    from lucene_solr_ray.index.merge import merge_segments
 
     sort = [("lang", False), ("prio", True)]
     a = str(tmp_path / "a")
@@ -349,7 +347,7 @@ def test_sharded_sorted_merge_identity(ray_session, corpus_mf, tmp_path):
         int(d.split("_")[-1]) for d in os.listdir(b)
         if d.startswith("seg_")
     )
-    meta2 = merge_segments_sharded(b, ids_b, new_id=900, num_shards=3)
+    meta2 = merge_segments(b, ids_b, new_id=900, num_shards=3)
     assert meta2["index_sort"]["fields"] == [
         {"field": "lang", "desc": False}, {"field": "prio", "desc": True}
     ]

@@ -103,10 +103,7 @@ def test_sharded_merge_byte_identical(sf_dir, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from lucene_solr_ray.index.merge import (
-        merge_segments,
-        merge_segments_sharded,
-    )
+    from lucene_solr_ray.index.merge import merge_segments
     from lucene_solr_ray.search.searcher import Index
 
     outs = []
@@ -121,7 +118,7 @@ def test_sharded_merge_byte_identical(sf_dir, tmp_path):
         if variant == "single":
             merge_segments(out, ids, 99)
         else:
-            merge_segments_sharded(out, ids, 99, num_shards=4)
+            merge_segments(out, ids, 99, num_shards=4)
         outs.append(out)
     a = pq.read_table(os.path.join(outs[0], "seg_000099/postings.parquet"))
     b = pq.read_table(os.path.join(outs[1], "seg_000099/postings.parquet"))
@@ -266,3 +263,72 @@ def test_merge_until_done_with_log_policy(ray_session, tmp_path):
                               similarity=BM25SimilarityF64()).to_pandas()
     assert before.equals(after)
     assert len(read_latest_manifest(out)["segments"]) < 6
+
+
+def _alpha_beta_index(tmp_path, n=20, per_seg=5):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    p = str(tmp_path / "c.parquet")
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                  "text": pa.array(["alpha beta"] * n)}), p)
+    out = str(tmp_path / "idx")
+    build_index(p, out, text_col="text", id_col="doc_id",
+                docs_per_segment=per_seg)
+    return out
+
+
+def _hits(out, term):
+    from lucene_solr_ray.search.searcher import Index
+
+    return sorted(Index(out).search({0: term}, k=1000).column(
+        "doc_id").to_pylist())
+
+
+def test_new_segment_skips_rolled_back_segment_dir(ray_session, tmp_path):
+    """A segment dir left on disk by a rolled-back commit is not the
+    committed view, but its id is taken: the next add must not land on
+    it (and so neither resurrect the rolled-back doc nor lose its own)."""
+    from lucene_solr_ray.index.deletes import add_documents
+    from lucene_solr_ray.index.manifest import rollback
+
+    out = _alpha_beta_index(tmp_path)
+    add_documents(out, [100], ["gamma one"])
+    rollback(out, 0)
+    add_documents(out, [200], ["delta two"])
+    assert _hits(out, "gamma") == []
+    assert _hits(out, "delta") == [200]
+
+
+def test_new_segment_skips_uncommitted_merge_dir(ray_session, tmp_path):
+    """A merge that wrote its segment but never committed (a crash
+    between write and commit) leaves a dir the next add must not reuse."""
+    from lucene_solr_ray.index.deletes import add_documents
+    from lucene_solr_ray.index.merge import merge_segments
+
+    out = _alpha_beta_index(tmp_path)
+    ids = [s["segment_id"] for s in read_latest_manifest(out)["segments"]]
+    merge_segments(out, ids, max(ids) + 1)
+    add_documents(out, [100], ["beta gamma"])
+    assert _hits(out, "gamma") == [100]
+    assert _hits(out, "alpha") == list(range(20))
+    assert _hits(out, "beta") == list(range(20)) + [100]
+
+
+def test_merge_once_skips_rolled_back_segment_dir(ray_session, tmp_path):
+    """merge_once allocates its output ids past every segment dir on disk,
+    committed or not."""
+    from lucene_solr_ray.index.deletes import add_documents
+    from lucene_solr_ray.index.manifest import rollback
+    from lucene_solr_ray.index.merge import merge_once
+
+    out = _alpha_beta_index(tmp_path)
+    add_documents(out, [100], ["gamma one"])
+    rollback(out, 0)
+    n = merge_once(out, TieredMergePolicy(
+        segs_per_tier=1.0))
+    assert n > 0
+    assert _hits(out, "gamma") == []
+    assert _hits(out, "alpha") == list(range(20))
+    assert read_latest_manifest(out)["doc_count"] == 20

@@ -835,10 +835,7 @@ def test_soft_deletes_survive_merges(ray_session, tmp_path):
 
     from lucene_solr_ray.index.build import build_index
     from lucene_solr_ray.index.deletes import delete_by_query
-    from lucene_solr_ray.index.merge import (
-        merge_segments,
-        merge_segments_sharded,
-    )
+    from lucene_solr_ray.index.merge import merge_segments
     from lucene_solr_ray.index.manifest import commit_manifest
     from lucene_solr_ray.index.softdeletes import (
         soft_delete_by_query,
@@ -863,7 +860,7 @@ def test_soft_deletes_survive_merges(ray_session, tmp_path):
         ids = sorted(int(d.split("_")[-1]) for d in os.listdir(out)
                      if d.startswith("seg_"))
         if sharded:
-            m = merge_segments_sharded(out, ids, new_id=500, num_shards=3)
+            m = merge_segments(out, ids, new_id=500, num_shards=3)
         else:
             m = merge_segments(out, ids, new_id=500)
         commit_manifest(out, [m])
