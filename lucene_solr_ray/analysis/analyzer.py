@@ -19,19 +19,37 @@ Semantics mirror the reference:
 - Multi-valued fields are separated by ``positionIncrementGap`` (the
   analyzer's, default 0 for StandardAnalyzer; Solr text fields use 100) —
   ``DefaultIndexingChain.java:888-891``.
+
+Segment builds analyze a whole Arrow column at once
+(``StandardAnalyzer.analyze_column``).  ASCII docs with no joiner between
+word chars take a column path of Arrow string kernels: ``ascii_lower``,
+one RE2 split into ``[0-9a-z_]`` runs, ``is_in`` for stop words, and
+positions from the list offsets.  Non-ASCII docs, docs with a joiner
+(``a.b``, ``3,4``, ``x'y``), docs with a run longer than
+``max_token_length``, and every doc of an analyzer that overrides
+``analyze_with_positions`` go through the per-doc
+``analyze_with_positions``, spliced back in doc order.  Texts become
+Arrow through ``text_array``, which replaces unpaired surrogates with
+U+FFFD as ``UnicodeUtil.UTF16toUTF8`` does.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from lucene_solr_ray.analysis.tokenizer import (
+    _JOINER_BETWEEN,
     DEFAULT_MAX_TOKEN_LENGTH,
     tokenize,
 )
 
 __all__ = [
     "StandardAnalyzer",
+    "text_array",
     "KeywordAnalyzer",
     "ENGLISH_STOP_WORDS",
     "lowercase",
@@ -63,6 +81,40 @@ def lowercase(token: str) -> str:
         )
     # final-sigma: full mapping lowers trailing Σ to ς; simple mapping → σ
     return out.replace("ς", "σ")
+
+
+def _utf16_to_utf8(text: str) -> str:
+    """Pair surrogates and replace unpaired ones with U+FFFD."""
+    return text.encode("utf-16-le", "surrogatepass").decode(
+        "utf-16-le", "replace")
+
+
+def text_array(texts) -> pa.Array:
+    """Texts as one Arrow string array.
+
+    Accepts an Arrow (chunked) array or a sequence of ``str``/``None``.
+    Python strings may hold unpaired surrogates, which UTF-8 cannot
+    encode; they become U+FFFD (surrogate pairs join into one code
+    point), as Lucene's ``UnicodeUtil.UTF16toUTF8`` does."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    if not isinstance(texts, pa.Array):
+        texts = list(texts)
+        try:
+            texts = pa.array(texts, pa.string())
+        except UnicodeEncodeError:
+            texts = pa.array(
+                [None if t is None else _utf16_to_utf8(t) for t in texts],
+                pa.string(),
+            )
+    elif texts.type != pa.string():
+        texts = texts.cast(pa.string())
+    return texts
+
+
+#: the ASCII tokenizer's word chars, after lowercasing; a run of them is a
+#: token when it holds an alphanumeric (``tokenizer._SIMPLE_RUN``)
+_NON_WORD_RUN = "[^0-9a-z_]+"
 
 
 class StandardAnalyzer:
@@ -134,6 +186,98 @@ class StandardAnalyzer:
             terms.append(lt)
             positions.append(pos)
         return terms, positions, len(terms)
+
+    # -- a column of docs (the segment-build path) -------------------------
+    def analyze_column(
+        self, texts
+    ) -> Tuple[pa.Array, np.ndarray, np.ndarray, np.ndarray]:
+        """Analyze a column of docs; returns ``(tokens, token_docs,
+        positions, field_lengths)``.
+
+        ``tokens`` is the flat string column of every doc's terms in
+        (doc, position) order, ``token_docs`` and ``positions`` give each
+        token's doc ordinal and position, and ``field_lengths`` each doc's
+        field length: per doc, what ``analyze_with_positions`` returns
+        (a null doc analyzes as ``""``).  The module docstring says which
+        docs take the column path."""
+        texts = text_array(texts)
+        if texts.null_count:
+            texts = texts.fill_null("")
+        n = len(texts)
+        per_doc = np.ones(n, dtype=bool)
+        parts = []  # (tokens, token_docs, positions), each in doc order
+        field_lens = np.zeros(n, dtype=np.int64)
+        if n and type(self).analyze_with_positions is \
+                StandardAnalyzer.analyze_with_positions:
+            per_doc = ~pc.and_not(
+                pc.string_is_ascii(texts),
+                pc.match_substring_regex(texts, _JOINER_BETWEEN.pattern),
+            ).to_numpy(zero_copy_only=False)
+            col_docs = np.flatnonzero(~per_doc)
+            if len(col_docs):
+                part, long_docs = self._analyze_ascii_runs(
+                    texts if len(col_docs) == n else texts.take(col_docs),
+                    col_docs)
+                per_doc[long_docs] = True
+                if len(part[1]):
+                    parts.append(part)
+                    field_lens += np.bincount(part[1], minlength=n)
+        slow = np.flatnonzero(per_doc)
+        if len(slow):
+            terms: List[str] = []
+            positions: List[int] = []
+            counts = np.zeros(len(slow), dtype=np.int64)
+            for i, text in enumerate(texts.take(slow).to_pylist()):
+                t, p, field_lens[slow[i]] = self.analyze_with_positions(text)
+                terms.extend(t)
+                positions.extend(p)
+                counts[i] = len(t)
+            if terms:
+                parts.append((pa.array(terms, pa.string()),
+                              np.repeat(slow, counts),
+                              np.array(positions, dtype=np.int64)))
+        if not parts:
+            return (pa.array([], pa.string()), np.zeros(0, np.int64),
+                    np.zeros(0, np.int64), field_lens)
+        if len(parts) == 1:
+            return (*parts[0], field_lens)
+        # splice the two paths back into doc order
+        docs = np.concatenate([p[1] for p in parts])
+        order = np.argsort(docs, kind="stable")
+        tokens = pa.concat_arrays([p[0] for p in parts]).take(order)
+        positions = np.concatenate([p[2] for p in parts])[order]
+        return tokens, docs[order], positions, field_lens
+
+    def _analyze_ascii_runs(self, texts: pa.Array, docs: np.ndarray):
+        """The column path over ASCII, joiner-free ``texts`` (doc ordinals
+        ``docs``): ``((tokens, token_docs, positions), long_docs)``.  Docs
+        holding a run longer than ``max_token_length`` are left out and
+        returned as ``long_docs``, since the tokenizer splits such runs."""
+        runs = pc.split_pattern_regex(pc.ascii_lower(texts), _NON_WORD_RUN)
+        tokens = runs.flatten()
+        owner = pc.list_parent_indices(runs).to_numpy()
+        # empty and underscore-only runs are no tokens
+        keep = pc.binary_length(pc.ascii_ltrim(tokens, "_")).to_numpy() > 0
+        long_runs = pc.binary_length(tokens).to_numpy() \
+            > self.max_token_length
+        long_docs = np.zeros(len(docs), dtype=bool)
+        if long_runs.any():
+            long_docs[owner[keep & long_runs]] = True
+            keep &= ~long_docs[owner]
+        if not keep.all():
+            tokens = tokens.filter(pa.array(keep))
+            owner = owner[keep]
+        # position = index among the doc's tokens, taken before the stop
+        # filter so that dropped stop words leave their gaps
+        n_toks = np.bincount(owner, minlength=len(docs))
+        positions = np.arange(len(owner)) - (np.cumsum(n_toks) - n_toks)[owner]
+        if self.stop_words:
+            kept = pc.invert(pc.is_in(tokens, value_set=pa.array(
+                sorted(self.stop_words), pa.string())))
+            tokens = tokens.filter(kept)
+            kept = kept.to_numpy(zero_copy_only=False)
+            owner, positions = owner[kept], positions[kept]
+        return (tokens, docs[owner], positions), docs[long_docs]
 
     def analyze_with_offsets(self, text: str):
         """(terms, positions, starts, ends, field_length) — the

@@ -42,6 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from lucene_solr_ray.analysis.analyzer import text_array
 from lucene_solr_ray.index.manifest import (
     read_latest_manifest,
     segment_dir_name,
@@ -97,7 +98,7 @@ def _write_delta(index_dir: str, doc_ids: Sequence[int],
     pq.write_table(
         pa.table({
             "doc_id": pa.array(list(doc_ids), pa.int64()),
-            "text": pa.array(list(texts), pa.string()),
+            "text": text_array(texts),
         }),
         tmp, compression="zstd",
     )

@@ -230,11 +230,12 @@ class _BuildShard:
             perm = np.lexsort(tuple(keys))
             t = t.take(perm)
             doc_ids = [doc_ids[i] for i in perm]
-        texts = t.column(self.text_col).to_pylist()
+        # text columns stay Arrow: build_segment_tables analyzes columns
+        texts = t.column(self.text_col)
         if self.extra_fields:
             field_texts = {self.text_col: texts}
             for fname, colname in self.extra_fields.items():
-                field_texts[fname] = t.column(colname).to_pylist()
+                field_texts[fname] = t.column(colname)
             seg = build_segment_tables_multi(
                 doc_ids, field_texts, self.text_col, self.analyzer,
                 self.with_positions, self.with_offsets,
@@ -301,7 +302,9 @@ class _BuildShard:
                 else {}
             ),
             "lineage": {
-                "path": shard["path"],
+                # relative to the index, so that an index's bytes do not
+                # depend on where the corpus and index sit
+                "path": os.path.relpath(shard["path"], self.out_dir),
                 "row_start": shard["row_start"],
                 "row_end": shard["row_end"],
                 "doc_base": shard["doc_base"],

@@ -8,8 +8,9 @@ Mirrors the reference's two-phase commit protocol at the filesystem level:
 
 - each segment directory ``seg_<id>/`` is written under a temp name and
   atomically renamed into place; it contains ``postings.parquet``,
-  ``docmeta.parquet`` and ``segment.json`` (stats + lineage: input file,
-  row range, doc_base, content-sha256 roll-up);
+  ``docmeta.parquet`` and ``segment.json`` (stats + lineage: input file
+  relative to the index directory, row range, doc_base, content-sha256
+  roll-up);
 - ``manifest-<N>.json`` lists the live segment dirs plus summed collection
   stats; written via tmp+rename; the largest N wins (generation counter).
 

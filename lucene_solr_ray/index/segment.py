@@ -23,6 +23,14 @@ contiguous slice of corpus rows and emits:
 Segment-local ordinals keep posting arrays dense int32 regardless of global
 doc_id assignment; ``docmeta`` row *i* is ordinal *i* (ords → doc_id is one
 ``take``).  This mirrors Lucene's segment-local docIDs + ``ctx.docBase``.
+
+Texts arrive as an Arrow string column (a list is converted once, unpaired
+surrogates becoming U+FFFD) and are analyzed as a column by
+``StandardAnalyzer.analyze_column``: ASCII docs without joiners go through
+Arrow string kernels, the rest through the per-doc
+``analyze_with_positions`` (see ``analysis/analyzer.py``).  The offset and
+payload attribute paths analyze doc by doc.  Inversion reads the flat
+token column that either path returns.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
+from lucene_solr_ray.analysis.analyzer import StandardAnalyzer, text_array
 from lucene_solr_ray.analysis.smallfloat import int_to_byte4_np
 from lucene_solr_ray.index.postings_codec import encode_postings_batch
 
@@ -100,9 +108,18 @@ def _term_blobs(values: np.ndarray, tok_edges: np.ndarray) -> pa.Array:
     )
 
 
+def _sha256_each(texts: pa.Array) -> List[bytes]:
+    """SHA-256 of each value's UTF-8 bytes, read off the Arrow buffers."""
+    offsets = np.frombuffer(texts.buffers()[1], np.int32)[
+        texts.offset:texts.offset + len(texts) + 1].tolist()
+    data = memoryview(texts.buffers()[2] or b"")
+    sha = hashlib.sha256
+    return [sha(data[a:b]).digest() for a, b in zip(offsets, offsets[1:])]
+
+
 def build_segment_tables(
     doc_ids: Sequence[int],
-    texts: Sequence[Optional[str]],
+    texts: "Sequence[Optional[str]] | pa.Array | pa.ChunkedArray",
     analyzer: Optional[StandardAnalyzer] = None,
     with_positions: bool = True,
     with_offsets: bool = False,
@@ -110,8 +127,10 @@ def build_segment_tables(
 ) -> SegmentData:
     """Invert a slice of documents into sorted postings + docmeta tables.
 
-    Pure function of its inputs — same rows in, same bytes out, under any
-    parallelism (the determinism the resume/checkpoint protocol relies on).
+    ``texts`` is an Arrow string (chunked) array or a sequence of
+    ``str``/``None``; ``None`` indexes as ``""``.  Pure function of its
+    inputs — same rows in, same bytes out, under any parallelism (the
+    determinism the resume/checkpoint protocol relies on).
     """
     analyzer = analyzer or StandardAnalyzer()
     if with_offsets and not with_positions:
@@ -129,36 +148,34 @@ def build_segment_tables(
             "with_payloads needs a payload-producing analyzer "
             "(e.g. DelimitedPayloadAnalyzer)"
         )
+    texts = text_array(texts)
+    if texts.null_count:
+        texts = texts.fill_null("")
     n = len(texts)
     assert len(doc_ids) == n
+    shas = _sha256_each(texts)
 
-    # analysis: one analyzer call per doc; everything after it is columnar
-    shas = [
-        hashlib.sha256((t or "").encode("utf-8")).digest() for t in texts
-    ]
-    doc_lens = np.zeros(n, dtype=np.int64)
-    term_lists: List[List[str]] = []
-    pos_lists: List[List[int]] = []
-    start_lists: List[List[int]] = []
-    end_lists: List[List[int]] = []
-    pay_lists: List[List[float]] = []
-    for ord_, text in enumerate(texts):
-        if text is None:
-            text = ""
-        if with_payloads:
-            terms, positions, payloads, flen = \
-                analyzer.analyze_with_payloads(text)
-            pay_lists.append(payloads)
-        elif with_offsets:
-            terms, positions, starts, ends, flen = \
-                analyzer.analyze_with_offsets(text)
-            start_lists.append(starts)
-            end_lists.append(ends)
-        else:
-            terms, positions, flen = analyzer.analyze_with_positions(text)
-        term_lists.append(terms)
-        pos_lists.append(positions)
-        doc_lens[ord_] = flen
+    if with_offsets or with_payloads:
+        # the offset and payload attribute paths analyze doc by doc, into
+        # the columns (terms, positions, payloads | starts, ends,
+        # field_length); empty ones when there are no docs
+        analyze = (analyzer.analyze_with_payloads if with_payloads
+                   else analyzer.analyze_with_offsets)
+        cols = list(zip(*map(analyze, texts.to_pylist()))) or [()] * 5
+        n_toks = np.fromiter(map(len, cols[0]), np.int64, n)
+        total = int(n_toks.sum())
+
+        def flat(lists, dtype) -> np.ndarray:
+            return np.fromiter(chain.from_iterable(lists), dtype, total)
+
+        tokens = pa.array(flat(cols[0], object), pa.string())
+        tok_docs = np.repeat(np.arange(n, dtype=np.int64), n_toks)
+        tok_pos = flat(cols[1], np.int64)
+        attrs = [flat(c, np.float64 if with_payloads else np.int64)
+                 for c in cols[2:-1]]
+        doc_lens = np.array(cols[-1], dtype=np.int64)
+    else:
+        tokens, tok_docs, tok_pos, doc_lens = analyzer.analyze_column(texts)
 
     # columnar inversion (the TermsHash + sortPostings analogue, reference
     # index/TermsHashPerField.java / FreqProxTermsWriter.java): dictionary-
@@ -166,9 +183,7 @@ def build_segment_tables(
     # sort the tokens by term rank (they arrive in (doc, position) order, so
     # this is the (term, doc, occurrence) order), and read the (term, doc)
     # groups and the term groups off the boundaries of the sorted columns
-    tokens = pa.array(term_lists, type=pa.list_(pa.string()))
-    n_toks = pc.list_value_length(tokens).to_numpy(zero_copy_only=False)
-    enc = pc.dictionary_encode(tokens.flatten())
+    enc = pc.dictionary_encode(tokens)
     by_term = pc.sort_indices(enc.dictionary).to_numpy()
     rank = np.empty(len(by_term), dtype=np.int64)
     rank[by_term] = np.arange(len(by_term), dtype=np.int64)
@@ -178,7 +193,7 @@ def build_segment_tables(
     order = np.argsort(code, kind="stable")
     n_occurrences = len(order)
     s_code = code[order]
-    s_ord = np.repeat(np.arange(n, dtype=np.int64), n_toks)[order]
+    s_ord = tok_docs[order]
     new_group = np.ones(n_occurrences, dtype=bool)
     new_group[1:] = (s_code[1:] != s_code[:-1]) | (s_ord[1:] != s_ord[:-1])
     g_start = np.flatnonzero(new_group)
@@ -200,25 +215,17 @@ def build_segment_tables(
     blobs = encode_postings_batch(g_ord, g_freq, norm_bytes, t_starts,
                                   t_counts)
 
-    def flat(lists: List[list], dtype) -> np.ndarray:
-        """Per-doc value lists as one array in (term, doc, occurrence)
-        order."""
-        return np.fromiter(chain.from_iterable(lists), dtype,
-                           n_occurrences)[order]
-
     n_terms = len(t_starts)
     positions_arr = offsets_arr = payloads_arr = pa.nulls(
         n_terms, pa.binary())
     if with_positions:
-        positions_arr = _term_blobs(
-            flat(pos_lists, np.int64).astype("<i4"), tok_edges)
+        positions_arr = _term_blobs(tok_pos[order].astype("<i4"), tok_edges)
     if with_offsets:
-        pairs = np.stack([flat(start_lists, np.int64),
-                          flat(end_lists, np.int64)], axis=1)
+        pairs = np.stack([attrs[0][order], attrs[1][order]], axis=1)
         offsets_arr = _term_blobs(pairs.astype("<i4"), tok_edges)
     if with_payloads:
-        payloads_arr = _term_blobs(
-            flat(pay_lists, np.float64).astype("<f4"), tok_edges)
+        payloads_arr = _term_blobs(attrs[0][order].astype("<f4"),
+                                   tok_edges)
 
     postings_cols: Dict[str, pa.Array] = {
         "term": terms_sorted,
