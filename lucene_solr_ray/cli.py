@@ -11,7 +11,8 @@ Usage (each command owns its Ray session; on a cluster submit with
     python -m lucene_solr_ray.cli suggest --index IDX --prefix s [-n 10]
     python -m lucene_solr_ray.cli stats  --index IDX
     python -m lucene_solr_ray.cli check  --index IDX
-    python -m lucene_solr_ray.cli serve  --index IDX   # queries on stdin
+    python -m lucene_solr_ray.cli serve  --index IDX   # queries on stdin;
+        # a ``:stats`` line prints the engine's counters as one JSON line
 """
 
 from __future__ import annotations
@@ -293,6 +294,9 @@ def main(argv=None) -> int:
             for line in sys.stdin:  # one query per line → one JSON per hit
                 q = line.strip()
                 if not q:
+                    continue
+                if q == ":stats":  # the engine's cache and call counters
+                    print(json.dumps(eng.stats()), flush=True)
                     continue
                 import time as _t
 

@@ -30,9 +30,11 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    policy and doc-values update return per-segment sidecar rows that
    ``index.sidecars.write_pass`` folds into one manifest commit; the
    atomic-update stored-column read is a plain scan.
-4. **Merge** — ``TopDocs.merge`` tie-break (score desc, segment asc,
-   doc asc — ``search/TopDocs.java:72-115,188-250``) on the driver; the
-   merge input is ≤ segments × queries × k tiny rows.
+4. **Merge** — :func:`_merge_topk`, ``TopDocs.merge``
+   (``search/TopDocs.java:72-115,188-250``) as one numpy ``lexsort`` on
+   the driver, ties broken by global doc id; the warm engine merges its
+   actors' replies with it too.  The merge input is ≤ segments × queries
+   × k rows.
 
 Steps 1–2 read only postings metadata columns; step 3 is the only pass that
 touches posting lists.
@@ -498,14 +500,19 @@ class _StatsFn:
         )
 
 
-def _collect_topk(pairs, parsed, stats: GlobalStats,
-                  sim: BM25Similarity) -> pa.Table:
-    """Top-score collector: each query's top-k rows over the batch."""
-    qids: List[int] = []
-    doc_ids: List[np.ndarray] = []
-    scores: List[np.ndarray] = []
-    seg_ords: List[np.ndarray] = []
-    ords_out: List[np.ndarray] = []
+#: the top-k collector's columns, in the order :func:`_topk_columns`
+#: returns them
+TOPK_COLUMNS = ("qid", "doc_id", "score", "seg_ord", "ord")
+
+
+def _topk_columns(pairs, parsed, stats: GlobalStats,
+                  sim: BM25Similarity) -> Tuple[np.ndarray, ...]:
+    """Top-score collector: each query's top-k hits over ``pairs``, as
+    numpy columns in :data:`TOPK_COLUMNS` order.
+
+    The batch scan runs it in a Ray Data task (:func:`_collect_topk`);
+    a warm-engine actor runs it over its resident readers and replies
+    with the arrays pickled into bytes."""
     # per-batch partial merge: when one task scores MANY segments
     # (batched executor plans, 10^6-segment indexes), only the
     # batch-wide top-k per query leaves the task — the driver merge
@@ -520,43 +527,31 @@ def _collect_topk(pairs, parsed, stats: GlobalStats,
                     (reader.doc_ids[o], s,
                      np.full(len(o), seg_ord, dtype=np.int32), o)
                 )
+    cols: List[List[np.ndarray]] = [
+        [np.empty(0, np.int64)], [np.empty(0, np.int64)],
+        [np.empty(0, sim.out_dtype)], [np.empty(0, np.int32)],
+        [np.empty(0, np.int32)],
+    ]
     for qid, q, k in parsed:
         parts = per_q[qid]
         if not parts:
             continue
-        d = np.concatenate([p[0] for p in parts])
-        s = np.concatenate([p[1] for p in parts])
-        g = np.concatenate([p[2] for p in parts])
-        o = np.concatenate([p[3] for p in parts])
+        d, s, g, o = (np.concatenate(c) for c in zip(*parts))
         if len(d) > k:
             # same comparator as the driver merge: score desc, then
             # global doc_id asc (segmentation-invariant ties)
             sel = np.lexsort((d, -s.astype(np.float64)))[:k]
             d, s, g, o = d[sel], s[sel], g[sel], o[sel]
-        qids.extend([qid] * len(d))
-        doc_ids.append(d)
-        scores.append(s)
-        seg_ords.append(g)
-        ords_out.append(o)
-    if not qids:
-        return pa.table(
-            {
-                "qid": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.from_numpy_dtype(sim.out_dtype)),
-                "seg_ord": pa.array([], pa.int32()),
-                "ord": pa.array([], pa.int32()),
-            }
-        )
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "doc_id": pa.array(np.concatenate(doc_ids)),
-            "score": pa.array(np.concatenate(scores)),
-            "seg_ord": pa.array(np.concatenate(seg_ords)),
-            "ord": pa.array(np.concatenate(ords_out)),
-        }
-    )
+        for c, a in zip(cols, (np.full(len(d), qid, np.int64), d, s, g, o)):
+            c.append(a)
+    return tuple(np.concatenate(c) for c in cols)
+
+
+def _collect_topk(pairs, parsed, stats: GlobalStats,
+                  sim: BM25Similarity) -> pa.Table:
+    """:func:`_topk_columns` as the Arrow table a Ray Data map returns."""
+    return pa.table(dict(zip(
+        TOPK_COLUMNS, _topk_columns(pairs, parsed, stats, sim))))
 
 
 # ---------------------------------------------------------------------------
@@ -845,22 +840,27 @@ class Index:
     ) -> pa.Table:
         parsed, stats = _prepare_batch(self.collect_stats, parsed)
         sim = similarity or BM25Similarity()
-        rows = self.scan(
+        parts = self.scan(
             partial(_collect_topk, parsed=parsed, stats=stats, sim=sim),
             concurrency=concurrency,
             respect_soft_deletes=respect_soft_deletes,
-        ).take_all()
-        # TopDocs.merge — score desc, segment asc, doc asc (TopDocs.java)
-        return _merge_topk(rows, parsed, sim.out_dtype)
+        ).iter_batches(batch_size=None, batch_format="numpy")
+        return _merge_topk([tuple(b[c] for c in TOPK_COLUMNS) for b in parts],
+                           parsed, sim.out_dtype)
+
+
+def _batch_items(queries) -> List[Tuple[int, str]]:
+    """``{qid: text}`` or a list of texts → ``(qid, text)`` pairs in qid
+    order."""
+    return (
+        sorted(queries.items()) if isinstance(queries, dict)
+        else list(enumerate(queries))
+    )
 
 
 def _parse_batch(parser, queries, k: int) -> List[Tuple[int, Query, int]]:
     """``{qid: text}`` or a list of texts → ``(qid, Query, k)`` triples."""
-    items = (
-        sorted(queries.items()) if isinstance(queries, dict)
-        else list(enumerate(queries))
-    )
-    return [(qid, parser.parse(s), k) for qid, s in items]
+    return [(qid, parser.parse(s), k) for qid, s in _batch_items(queries)]
 
 
 def _prepare_batch(fetch, parsed):
@@ -869,31 +869,34 @@ def _prepare_batch(fetch, parsed):
     return [(qid, q, k) for (qid, _, k), q in zip(parsed, qs)], stats
 
 
-def _merge_topk(rows: List[dict], parsed, score_dtype=np.float32) -> pa.Table:
-    by_q: Dict[int, List[dict]] = {qid: [] for qid, _, _ in parsed}
-    for r in rows:
-        by_q[r["qid"]].append(r)
-    out_qid: List[int] = []
-    out_rank: List[int] = []
-    out_doc: List[int] = []
-    out_score: List[float] = []
-    for qid, _, k in parsed:
-        rs = by_q.get(qid, [])
-        # ties break on the GLOBAL doc_id — rankings invariant to
-        # segmentation (merge/parallelism); stricter than TopDocs.merge's
-        # (score, shardIndex, doc), which shifts when segments merge
-        rs.sort(key=lambda r: (-r["score"], r["doc_id"]))
-        for rank, r in enumerate(rs[:k]):
-            out_qid.append(qid)
-            out_rank.append(rank)
-            out_doc.append(r["doc_id"])
-            out_score.append(r["score"])
+def _merge_topk(parts, parsed, score_dtype=np.float32) -> pa.Table:
+    """TopDocs.merge: each parsed query's top k over ``parts``, a list of
+    numpy column tuples that start (qid, doc_id, score) — collector
+    partials, or a warm engine's cached hits.  Returns (qid, rank,
+    doc_id, score) sorted by ``parsed`` order, then rank."""
+    qids = np.array([qid for qid, _, _ in parsed], np.int64)
+    ks = np.array([k for _, _, k in parsed], np.int64)
+    q, d, s = (
+        np.concatenate([p[i] for p in parts]) if parts
+        else np.empty(0, dt)
+        for i, dt in enumerate((np.int64, np.int64, score_dtype))
+    )
+    # each row's query as its position in ``parsed``
+    by_qid = np.argsort(qids, kind="stable")
+    pos = by_qid[np.searchsorted(qids, q, sorter=by_qid)]
+    # ties break on the GLOBAL doc_id — rankings invariant to
+    # segmentation (merge/parallelism); stricter than TopDocs.merge's
+    # (score, shardIndex, doc), which shifts when segments merge
+    order = np.lexsort((d, -s.astype(np.float64), pos))
+    pos, d, s = pos[order], d[order], s[order]
+    rank = np.arange(len(pos)) - np.searchsorted(pos, pos)
+    keep = rank < ks[pos]
     return pa.table(
         {
-            "qid": pa.array(out_qid, pa.int64()),
-            "rank": pa.array(out_rank, pa.int32()),
-            "doc_id": pa.array(out_doc, pa.int64()),
-            "score": pa.array(np.asarray(out_score, dtype=score_dtype)),
+            "qid": pa.array(qids[pos[keep]]),
+            "rank": pa.array(rank[keep].astype(np.int32)),
+            "doc_id": pa.array(d[keep].astype(np.int64)),
+            "score": pa.array(s[keep].astype(score_dtype)),
         }
     )
 

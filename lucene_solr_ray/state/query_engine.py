@@ -8,6 +8,9 @@ call).  This is the resident form of the reference's hot searcher
 executor, ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher
 .java:183-209,564-593``; Solr's scatter-gather over shard replicas):
 
+- a driver LRU of each (query text, k)'s merged top-k (Solr's
+  ``queryResultCache`` in front of the searchers): one engine has one
+  parser, similarity and commit point, so a repeat skips even the parse;
 - N ``SegmentSearcher`` actors, each OWNING a static partition of the
   segments (round-robin by size) as lazy ``SegmentReader``s: ``warm()``
   loads their term dictionaries, norms, posting blocks and positions,
@@ -16,39 +19,43 @@ executor, ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher
   patterns, fetch stats + expansions, rewrite), answered on the driver
   from a global term dictionary summed over every segment once per
   engine (``IndexSearcher`` summing leaves in-process, not Solr's
-  ExactStatsCache round trip), so a first-seen query costs no more
-  round trips than a repeat;
-- ``search`` = one actor round-trip per query batch + driver TopDocs
-  merge.  This is the only place the engine drops to raw ``@ray.remote``
-  actors — the Dataset API cannot express a resident service.
+  ExactStatsCache round trip);
+- ``search`` sends a batch's misses in one fan-out to the actors, which
+  run the batch search's top-k collector.  This is the only place the
+  engine drops to raw ``@ray.remote`` actors — the Dataset API cannot
+  express a resident service.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import os
+import pickle
 from collections import OrderedDict
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pyarrow as pa
 
 from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
-from lucene_solr_ray.search.query import Query
+from lucene_solr_ray.search.query import Query, TermQuery
 from lucene_solr_ray.search.scorer import GlobalStats
 from lucene_solr_ray.search.searcher import (
     Index,
+    _batch_items,
     _merge_topk,
-    _parse_batch,
     _prepare_batch,
+    _topk_columns,
     match_terms_arrow,
 )
 from lucene_solr_ray.search.similarity import BM25Similarity
 
 __all__ = ["QueryEngine"]
 
-#: entries in each actor's result cache and in the driver's expansion
-#: cache (both LRU)
+#: entries in the driver's result cache and in its expansion cache (both
+#: LRU)
 CACHE_CAP = 1024
 
 
@@ -57,18 +64,13 @@ def _make_actor_cls():
 
     @ray.remote
     class SegmentSearcherActor:
-        def __init__(self, seg_dirs: List[str], seg_ords: List[int]):
+        def __init__(self, seg_dirs: List[str], seg_ords: List[int], sim):
             from lucene_solr_ray.search.reader import SegmentReader
 
             self.readers = [
                 (SegmentReader(d), o) for d, o in zip(seg_dirs, seg_ords)
             ]
-            # per-actor LRU of per-segment top-k results — the
-            # LRUQueryCache role (reference ``search/LRUQueryCache.java``;
-            # ours caches scored top-k rather than filter bitsets: global
-            # stats are append-stable within one engine, so repeats are
-            # bit-identical). 1024 entries ≈ a few MB.
-            self._cache: "OrderedDict" = OrderedDict()
+            self.sim = sim
 
         def term_columns(self) -> List[Tuple]:
             """Every resident segment's (terms, df, ttf), for the driver
@@ -77,61 +79,27 @@ def _make_actor_cls():
             actor (about 1 s and several MB)."""
             return [r.term_columns for r, _ in self.readers]
 
-        def prime(self) -> int:
+        def prime(self) -> None:
             """firstSearcher warming (Solr's solrconfig warm-up queries):
-            exercise the scoring code path once, and load each reader's
-            positions, so the first real query doesn't pay module-import,
-            kernel-JIT or segment-read costs (patterns expand on the
-            driver)."""
-            from lucene_solr_ray.search.query import TermQuery
-            from lucene_solr_ray.search.scorer import (
-                GlobalStats,
-                topk_segment,
-            )
+            run the collector once per reader, and load its positions,
+            so the first real query doesn't pay module-import, kernel-JIT
+            or segment-read costs (patterns expand on the driver)."""
+            for reader, o in self.readers:
+                if reader.terms:
+                    t = reader.terms[0]
+                    gs = GlobalStats(reader.stats["doc_count"],
+                                     reader.stats["sum_total_term_freq"])
+                    gs.df[t], gs.ttf[t] = reader.term_stats(t)
+                    _topk_columns([(reader, o)], [(0, TermQuery(t), 1)],
+                                  gs, self.sim)
+                    reader.positions(t)
 
-            n = 0
-            for reader, _ in self.readers:
-                ts = reader.terms
-                if not ts:
-                    continue
-                t0 = ts[0]
-                st = reader.term_stats(t0) or (1, 1)
-                gs = GlobalStats(
-                    doc_count=max(reader.stats["doc_count"], 1),
-                    sum_total_term_freq=max(
-                        reader.stats["sum_total_term_freq"], 1
-                    ),
-                )
-                gs.df[t0], gs.ttf[t0] = st
-                topk_segment(reader, TermQuery(t0), gs, 1)
-                reader.positions(t0)
-                n += 1
-            return n
-
-        def search(self, parsed, stats: GlobalStats, sim) -> List[dict]:
-            from lucene_solr_ray.search.scorer import topk_segment
-
-            rows = []
-            for reader, seg_ord in self.readers:
-                for qid, q, k in parsed:
-                    key = (seg_ord, repr(q), k, type(sim).__name__)
-                    hit = self._cache.get(key)
-                    if hit is not None:
-                        self._cache.move_to_end(key)
-                        ords, scores = hit
-                    else:
-                        ords, scores = topk_segment(reader, q, stats, k, sim)
-                        self._cache[key] = (ords, scores)
-                        if len(self._cache) > CACHE_CAP:
-                            self._cache.popitem(last=False)
-                    dids = reader.doc_ids[ords]
-                    for o, d, s in zip(ords, dids, scores):
-                        rows.append(
-                            {"qid": qid, "doc_id": int(d),
-                             "score": float(s), "seg_ord": seg_ord,
-                             "ord": int(o)}
-                        )
-            return rows
+        def search(self, parsed, stats: GlobalStats) -> bytes:
+            """:func:`_topk_columns` over the resident readers, pickled: a
+            reply of bare numpy arrays took about 0.5 ms more per call, and
+            an Arrow one would import Ray Data into the actor."""
+            return pickle.dumps(
+                _topk_columns(self.readers, parsed, stats, self.sim))
 
     return SegmentSearcherActor
 
@@ -153,7 +121,14 @@ class QueryEngine:
         self.parser = index.make_parser(analyzer)
         self.sim = similarity or BM25Similarity()
         self._dict: Optional[Tuple] = None  # see ``_dictionary``
-        self._expansion_cache: "OrderedDict[Query, Tuple]" = OrderedDict()
+        # a pattern → its sorted matches in the global dictionary
+        self._expand = functools.lru_cache(CACHE_CAP)(
+            lambda p: tuple(sorted(
+                match_terms_arrow(p, self._dictionary()[0]))))
+        # (query text, k) → that query's merged (doc_ids, scores)
+        self._results: "OrderedDict[Tuple[str, int], Tuple]" = OrderedDict()
+        self._counts = dict.fromkeys(
+            ("result_hits", "result_misses", "actor_calls", "failovers"), 0)
 
         # replica-aware serving (reference ``lucene/replicator/.../
         # IndexRevision.java``: replicas exist to SERVE searches): actors
@@ -178,7 +153,7 @@ class QueryEngine:
             parts[i % n][1].append(i)
         self._parts = [(dirs, ords) for dirs, ords in parts if dirs]
         self.actors = [
-            cls.remote(self._serve_dirs(ai, dirs), ords)
+            cls.remote(self._serve_dirs(ai, dirs), ords, self.sim)
             for ai, (dirs, ords) in enumerate(self._parts)
         ]
 
@@ -223,13 +198,15 @@ class QueryEngine:
         import ray
 
         futs = [getattr(a, method).remote(*args) for a in self.actors]
+        self._counts["actor_calls"] += len(futs)
         out: List = []
         for i, f in enumerate(futs):
             try:
                 out.append(ray.get(f))
             except ray.exceptions.RayActorError:
+                self._counts["failovers"] += 1
                 dirs, ords = self._parts[i]
-                self.actors[i] = self._actor_cls.remote(dirs, ords)
+                self.actors[i] = self._actor_cls.remote(dirs, ords, self.sim)
                 out.append(ray.get(
                     getattr(self.actors[i], method).remote(*args)
                 ))
@@ -240,15 +217,14 @@ class QueryEngine:
         """Block until every actor has loaded its segments AND run the
         firstSearcher-style warm-up (one scoring per reader), fetch the
         term dictionary, then run (optionally) a list of representative
-        warm-up queries end-to-end with results discarded — the role of
-        Solr's configured ``firstSearcher``/``newSearcher`` listener
-        queries (``solr/core/src/java/org/apache/solr/core/
+        warm-up queries as one batch, which also fills the result cache —
+        the role of Solr's configured ``firstSearcher``/``newSearcher``
+        listener queries (``solr/core/src/java/org/apache/solr/core/
         QuerySenderListener.java``), which exist precisely so production
         latency never pays first-execution costs."""
         self._gather("prime")
         self._dictionary()
-        for q in queries or ():
-            self.search({0: q}, k=k)
+        self.search(list(queries or ()), k=k)
 
     def _dictionary(self) -> Tuple:
         """The global term dictionary: sorted terms (Arrow, to expand
@@ -270,18 +246,6 @@ class QueryEngine:
                           [sums[t][1] for t in keys])
         return self._dict
 
-    def _expand(self, pattern: Query) -> Tuple[str, ...]:
-        """``pattern``'s matches in the global dictionary, LRU-cached."""
-        cache = self._expansion_cache
-        if pattern in cache:
-            cache.move_to_end(pattern)
-        else:
-            cache[pattern] = tuple(sorted(
-                match_terms_arrow(pattern, self._dictionary()[0])))
-            if len(cache) > CACHE_CAP:
-                cache.popitem(last=False)
-        return cache[pattern]
-
     def _stats_for(self, terms: Sequence[str],
                    patterns: List[Query]) -> Tuple[GlobalStats, Dict]:
         """``Index.collect_stats``'s contract (stats for the terms AND
@@ -299,13 +263,47 @@ class QueryEngine:
 
     def search(self, queries: Dict[int, str] | Sequence[str],
                k: int = 10) -> pa.Table:
-        parsed, stats = _prepare_batch(
-            self._stats_for, _parse_batch(self.parser, queries, k)
-        )
-        rows: List[dict] = []
-        for part in self._gather("search", parsed, stats, self.sim):
-            rows.extend(part)
-        return _merge_topk(rows, parsed, self.sim.out_dtype)
+        """``Index.search``'s answer for a batch of query texts.  Hits
+        come from the result cache; the misses are parsed, prepared and
+        sent in one ``search`` fan-out, then cached."""
+        items = _batch_items(queries)
+        cache = self._results
+        # every hit is read before a miss is inserted, which may evict it
+        parts, misses = [], []
+        for qid, text in items:
+            hit = cache.get((text, k))
+            if hit is None:
+                misses.append((qid, text))
+            else:
+                cache.move_to_end((text, k))
+                parts.append((np.full(len(hit[0]), qid, np.int64), *hit))
+        self._counts["result_hits"] += len(parts)
+        self._counts["result_misses"] += len(misses)
+        if misses:
+            parsed, stats = _prepare_batch(self._stats_for, [
+                (qid, self.parser.parse(text), k) for qid, text in misses])
+            parts += map(pickle.loads, self._gather("search", parsed, stats))
+        out = _merge_topk(parts, [(qid, None, k) for qid, _ in items],
+                          self.sim.out_dtype)
+        qids, doc, score = (out.column(c).to_numpy()
+                            for c in ("qid", "doc_id", "score"))
+        for qid, text in misses:
+            lo, hi = np.searchsorted(qids, [qid, qid + 1])
+            cache[(text, k)] = (doc[lo:hi].copy(), score[lo:hi].copy())
+            if len(cache) > CACHE_CAP:
+                cache.popitem(last=False)
+        return out
+
+    def stats(self) -> Dict[str, int]:
+        """Counters since construction: result-cache hits and misses (one
+        per query), expansion-cache hits and misses (one per pattern),
+        actor calls (one per actor per fan-out, failover retries not
+        counted), failovers, and both caches' sizes."""
+        exp = self._expand.cache_info()
+        return {**self._counts, "expansion_hits": exp.hits,
+                "expansion_misses": exp.misses,
+                "result_cache_size": len(self._results),
+                "expansion_cache_size": exp.currsize}
 
     def shutdown(self) -> None:
         import ray

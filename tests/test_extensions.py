@@ -172,14 +172,17 @@ def test_knn_classify_runs(docs_index, sf_dir):
 
 # -- warm query engine -------------------------------------------------------
 
-def _spy_gathers(eng):
+def _spy_gathers(eng, sent=None):
     """Wrap ``eng._gather``; returns the list of actor methods the engine
-    fans out to (one entry per round trip), appended as it goes."""
+    fans out to (one entry per round trip), appended as it goes.  When
+    given, ``sent`` gets the qids of each ``search`` fan-out."""
     calls = []
     gather = eng._gather
 
     def spy(m, *args):
         calls.append(m)
+        if sent is not None and m == "search":
+            sent.append([qid for qid, _, _ in args[0]])
         return gather(m, *args)
 
     eng._gather = spy
@@ -224,8 +227,8 @@ def _check_query_engine(index, q):
     assert set(a["qid"]) == set(q)
 
     # never warmed: the first search fetches the term dictionary, and
-    # that is the engine's only fetch; every batch, cold or repeated,
-    # fans out to ``search`` alone
+    # that is the engine's only fetch; a first-seen batch fans out to
+    # ``search`` alone, and its repeat is answered with no actor call
     eng = QueryEngine(index, num_actors=2)
     try:
         calls = _spy_gathers(eng)
@@ -234,26 +237,37 @@ def _check_query_engine(index, q):
         assert calls == ["term_columns", "search"]
         c = eng.search(q, k=10).to_pandas()
         _assert_same_topk(b, c)
-        assert calls == ["term_columns", "search", "search"]
+        assert calls == ["term_columns", "search"]
     finally:
         eng.shutdown()
 
     # warmed, one query at a time in reverse order: the dictionary comes
-    # with ``warm``, and each first-seen query or repeat costs exactly
-    # one ``search`` round trip
+    # with ``warm``, each first-seen query costs exactly one ``search``
+    # round trip and each repeat none
     eng = QueryEngine(index, num_actors=2)
     try:
-        calls = _spy_gathers(eng)
+        sent = []
+        calls = _spy_gathers(eng, sent)
         eng.warm()
         assert calls == ["prime", "term_columns"]
         singles = []
         for qid in sorted(q, reverse=True):
             del calls[:]
             singles.append(eng.search({qid: q[qid]}, k=10).to_pandas())
-            eng.search({qid: q[qid]}, k=10)  # a repeat
-            assert calls == ["search", "search"]
+            _assert_same_topk(singles[-1],
+                              eng.search({qid: q[qid]}, k=10).to_pandas())
+            assert calls == ["search"]
         b = pd.concat(singles).sort_values(["qid", "rank"])
         _assert_same_topk(a, b)
+        # a mixed batch sends only its first-seen queries, in one fan-out
+        mixed = {**q, 100: "sort", 101: "fast AND batch"}
+        del calls[:], sent[:]
+        _assert_same_topk(index.search(mixed, k=10).to_pandas(),
+                          eng.search(mixed, k=10).to_pandas())
+        assert calls == ["search"] and sent == [[100, 101]]
+        st = eng.stats()
+        assert st["result_hits"] == 2 * len(q)
+        assert st["result_misses"] == len(q) + 2
     finally:
         eng.shutdown()
 
@@ -298,12 +312,91 @@ def test_query_engine_expansion_cache_is_bounded(docs_index_3seg,
             singles = []
             for qid in sorted(q):
                 singles.append(eng.search({qid: q[qid]}, k=10).to_pandas())
-                assert len(eng._expansion_cache) <= 4
+                assert eng.stats()["expansion_cache_size"] <= 4
             _assert_same_topk(a, pd.concat(singles))
         _assert_same_topk(a, eng.search(q, k=10).to_pandas())
-        assert len(eng._expansion_cache) <= 4
+        assert eng.stats()["expansion_cache_size"] <= 4
     finally:
         eng.shutdown()
+
+
+def test_query_engine_result_cache_is_bounded(docs_index_3seg,
+                                              monkeypatch):
+    """More distinct queries than the result cache holds, one at a time
+    and in one batch larger than the cap: the LRU stays at its cap, and
+    every answer equals the batch search's, also when a batch's misses
+    evict the hits it has already read."""
+    from lucene_solr_ray.state import query_engine
+    from lucene_solr_ray.state.query_engine import QueryEngine
+
+    monkeypatch.setattr(query_engine, "CACHE_CAP", 4)
+    words = ["merge", "sort", "fast", "slow", "batch", "index", "query",
+             "data", "search", "test"]
+    q = {i: f"{w} OR {words[i - 1]}" for i, w in enumerate(words)}
+    a = docs_index_3seg.search(q, k=10).to_pandas()
+    eng = QueryEngine(docs_index_3seg, num_actors=2)
+    try:
+        for _ in range(2):
+            singles = []
+            for qid in sorted(q):
+                singles.append(eng.search({qid: q[qid]}, k=10).to_pandas())
+                assert eng.stats()["result_cache_size"] <= 4
+            _assert_same_topk(a, pd.concat(singles))
+            # hits: the last 4 singles; the 6 misses evict them
+            _assert_same_topk(a, eng.search(q, k=10).to_pandas())
+            assert eng.stats()["result_cache_size"] == 4
+    finally:
+        eng.shutdown()
+
+
+def test_query_engine_does_not_cache_a_parse_error(docs_index_3seg):
+    """A query that fails to parse raises, is not cached, and raises
+    again on a repeat, without an actor call."""
+    from lucene_solr_ray.search.parser import ParseError
+    from lucene_solr_ray.state.query_engine import QueryEngine
+
+    eng = QueryEngine(docs_index_3seg, num_actors=2)
+    try:
+        eng.warm()
+        calls = _spy_gathers(eng)
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                eng.search({0: "merge", 1: '"merge'}, k=10)
+        assert calls == []
+        assert eng.stats()["result_cache_size"] == 0
+        eng.search({0: "merge"}, k=10)
+        assert calls == ["search"]
+    finally:
+        eng.shutdown()
+
+
+def test_cli_serve_prints_engine_stats(docs_index_3seg, monkeypatch,
+                                       capsys):
+    """``cli serve`` answers one JSON line per query and prints the
+    engine's counters for a ``:stats`` line: the repeat was a result-cache
+    hit, and only the first-seen query called the actor."""
+    import io
+    import json
+
+    import ray
+
+    from lucene_solr_ray import cli
+
+    # the CLI owns its Ray session and shuts it down on exit; the test
+    # session's must outlive it
+    monkeypatch.setattr(ray, "shutdown", lambda: None)
+    monkeypatch.setattr("sys.stdin", io.StringIO("merge\nmerge\n:stats\n"))
+    assert cli.main(["serve", "--index", docs_index_3seg.index_dir,
+                     "--actors", "1"]) == 0
+    lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+    assert lines[0]["ready"]
+    assert lines[1]["hits"] == lines[2]["hits"] != []
+    st = lines[3]
+    assert st["result_hits"] == 1 and st["result_misses"] == 1
+    assert st["result_cache_size"] == 1
+    # warm: one prime and one term_columns call; then one search
+    assert st["actor_calls"] == 3 and st["failovers"] == 0
+    assert st["expansion_hits"] == st["expansion_misses"] == 0
 
 
 def test_salted_groupby_exact(ray_session):
@@ -531,7 +624,7 @@ def test_multifield_query_engine(mf_index):
         calls = _spy_gathers(eng)
         _assert_same_topk(a, eng.search(q, k=10).to_pandas())
         _assert_same_topk(a, eng.search(q, k=10).to_pandas())
-        assert calls == ["term_columns", "search", "search"]
+        assert calls == ["term_columns", "search"]  # the repeat: no call
     finally:
         eng.shutdown()
 

@@ -71,6 +71,7 @@ def test_stale_replica_dropped(replicated):
 def test_failover_to_primary(replicated):
     import ray
 
+    from lucene_solr_ray.search.searcher import Index
     from lucene_solr_ray.state.query_engine import QueryEngine
 
     primary, replica = replicated
@@ -80,15 +81,23 @@ def test_failover_to_primary(replicated):
         gather = eng._gather
         eng._gather = lambda m, *a: calls.append(m) or gather(m, *a)
         q = {0: "merge", 1: "word3 common", 2: "word*", 3: "wrod3~1"}
-        before = eng.search(q, k=10)
-        # kill one serving actor: the next search must fail over to a
-        # rebuilt PRIMARY actor and return identical results, with the
-        # engine's term dictionary (fetched before the kill) unchanged
-        ray.kill(eng.actors[0])
-        after = eng.search(q, k=10)
-        assert before.equals(after)
+        assert eng.search(q, k=10).equals(Index(primary).search(q, k=10))
+        # kill one serving actor: the next first-seen batch must fail
+        # over to a rebuilt PRIMARY actor and match the batch search,
+        # with the engine's term dictionary (fetched before the kill)
+        # unchanged; a repeat would be answered from the driver's result
+        # cache and never reach the dead actor
+        killed = eng.actors[0]
+        ray.kill(killed)
+        q2 = {0: "common", 1: "word4 merge", 2: "wor*", 3: "wrod5~1"}
+        after = eng.search(q2, k=10)
+        assert after.equals(Index(primary).search(q2, k=10))
         assert calls == ["term_columns", "search", "search"]
-        # the rebuilt actor serves from the primary dirs
-        assert eng.actors[0] is not None
+        assert eng.actors[0] is not killed
+        assert eng.stats()["failovers"] == 1
+        # the rebuilt actor serves from the primary dirs: it answered
+        # the whole batch, so a repeat makes no call at all
+        assert eng.search(q2, k=10).equals(after)
+        assert calls == ["term_columns", "search", "search"]
     finally:
         eng.shutdown()
