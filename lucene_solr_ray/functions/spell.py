@@ -12,16 +12,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from lucene_solr_ray.search.query import FuzzyQuery
-from lucene_solr_ray.search.searcher import Index, _edit_distance_le
+from lucene_solr_ray.search.searcher import Index, _edit_distance
 
 __all__ = ["suggest_corrections"]
-
-
-def _edit_distance(a: str, b: str, cap: int = 3) -> int:
-    for k in range(cap + 1):
-        if _edit_distance_le(a, b, k):
-            return k
-    return cap + 1
 
 
 def suggest_corrections(

@@ -33,6 +33,7 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
+from lucene_solr_ray.index import indexsort
 from lucene_solr_ray.index.manifest import (
     commit_manifest,
     list_valid_segments,
@@ -148,16 +149,6 @@ def _read_shard_columns(shard: Dict, columns: List[str]):
     return t.slice(off, shard["row_end"] - shard["row_start"])
 
 
-def _norm_index_sort(index_sort) -> Optional[List[tuple]]:
-    """Normalize ``(field, desc)`` | ``[(field, desc), ...]`` to a list."""
-    if not index_sort:
-        return None
-    seq = list(index_sort)
-    if seq and isinstance(seq[0], str):  # single (field, desc) pair
-        return [(seq[0], bool(seq[1]))]
-    return [(f, bool(d)) for f, d in seq]
-
-
 class _BuildShard:
     """One call = one shard → one committed segment dir + manifest row."""
 
@@ -186,7 +177,7 @@ class _BuildShard:
         self.with_offsets = with_offsets
         self.field_analyzers = dict(field_analyzers or {})
         self.numeric_fields = dict(numeric_fields or {})
-        self.index_sort = _norm_index_sort(index_sort)
+        self.index_sort = indexsort.normalize(index_sort)
         self.with_payloads = with_payloads
 
     def __call__(self, batch):
@@ -214,20 +205,11 @@ class _BuildShard:
                 range(shard["doc_base"], shard["doc_base"] + len(t))
             )
         if self.index_sort and len(t):
-            # IndexWriterConfig.setIndexSort (IndexWriterConfig.java:465)
-            # takes a multi-field Sort: rows are laid down in comparator
-            # order (field values in order, then the query-time
-            # doc_id-ascending tiebreak) so ord order == sort order and
-            # collectors can terminate early.  doc_ids ride with their
-            # rows — only the within-segment ordinal changes.  Per-key
-            # ordinal codes (np.unique inverse) make descending order
-            # type-agnostic: strings sort like SortedDocValues ordinals.
-            keys = [np.asarray(doc_ids)]
-            for fld, desc in reversed(self.index_sort):
-                v = t.column(fld).to_numpy(zero_copy_only=False)
-                codes = np.unique(v, return_inverse=True)[1]
-                keys.append(-codes if desc else codes)
-            perm = np.lexsort(tuple(keys))
+            # IndexWriterConfig.setIndexSort (IndexWriterConfig.java:465):
+            # rows are laid down in comparator order so ord order == sort
+            # order and collectors can terminate early.  doc_ids ride
+            # with their rows — only the within-segment ordinal changes.
+            perm = indexsort.permutation(self.index_sort, t, doc_ids)
             t = t.take(perm)
             doc_ids = [doc_ids[i] for i in perm]
         # text columns stay Arrow: build_segment_tables analyzes columns
@@ -271,23 +253,7 @@ class _BuildShard:
         meta = {
             "segment_id": shard["segment_id"],
             "stats": seg.stats,
-            **(
-                {"index_sort": {
-                    "fields": [
-                        {"field": f, "desc": bool(d)}
-                        for f, d in self.index_sort
-                    ],
-                    # legacy single-field keys only when unambiguous —
-                    # a single-field early-termination check must NOT
-                    # fire against a multi-field sort (tie order differs)
-                    **(
-                        {"field": self.index_sort[0][0],
-                         "desc": bool(self.index_sort[0][1])}
-                        if len(self.index_sort) == 1 else {}
-                    ),
-                }}
-                if self.index_sort else {}
-            ),
+            **indexsort.meta_entry(self.index_sort),
             **({"default_field": self.text_col} if self.extra_fields else {}),
             **({"numeric_fields": numeric_meta} if numeric_meta else {}),
             **({"points_minmax": points_minmax} if points_minmax else {}),
@@ -341,11 +307,14 @@ def build_index(
     ``index_sort=(column, descending)`` — or a multi-field
     ``[(col1, desc1), (col2, desc2), ...]``, mirroring the multi-field
     ``Sort`` that ``IndexWriterConfig.setIndexSort``
-    (IndexWriterConfig.java:465) accepts — lays each segment down in
-    comparator order; ``search_by_field``/``search_by_fields`` on a
-    matching sort then early-terminates per segment.  Sort columns must
-    also be stored/numeric columns for query-time value reads.
-    Incompatible with ``block_align_col`` (sorting would tear blocks).
+    (IndexWriterConfig.java:465) accepts — lays each segment down in the
+    comparator order of :mod:`lucene_solr_ray.index.indexsort` (values in
+    order, missing values greatest, then doc_id ascending).  A sorted
+    search (``search_by_field``, ``search_by_fields``, ``search_grouped``
+    with ``sort_field``) whose sort is a prefix of it then stops early per
+    segment, with the same answer as on an unsorted index.  Sort columns
+    must also be stored columns for query-time value reads.  Incompatible
+    with ``block_align_col`` (sorting would tear blocks).
 
     Ray must already be initialised by the caller (driver contract).
     """

@@ -13,7 +13,9 @@ segment (distributed — one task per segment) and globally:
 - norms/docmeta row counts match doc_count; sha256 column present;
 - global stats = Σ per-segment stats;
 - sidecars: deletes, soft deletes and doc-values overlays hold strictly
-  ascending, in-range ords, and each overlay a value per ord.
+  ascending, in-range ords, and each overlay a value per ord;
+- an index-sorted segment's docmeta is in its comparator order (a legacy
+  single-field marker, read as unsorted, is a warning).
 
 Sidecars are validated at their committed generations; newer, never
 committed sidecar files are reported under ``orphans``, not as errors.
@@ -27,7 +29,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from lucene_solr_ray.index import sidecars
+from lucene_solr_ray.index import indexsort, sidecars
 from lucene_solr_ray.index.manifest import read_latest_manifest, segment_dir_name
 from lucene_solr_ray.index.postings_codec import (
     decode_block_skips,
@@ -160,22 +162,16 @@ def check_segment(seg_dir: str) -> Dict:
         elif dv.column("value").null_count:
             errors.append(f"{where}: values not aligned with ords")
 
-    # index_sort marker (round 4): docmeta rows must actually be in the
-    # recorded comparator order
-    isort = meta.get("index_sort") or {}
-    sort_fields = isort.get("fields") or (
-        [{"field": isort["field"], "desc": bool(isort["desc"])}]
-        if "field" in isort else []
-    )
-    if sort_fields and all(
-        f["field"] in dm.schema.names for f in sort_fields
-    ):
-        keys = [dm.column("doc_id").to_numpy()]
-        for f in reversed(sort_fields):
-            v = dm.column(f["field"]).to_numpy(zero_copy_only=False)
-            codes = np.unique(v, return_inverse=True)[1]
-            keys.append(-codes if f["desc"] else codes)
-        perm = np.lexsort(tuple(keys))
+    # index sort: docmeta rows must be in the recorded comparator order
+    sort = indexsort.read(meta)
+    if indexsort.has_legacy_marker(meta):
+        warnings.append(
+            "index_sort: legacy field/desc marker read as unsorted; merge "
+            "or rebuild to restore early termination"
+        )
+    elif sort and all(f in dm.schema.names for f, _ in sort):
+        perm = indexsort.permutation(sort, dm,
+                                     dm.column("doc_id").to_numpy())
         if not np.array_equal(perm, np.arange(len(perm))):
             errors.append("index_sort: docmeta not in comparator order")
 

@@ -43,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from lucene_solr_ray.index import sidecars
+from lucene_solr_ray.index import indexsort, sidecars
 from lucene_solr_ray.index.manifest import (
     commit_manifest,
     next_segment_id,
@@ -374,40 +374,21 @@ def _input_stats(meta: Dict, dm: pa.Table, compacted: bool) -> Dict:
     return st
 
 
-def _shared_index_sort(in_metas: List[Dict]) -> Optional[List[Dict]]:
-    """The common ``index_sort`` fields list when EVERY input segment was
-    laid down with the identical sort, else None (a mixed merge cannot
-    preserve any sort)."""
-    sorts = []
-    for im in in_metas:
-        isort = im.get("index_sort") or {}
-        fields = isort.get("fields")
-        if fields is None and "field" in isort:
-            fields = [{"field": isort["field"],
-                       "desc": bool(isort["desc"])}]
-        if not fields:
-            return None
-        sorts.append(fields)
-    return sorts[0] if all(s == sorts[0] for s in sorts) else None
-
-
 def _sort_permutation(in_metas: List[Dict], docmeta: pa.Table):
-    """(shared sort, permutation): when every input shares one index sort
-    whose key columns ride docmeta, the comparator order of the merged
-    docs (``MultiSorter.sort``), so the merged segment keeps the sort
-    marker and collectors can still early-terminate.  The permutation is
-    None when it is the identity; the sort is None when there is none."""
-    shared = _shared_index_sort(in_metas)
-    if shared is None or not all(
-        f["field"] in docmeta.column_names for f in shared
+    """(shared sort, permutation): when every input was laid down in one
+    index sort whose key columns ride docmeta, the comparator order of
+    the merged docs (``MultiSorter.sort``), so the merged segment keeps
+    the sort and collectors can still stop early.  The permutation is
+    None when it is the identity; the sort is None when the inputs share
+    none (a mixed merge cannot keep any)."""
+    sorts = [indexsort.read(im) for im in in_metas]
+    shared = sorts[0]
+    if shared is None or any(s != shared for s in sorts) or not all(
+        f in docmeta.column_names for f, _ in shared
     ):
         return None, None
-    keys = [docmeta.column("doc_id").to_numpy()]
-    for f in reversed(shared):
-        v = docmeta.column(f["field"]).to_numpy(zero_copy_only=False)
-        codes = np.unique(v, return_inverse=True)[1]
-        keys.append(-codes if f["desc"] else codes)
-    perm = np.lexsort(tuple(keys))
+    perm = indexsort.permutation(shared, docmeta,
+                                 docmeta.column("doc_id").to_numpy())
     if np.array_equal(perm, np.arange(len(perm))):
         return shared, None
     return shared, perm
@@ -491,11 +472,7 @@ def _merged_meta(new_id: int, spec_ids: List[int], in_metas: List[Dict],
     if n_ranges > 1:
         lineage["sharded"] = n_ranges
     meta = {"segment_id": new_id, "stats": stats, "lineage": lineage}
-    if shared_sort is not None:
-        meta["index_sort"] = {"fields": shared_sort}
-        if len(shared_sort) == 1:
-            meta["index_sort"]["field"] = shared_sort[0]["field"]
-            meta["index_sort"]["desc"] = bool(shared_sort[0]["desc"])
+    meta.update(indexsort.meta_entry(shared_sort))
     if n_soft:
         meta["soft_del_gen"] = 1
         meta["soft_del_count"] = n_soft

@@ -24,8 +24,9 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    ``LeafCollector`` split).  A reader loads each part (doc ids, norms,
    term dictionary, blocks, positions) on first use, so a collector
    reads only what its queries touch.  Collectors here: top score,
-   field sort, multi-field sort, count, grouped, export, rescore; LTR
-   features, join gather and topic pull live with their features.
+   field sort (one or several fields, optionally per group), count,
+   grouped, export, rescore; LTR features, join gather and topic pull
+   live with their features.
    Write passes are collectors too: delete, soft delete, soft-deletes
    policy and doc-values update return per-segment sidecar rows that
    ``index.sidecars.write_pass`` folds into one manifest commit; the
@@ -52,6 +53,7 @@ import numpy as np
 import pyarrow as pa
 
 from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
+from lucene_solr_ray.index import indexsort
 from lucene_solr_ray.index.manifest import read_latest_manifest, segment_dir_name
 from lucene_solr_ray.search.parser import QueryParser
 from lucene_solr_ray.search.query import (
@@ -825,8 +827,10 @@ class Index:
         if concurrency:
             kwargs["concurrency"] = concurrency
             batch_size = max(1, len(items) // concurrency)
+        # an index with no segments scans one empty block (Ray rejects
+        # zero blocks), so every collector's caller sees no rows
         return ray.data.from_items(
-            items, override_num_blocks=len(items)
+            items, override_num_blocks=max(len(items), 1)
         ).map_batches(
             _scan, batch_format="pyarrow", batch_size=batch_size, **kwargs
         )
@@ -907,197 +911,84 @@ def search(
     return Index(index_dir).search(queries, k, **kw)
 
 
-def field_sort_topk_ords(
-    reader, ords: np.ndarray, vals: np.ndarray, descending: bool, k: int,
-    field: str, overlaid: bool = False,
-) -> "Tuple[np.ndarray, int]":
-    """Select the top-``k`` matching ords by ``vals`` (tie: ascending
-    doc_id) and report how many candidates had their sort key examined.
+def _sort_schema(seg_dir: Optional[str], sort_fields,
+                 grouped: bool = False) -> pa.Schema:
+    """Schema of the field-sort collector's partials: qid, doc_id,
+    seg_ord, then sort_0..sort_n typed as their columns in ``seg_dir``'s
+    docmeta (null type when there is no segment to read one from), then
+    ``group``."""
+    import pyarrow.parquet as pq
 
-    Early termination (``TopFieldCollector`` CollectionTerminatedException
-    over a matching ``IndexWriterConfig.setIndexSort``): when the segment
-    was laid down sorted by (field, direction) — build.py records
-    ``index_sort`` in the segment meta — ord order IS comparator order, so
-    the first ``k`` matching ords are the answer and the remaining
-    candidates are never compared.  ``overlaid=True`` (a DocValues-update
-    sidecar rewrote some of ``vals``) voids that physical-order guarantee
-    and forces the full comparator."""
-    isort = reader.meta.get("index_sort")
-    if (
-        not overlaid
-        and isort is not None
-        and isort.get("field") == field
-        and bool(isort.get("desc")) == bool(descending)
-    ):
-        sel = ords[:k]
-        return sel, len(sel)
-    v = vals[ords].astype(np.float64)
-    dids = reader.doc_ids[ords]
-    sign = -1.0 if descending else 1.0
-    order = np.lexsort((dids, sign * v))[:k]
-    return ords[order], len(ords)
+    if seg_dir is None:
+        types = [pa.null()] * len(sort_fields)
+    else:
+        dm = pq.read_schema(os.path.join(seg_dir, "docmeta.parquet"))
+        types = [dm.field(f).type for f, _ in sort_fields]
+    fields = [("qid", pa.int64()), ("doc_id", pa.int64()),
+              ("seg_ord", pa.int32())]
+    fields += [(f"sort_{i}", t) for i, t in enumerate(types)]
+    if grouped:
+        fields.append(("group", pa.string()))
+    return pa.schema(fields)
 
 
-def _collect_field_sort(pairs, parsed, stats, field: str,
-                        descending: bool) -> pa.Table:
-    """Field-sort collector: per-segment matching + top-k by a docmeta
-    field (TopFieldCollector, reference ``search/TopFieldCollector.java``):
-    matching ords come from the exhaustive evaluator, ranking from the
-    stored per-doc column."""
-    from lucene_solr_ray.index.docvalues import read_docmeta_column
-    from lucene_solr_ray.search.scorer import score_segment
-
-    rows = []
-    for reader, seg_ord in pairs:
-        vals, overlaid = read_docmeta_column(reader.seg_dir, field)
-        for qid, q, k in parsed:
-            ords, _ = score_segment(reader, q, stats)
-            sel, _scanned = field_sort_topk_ords(
-                reader, ords, vals, descending, k, field,
-                overlaid=overlaid,
-            )
-            for o, v, d in zip(
-                sel, vals[sel].astype(np.float64),
-                reader.doc_ids[sel],
-            ):
-                rows.append(
-                    {"qid": qid, "doc_id": int(d),
-                     "sort_value": float(v), "seg_ord": seg_ord}
-                )
-    return pa.Table.from_pylist(
-        rows,
-        schema=pa.schema(
-            [("qid", pa.int64()), ("doc_id", pa.int64()),
-             ("sort_value", pa.float64()), ("seg_ord", pa.int32())]
-        ),
-    )
-
-
-def search_by_field(
-    index: "Index",
-    queries,
-    sort_field: str,
-    descending: bool = True,
-    k: int = 10,
-    analyzer: Optional[StandardAnalyzer] = None,
-) -> pa.Table:
-    """Sort-by-field search: match with the query, rank by a docmeta column
-    (field_len, norm, or any stored column), ties by ascending doc_id.
-    Segments built with a matching ``index_sort=(field, descending)``
-    early-terminate: the first k matching ords are taken without any
-    per-candidate comparison (``field_sort_topk_ords``)."""
-    parsed, stats = _prepare_batch(
-        index.collect_stats,
-        _parse_batch(index.make_parser(analyzer), queries, k),
-    )
-    rows = index.scan(
-        partial(_collect_field_sort, parsed=parsed, stats=stats,
-                field=sort_field, descending=descending),
-    ).take_all()
-    by_q: Dict[int, List[dict]] = {qid: [] for qid, _, _ in parsed}
-    for r in rows:
-        by_q[r["qid"]].append(r)
-    out = []
-    sign = -1 if descending else 1
-    for qid, _, kk in parsed:
-        rs = sorted(
-            by_q.get(qid, []),
-            key=lambda r: (sign * r["sort_value"], r["doc_id"]),
-        )[:kk]
-        for rank, r in enumerate(rs):
-            out.append(
-                {"qid": qid, "rank": rank, "doc_id": r["doc_id"],
-                 "sort_value": r["sort_value"]}
-            )
-    return pa.Table.from_pylist(
-        out,
-        schema=pa.schema(
-            [("qid", pa.int64()), ("rank", pa.int32()),
-             ("doc_id", pa.int64()), ("sort_value", pa.float64())]
-        ),
-    )
-
-
-def multi_field_topk_ords(
-    reader, ords: np.ndarray, key_vals: List[np.ndarray],
-    sort_fields: List[tuple], k: int, overlaid: bool = False,
-) -> np.ndarray:
-    """Top-``k`` matching ords by a multi-field comparator (values in
-    order, then ascending doc_id).
-
-    Early termination follows ``TopFieldCollector.canEarlyTerminate``
-    (reference ``search/TopFieldCollector.java``): when the query sort is
-    a PREFIX of the segment's recorded ``index_sort`` fields, ord order IS
-    comparator order and the first ``k`` matching ords are the answer.
-    As in the reference, a proper-prefix match breaks ties in index order
-    (the remaining index-sort keys), not doc_id.  DV overlays on any key
-    void the physical-order guarantee."""
-    isort = reader.meta.get("index_sort") or {}
-    seg_fields = isort.get("fields")
-    if seg_fields is None and "field" in isort:  # legacy single-field meta
-        seg_fields = [{"field": isort["field"], "desc": bool(isort["desc"])}]
-    want = [{"field": f, "desc": bool(d)} for f, d in sort_fields]
-    if (
-        not overlaid
-        and seg_fields is not None
-        and seg_fields[: len(want)] == want
-    ):
-        return ords[:k]
-    keys = [reader.doc_ids[ords]]
-    for (_, desc), vals in zip(reversed(sort_fields), reversed(key_vals)):
-        codes = np.unique(vals[ords], return_inverse=True)[1]
-        keys.append(-codes if desc else codes)
-    order = np.lexsort(tuple(keys))[:k]
-    return ords[order]
-
-
-def _pa_sort_type(dtype) -> "pa.DataType":
-    if dtype.kind in ("U", "O", "S"):
-        return pa.string()
-    if dtype.kind == "f":
-        return pa.float64()
-    return pa.int64()
-
-
-def _collect_multi_field_sort(pairs, parsed, stats,
-                              sort_fields: List[tuple]) -> pa.Table:
-    """Multi-field sort collector: per-segment matching + top-k by a
-    multi-field docmeta comparator (TopFieldCollector over a multi-field
-    ``Sort``)."""
+def _collect_field_sort(pairs, parsed, stats, sort_fields,
+                        group: "Optional[Tuple[str, str, str]]" = None
+                        ) -> pa.Table:
+    """Field-sort collector (``TopFieldCollector``, reference
+    ``search/TopFieldCollector.java``): per segment, each query's
+    matching ords from the exhaustive evaluator, selected by
+    :func:`indexsort.select` over the docmeta key columns (doc-values
+    overlays applied), so an index-sorted segment stops early.  With
+    ``group=(table, key, column)`` it keeps each query's top k per group
+    (the grouping module's second pass).  Columns: :func:`_sort_schema`."""
     from lucene_solr_ray.index.docvalues import read_docmeta_column_raw
     from lucene_solr_ray.search.scorer import score_segment
 
-    sort_fields = [(f, bool(d)) for f, d in sort_fields]
-    rows = []
-    key_dtypes = [np.dtype(np.float64)] * len(sort_fields)
+    parts = []
     for reader, seg_ord in pairs:
-        key_vals, overlaid = [], False
-        for f, _ in sort_fields:
-            v, ov = read_docmeta_column_raw(reader.seg_dir, f)
-            key_vals.append(v)
-            overlaid = overlaid or ov
-        key_dtypes = [v.dtype for v in key_vals]
+        cols = [read_docmeta_column_raw(reader.seg_dir, f)
+                for f, _ in sort_fields]
+        keys = [v for v, _ in cols]
+        overlaid = any(ov for _, ov in cols)
+        seg_sort = indexsort.read(reader.meta)
+        schema = _sort_schema(reader.seg_dir, sort_fields,
+                              group is not None)
         for qid, q, k in parsed:
             ords, _ = score_segment(reader, q, stats)
-            sel = multi_field_topk_ords(
-                reader, ords, key_vals, sort_fields, k,
-                overlaid=overlaid,
-            )
-            for o in sel:
-                row = {"qid": qid,
-                       "doc_id": int(reader.doc_ids[o]),
-                       "seg_ord": seg_ord}
-                for i, vals in enumerate(key_vals):
-                    v = vals[o]
-                    row[f"sort_{i}"] = (
-                        v.item() if hasattr(v, "item") else v
-                    )
-                rows.append(row)
-    fields = [("qid", pa.int64()), ("doc_id", pa.int64()),
-              ("seg_ord", pa.int32())]
-    for i, dt in enumerate(key_dtypes):
-        fields.append((f"sort_{i}", _pa_sort_type(dt)))
-    return pa.Table.from_pylist(rows, schema=pa.schema(fields))
+            groups = (None if group is None
+                      else _segment_groups(reader.doc_ids[ords], *group))
+            sel, _ = indexsort.select(ords, keys, reader.doc_ids,
+                                      sort_fields, k, seg_sort, overlaid,
+                                      groups)
+            o = ords[sel]
+            arrays = [np.full(len(o), qid, np.int64), reader.doc_ids[o],
+                      np.full(len(o), seg_ord, np.int32)]
+            arrays += [v[o] for v in keys]
+            if group is not None:
+                arrays.append(groups[sel])
+            parts.append(pa.table([
+                # NaN marks a missing value in a numpy key only where the
+                # column type has no NaN of its own
+                pa.array(a, f.type,
+                         from_pandas=not pa.types.is_floating(f.type))
+                for a, f in zip(arrays, schema)
+            ], schema=schema))
+    return pa.concat_tables(parts, promote_options="permissive")
+
+
+def _scan_field_sort(index: "Index", parsed, stats, sort_fields,
+                     group=None) -> pa.Table:
+    """All segments' field-sort partials as one table, typed from the
+    first segment's docmeta."""
+    schema = _sort_schema(index.seg_dirs[0] if index.seg_dirs else None,
+                          sort_fields, group is not None)
+    parts = index.scan(
+        partial(_collect_field_sort, parsed=parsed, stats=stats,
+                sort_fields=sort_fields, group=group),
+    ).iter_batches(batch_size=None, batch_format="pyarrow")
+    return pa.concat_tables(
+        [schema.empty_table()] + [p.cast(schema) for p in parts])
 
 
 def search_by_fields(
@@ -1107,48 +998,47 @@ def search_by_fields(
     k: int = 10,
     analyzer: Optional[StandardAnalyzer] = None,
 ) -> pa.Table:
-    """Multi-field sort search (``Sort`` with several ``SortField``s,
-    reference ``IndexWriterConfig.setIndexSort`` +
+    """Sort search (``Sort`` with one or more ``SortField``s and
     ``TopFieldCollector``): match with the query, rank by
-    ``[(field, descending), ...]`` over docmeta columns (strings sort
-    lexically, like SortedDocValues ordinals), final tie ascending
-    doc_id.  Segments whose recorded index sort has the query sort as a
-    prefix early-terminate per segment.  Output columns: qid, rank,
-    doc_id, sort_0..sort_n (one per sort field)."""
+    ``[(field, descending), ...]`` over docmeta columns in the index-sort
+    comparator (:mod:`lucene_solr_ray.index.indexsort`: strings by code
+    point, missing values greatest, final tie ascending doc_id).  Segments
+    whose index sort has the query sort as a prefix stop early; the
+    answer never depends on the index sort or the segmentation.
+    Columns: qid, rank, doc_id, sort_0..sort_n (typed as the docmeta
+    columns)."""
+    sort_fields = [(f, bool(d)) for f, d in sort_fields]
     parsed, stats = _prepare_batch(
         index.collect_stats,
         _parse_batch(index.make_parser(analyzer), queries, k),
     )
-    rows = index.scan(
-        partial(_collect_multi_field_sort, parsed=parsed, stats=stats,
-                sort_fields=sort_fields),
-    ).take_all()
-    by_q: Dict[int, List[dict]] = {qid: [] for qid, _, _ in parsed}
-    for r in rows:
-        by_q[r["qid"]].append(r)
-    out = []
-    for qid, _, kk in parsed:
-        rs = by_q.get(qid, [])
-        # multi-pass stable sorts, last key first → lexicographic order
-        rs.sort(key=lambda r: r["doc_id"])
-        for i, (_, desc) in reversed(list(enumerate(sort_fields))):
-            rs.sort(key=lambda r, i=i: r[f"sort_{i}"], reverse=bool(desc))
-        for rank, r in enumerate(rs[:kk]):
-            row = {"qid": qid, "rank": rank, "doc_id": r["doc_id"]}
-            for i in range(len(sort_fields)):
-                row[f"sort_{i}"] = r[f"sort_{i}"]
-            out.append(row)
-    fields = [("qid", pa.int64()), ("rank", pa.int32()),
-              ("doc_id", pa.int64())]
-    for i in range(len(sort_fields)):
-        ex = out[0][f"sort_{i}"] if out else ""
-        fields.append((
-            f"sort_{i}",
-            pa.string() if isinstance(ex, str)
-            else pa.float64() if isinstance(ex, float)
-            else pa.int64(),
-        ))
-    return pa.Table.from_pylist(out, schema=pa.schema(fields))
+    t = _scan_field_sort(index, parsed, stats, sort_fields)
+    qids = np.array([qid for qid, _, _ in parsed], np.int64)
+    ks = np.array([kk for _, _, kk in parsed], np.int64)
+    by_qid = np.argsort(qids, kind="stable")
+    pos = by_qid[np.searchsorted(qids, t.column("qid").to_numpy(),
+                                 sorter=by_qid)]
+    keys = [t.column(f"sort_{i}").to_numpy(zero_copy_only=False)
+            for i in range(len(sort_fields))]
+    order = indexsort.order(keys, [d for _, d in sort_fields],
+                            t.column("doc_id").to_numpy(), first=pos)
+    pos = pos[order]
+    rank = np.arange(len(pos)) - np.searchsorted(pos, pos)
+    keep = rank < ks[pos]
+    out = t.take(order[keep])
+    return out.drop_columns(["seg_ord"]).add_column(
+        1, "rank", pa.array(rank[keep].astype(np.int32)))
+
+
+def search_by_field(index: "Index", queries, sort_field: str,
+                    descending: bool = True, k: int = 10,
+                    analyzer: Optional[StandardAnalyzer] = None) -> pa.Table:
+    """:func:`search_by_fields` over one field: (qid, rank, doc_id,
+    sort_value float64)."""
+    t = search_by_fields(index, queries, [(sort_field, descending)], k,
+                         analyzer)
+    return t.set_column(3, "sort_value",
+                        t.column("sort_0").cast(pa.float64()))
 
 
 def _collect_count(pairs, parsed, stats) -> pa.Table:
@@ -1194,161 +1084,67 @@ def count_hits(index: "Index", queries,
     )
 
 
-def grouped_field_topk_ords(
-    reader, ords: np.ndarray, vals: np.ndarray, groups: np.ndarray,
-    descending: bool, n: int, field: str, overlaid: bool = False,
-) -> "Tuple[np.ndarray, int]":
-    """Per-GROUP top-``n`` of the matching ords by a docmeta field — the
-    grouped collector's selection, with ``TopFieldCollector
-    .canEarlyTerminate`` extended to grouping (round-4 verdict item:
-    ``search_grouped`` scanned sorted segments fully while
-    ``search_by_fields`` early-terminated on the same data).
-
-    When the segment's recorded ``index_sort`` matches (field, direction)
-    and no DV overlay rewrote the column, ord order IS comparator order:
-    the first ``n`` ords of each group are the answer and no sort key is
-    ever compared (scanned = selected).  Otherwise the full comparator
-    runs (scanned = all candidates).  Returns (indices into ``ords`` in
-    emit order, scanned)."""
-    isort = reader.meta.get("index_sort")
-    can_et = (
-        not overlaid
-        and isort is not None
-        and isort.get("field") == field
-        and bool(isort.get("desc")) == bool(descending)
-    )
-    if can_et:
-        # physical order: first n per group, one pass over group ids
-        seen: Dict = {}
-        keep: List[int] = []
-        for i, g in enumerate(groups):
-            c = seen.get(g, 0)
-            if c < n:
-                seen[g] = c + 1
-                keep.append(i)
-        sel = np.asarray(keep, dtype=np.int64)
-        return sel, int(len(sel))
-    v = vals[ords].astype(np.float64)
-    dids = reader.doc_ids[ords]
-    sign = -1.0 if descending else 1.0
-    order = np.lexsort((dids, sign * v))
-    seen = {}
-    keep = []
-    for i in order:
-        g = groups[i]
-        c = seen.get(g, 0)
-        if c < n:
-            seen[g] = c + 1
-            keep.append(i)
-    return np.asarray(keep, dtype=np.int64), int(len(ords))
-
-
-def _group_lookup(group_table: str, key: str, group_col: str,
-                  doc_ids: np.ndarray):
-    """(sorted keys, group values) of the side table rows whose ``key``
-    falls in ``doc_ids``' range — a predicate-pushdown row-group prune
-    (assumes doc ids are clustered per segment, true for built segments
-    and merges of adjacent ones; a scattered segment just reads more
-    rows)."""
+def _segment_groups(doc_ids: np.ndarray, group_table: str, key: str,
+                    group_col: str) -> np.ndarray:
+    """Each doc's group value, as a string, from the side parquet
+    ``group_table`` keyed by ``key``; None when the doc has no row or a
+    missing value (TopGroups keeps such docs, in a group of their own).
+    Reads only the side rows whose ``key`` falls in ``doc_ids``' range —
+    a predicate-pushdown row-group prune (assumes doc ids are clustered
+    per segment, true for built segments and merges of adjacent ones; a
+    scattered segment just reads more rows)."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    lo, hi = int(doc_ids.min()), int(doc_ids.max())
+    out = np.full(len(doc_ids), None, dtype=object)
+    if len(doc_ids) == 0:
+        return out
     t = pads.dataset(group_table, format="parquet").to_table(
         columns=[key, group_col],
-        filter=(pc.field(key) >= lo) & (pc.field(key) <= hi),
+        filter=(pc.field(key) >= int(doc_ids.min()))
+        & (pc.field(key) <= int(doc_ids.max())),
     )
+    if t.num_rows == 0:
+        return out
     keys = t.column(key).to_numpy()
     vals = t.column(group_col).to_pylist()
-    order = np.argsort(keys)
-    return keys[order], [vals[i] for i in order]
+    by = np.argsort(keys)
+    at = by[np.minimum(np.searchsorted(keys, doc_ids, sorter=by),
+                       len(keys) - 1)]
+    for i in np.flatnonzero(keys[at] == doc_ids):
+        g = vals[at[i]]
+        if g is not None and g == g:  # NaN is missing too
+            out[i] = str(g)
+    return out
 
 
-def _collect_grouped(pairs, q, stats, sim, group_table: str,
-                     group_col: str, key: str, docs_per_group: int,
-                     sort_field: "Optional[Tuple[str, bool]]") -> pa.Table:
-    """Grouped collector: per-segment per-group top-n partials — the
-    second-pass collector of the grouping module (reference
-    ``lucene/grouping/src/java/org/apache/lucene/search/grouping/
-    TopGroupsCollector.java``): each segment emits at most
+_GROUPED_SCHEMA = pa.schema([("group", pa.string()), ("doc_id", pa.int64()),
+                             ("score", pa.float64())])
+
+
+def _collect_grouped(pairs, q, stats, sim, group, docs_per_group: int
+                     ) -> pa.Table:
+    """Grouped collector: per-segment per-group top-n partials by (score
+    desc, doc_id asc) — the second-pass collector of the grouping module
+    (reference ``lucene/grouping/src/java/org/apache/lucene/search/
+    grouping/TopGroupsCollector.java``): each segment emits at most
     ``docs_per_group`` hits PER GROUP, so the driver merge is bounded by
     segments × groups × docs_per_group, never by the hit count.
-
-    The group value comes from a side parquet keyed by doc id
-    (:func:`_group_lookup`).  ``sort_field=(field, descending)`` ranks
-    within groups by a docmeta column instead of score (grouping
-    module's Sort); sorted segments early-terminate via
-    :func:`grouped_field_topk_ords`."""
-    import pandas as pd
-
+    ``group=(table, key, column)`` names the side table
+    (:func:`_segment_groups`)."""
     from lucene_solr_ray.search.scorer import score_segment
 
-    out = []
+    parts = []
     for reader, _ in pairs:
         ords, scores = score_segment(reader, q, stats, sim)
-        if len(ords) == 0:
-            continue
         dids = reader.doc_ids[ords]
-        gkeys, gvals = _group_lookup(group_table, key, group_col, dids)
-        idx = np.searchsorted(gkeys, dids)
-        idx_c = np.minimum(idx, max(len(gkeys) - 1, 0))
-        found = (
-            (idx < len(gkeys)) & (gkeys[idx_c] == dids)
-            if len(gkeys) else np.zeros(len(dids), dtype=bool)
-        )
-        groups = [
-            gvals[i] if ok else None
-            for i, ok in zip(idx_c, found)
-        ]
-        if sort_field is not None:
-            from lucene_solr_ray.index.docvalues import read_docmeta_column
-
-            fld, desc = sort_field
-            vals, overlaid = read_docmeta_column(reader.seg_dir, fld)
-            sel, _ = grouped_field_topk_ords(
-                reader, ords, vals,
-                np.asarray(groups, dtype=object),
-                desc, docs_per_group, fld, overlaid,
-            )
-            out.append(pd.DataFrame({
-                "group": [groups[i] for i in sel],
-                "doc_id": dids[sel],
-                "score": vals[ords[sel]].astype(np.float64),
-            }))
-            continue
-        df = pd.DataFrame(
-            {"group": groups, "doc_id": dids,
-             "score": scores.astype(np.float64)}
-        )
-        # per-group top-n partial: (score desc, doc asc), null
-        # group kept as its own bucket (TopGroups keeps docs whose
-        # group value is missing)
-        df = df.sort_values(
-            ["score", "doc_id"], ascending=[False, True],
-            kind="mergesort",
-        )
-        out.append(
-            df.groupby("group", dropna=False, sort=False).head(
-                docs_per_group
-            )
-        )
-    if not out:
-        return pa.table(
-            {"group": pa.array([], pa.string()),
-             "doc_id": pa.array([], pa.int64()),
-             "score": pa.array([], pa.float64())}
-        )
-    allp = pd.concat(out, ignore_index=True)
-    return pa.table(
-        {
-            "group": pa.array(
-                [None if pd.isna(g) else str(g)
-                 for g in allp["group"]], pa.string()
-            ),
-            "doc_id": pa.array(allp["doc_id"].to_numpy(np.int64)),
-            "score": pa.array(allp["score"].to_numpy(np.float64)),
-        }
-    )
+        groups = _segment_groups(dids, *group)
+        sel = indexsort.first_n_per_group(
+            indexsort.order([scores], [True], dids), groups, docs_per_group)
+        parts.append(pa.table(
+            [groups[sel], dids[sel], scores[sel].astype(np.float64)],
+            schema=_GROUPED_SCHEMA))
+    return pa.concat_tables(parts)
 
 
 def search_grouped(
@@ -1371,66 +1167,51 @@ def search_grouped(
 
     ``sort_field=(field, descending)`` ranks hits (and groups, by their
     best hit) by a docmeta column instead of score — the grouping
-    module's ``Sort`` — and index-sorted segments early-terminate via
-    :func:`grouped_field_topk_ords` (``score`` then carries the field
-    value).
+    module's ``Sort`` — through the field-sort collector and the
+    index-sort comparator, so index-sorted segments stop early
+    (``score`` then carries the field value).
 
     Distributed: each segment computes per-group top-``docs_per_group``
     partials (the TopGroupsCollector second pass); the driver merges
     ≤ segments × groups × docs_per_group tiny rows — a stop-word-scale
     query no longer dumps its whole result set on the driver."""
-    import pandas as pd
-
     (q,), stats = index.prepare([index.make_parser(analyzer).parse(query)])
-    rows = index.scan(
-        partial(_collect_grouped, q=q, stats=stats,
-                sim=similarity or BM25Similarity(),
-                group_table=group_table, group_col=group_col, key=key,
-                docs_per_group=docs_per_group, sort_field=sort_field),
-    ).to_pandas()
-    if rows.empty:
-        return pa.table(
-            {
-                "group": pa.array([], pa.string()),
-                "group_rank": pa.array([], pa.int32()),
-                "rank_in_group": pa.array([], pa.int32()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    # merge partials: global per-group top-n, then rank groups by best hit
-    score_desc = True if sort_field is None else bool(sort_field[1])
-    rows = rows.sort_values(
-        ["score", "doc_id"], ascending=[not score_desc, True],
-        kind="mergesort",
-    )
-    rows = rows.groupby("group", dropna=False, sort=False).head(
-        docs_per_group
-    )
-    out_rows = []
-    for g_rank, (gval, grp) in enumerate(
-        rows.groupby("group", dropna=False, sort=False)
-    ):
-        if g_rank >= top_groups:
-            break
-        for i, (_, r) in enumerate(grp.iterrows()):
-            out_rows.append(
-                {
-                    "group": None if pd.isna(gval) else str(gval),
-                    "group_rank": g_rank + 1,
-                    "rank_in_group": i + 1,
-                    "doc_id": int(r["doc_id"]),
-                    "score": float(r["score"]),
-                }
-            )
-    return pa.Table.from_pylist(
-        out_rows,
-        schema=pa.schema(
-            [("group", pa.string()), ("group_rank", pa.int32()),
-             ("rank_in_group", pa.int32()), ("doc_id", pa.int64()),
-             ("score", pa.float64())]
-        ),
-    )
+    group = (group_table, key, group_col)
+    if sort_field is None:
+        rows = pa.concat_tables([_GROUPED_SCHEMA.empty_table()] + list(
+            index.scan(
+                partial(_collect_grouped, q=q, stats=stats,
+                        sim=similarity or BM25Similarity(), group=group,
+                        docs_per_group=docs_per_group),
+            ).iter_batches(batch_size=None, batch_format="pyarrow")))
+        vals, desc = rows.column("score"), True
+    else:
+        sort = indexsort.normalize(sort_field)
+        rows = _scan_field_sort(index, [(0, q, docs_per_group)], stats,
+                                sort, group)
+        vals, desc = rows.column("sort_0"), sort[0][1]
+    # global per-group top n in comparator order, then groups ranked by
+    # their best hit (its first appearance)
+    groups = rows.column("group").to_numpy(zero_copy_only=False)
+    sel = indexsort.first_n_per_group(
+        indexsort.order([vals.to_numpy(zero_copy_only=False)], [desc],
+                        rows.column("doc_id").to_numpy()),
+        groups, docs_per_group)
+    _, first, inv = np.unique(indexsort.sort_codes(groups[sel]),
+                              return_index=True, return_inverse=True)
+    group_rank = np.argsort(np.argsort(first))[inv]
+    by = np.argsort(group_rank, kind="stable")
+    sel, group_rank = sel[by], group_rank[by]
+    keep = group_rank < top_groups
+    sel, group_rank = sel[keep], group_rank[keep]
+    in_group = np.arange(len(sel)) - np.searchsorted(group_rank, group_rank)
+    return pa.table({
+        "group": rows.column("group").take(sel),
+        "group_rank": pa.array(group_rank + 1, pa.int32()),
+        "rank_in_group": pa.array(in_group + 1, pa.int32()),
+        "doc_id": rows.column("doc_id").take(sel),
+        "score": vals.take(sel).cast(pa.float64()),
+    })
 
 
 def elevated_search(

@@ -988,3 +988,38 @@ def test_geo_distance_search(ray_session, tmp_path):
     assert abs(res.distance_m[2] - 343_000) / 343_000 < 0.02
     # scalar haversine sanity
     assert abs(float(haversine_m(0, 0, 0, 1)) - 111_195) < 200
+
+
+def test_batch_searches_over_empty_index(ray_session, tmp_path):
+    """An index built from no documents has no segments: ``Index.search``
+    and ``search_by_fields`` return no rows and ``count_hits`` counts
+    zero per query, each with its usual schema."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.search.searcher import (
+        Index,
+        count_hits,
+        search_by_fields,
+    )
+
+    p = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([], pa.int64()),
+                             "text": pa.array([], pa.string())}), p)
+    out = str(tmp_path / "idx")
+    build_index(p, out, text_col="text", id_col="doc_id")
+    idx = Index(out)
+    queries = {0: "merge", 1: "mer*"}
+    hits = idx.search(queries, k=10)
+    assert hits.num_rows == 0
+    assert hits.schema == pa.schema([
+        ("qid", pa.int64()), ("rank", pa.int32()), ("doc_id", pa.int64()),
+        ("score", pa.float32())])
+    counts = count_hits(idx, queries)
+    assert counts.column("qid").to_pylist() == [0, 1]
+    assert counts.column("total_hits").to_pylist() == [0, 0]
+    by_fields = search_by_fields(idx, queries, [("field_len", True)], k=5)
+    assert by_fields.num_rows == 0
+    assert by_fields.schema.names == ["qid", "rank", "doc_id", "sort_0"]
+    assert by_fields.schema.field("rank").type == pa.int32()

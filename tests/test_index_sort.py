@@ -1,11 +1,17 @@
-"""Index-time sort + sorted-index early termination.
+"""Index-time sort, sorted search and early termination.
 
 Reference: ``IndexWriterConfig.setIndexSort`` (IndexWriterConfig.java:465)
-lays segments down in comparator order; ``TopFieldCollector`` then throws
-CollectionTerminatedException after k docs when the search sort matches
-the index sort.  Here: build.py permutes each shard by (value, doc_id asc)
-and records ``index_sort`` in the segment meta; ``field_sort_topk_ords``
-takes the first k matching ords without comparisons.
+lays segments down in comparator order; ``TopFieldCollector`` then stops
+after k docs when the search sort matches the index sort.  Here one
+module, ``index/indexsort.py``, holds the comparator (key values in order,
+missing values greatest, then doc_id ascending) that build, merge and
+``check_segment`` lay segments down in, and the per-segment selection
+``indexsort.select`` that every sorted search (``search_by_field``,
+``search_by_fields``, ``search_grouped(sort_field=...)``) runs: it stops
+early when the query sort is a prefix of the segment's sort, taking the
+first k matching ords plus the run that ties the k-th on the query keys.
+Every sorted answer equals the unsorted index's answer, at any
+segmentation, with missing values in the sort keys too.
 """
 
 import json
@@ -16,13 +22,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from lucene_solr_ray.index import indexsort
 from lucene_solr_ray.index.build import build_index
 from lucene_solr_ray.search.reader import SegmentReader
-from lucene_solr_ray.search.searcher import (
-    Index,
-    field_sort_topk_ords,
-    search_by_field,
-)
+from lucene_solr_ray.search.searcher import Index, search_by_field
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +65,6 @@ def test_sorted_build_layout_and_meta(ray_session, corpus, tmp_path):
     for d in idx.seg_dirs:
         with open(os.path.join(d, "segment.json")) as f:
             meta = json.load(f)
-        assert meta["index_sort"]["field"] == "prio"
-        assert meta["index_sort"]["desc"] is True
         assert meta["index_sort"]["fields"] == [
             {"field": "prio", "desc": True}
         ]
@@ -108,30 +109,35 @@ def test_early_termination_scan_counts(ray_session, corpus, tmp_path):
     q = parser.parse("merge")
     stats, _ = idx.collect_stats(sorted(set(q.terms())), [])
     reader = SegmentReader(idx.seg_dirs[0])
-    vals = pq.read_table(
+    dm = pq.read_table(
         os.path.join(idx.seg_dirs[0], "docmeta.parquet"),
-        columns=["prio"],
-    ).column("prio").to_numpy()
+        columns=["prio", "field_len"],
+    )
+    vals = dm.column("prio").to_numpy()
     ords, _ = score_segment(reader, q, stats)
     assert len(ords) > 3
     k = 3
-    sel, scanned = field_sort_topk_ords(reader, ords, vals, True, k, "prio")
-    assert scanned == k  # early termination: only k keys examined
-    # mismatch (wrong direction / wrong field) scans every candidate
-    _, scanned_asc = field_sort_topk_ords(
-        reader, ords, vals, False, k, "prio"
-    )
-    assert scanned_asc == len(ords)
-    _, scanned_other = field_sort_topk_ords(
-        reader, ords, vals, True, k, "field_len"
-    )
-    assert scanned_other == len(ords)
+    sort = [("prio", True)]
+    seg_sort = indexsort.read(reader.meta)
+    sel, examined = indexsort.select(ords, [vals], reader.doc_ids, sort, k,
+                                     seg_sort)
+    assert examined == k  # early termination: only k keys examined
+    # mismatch (wrong direction / wrong field / an overlay) examines
+    # every candidate
+    _, examined_asc = indexsort.select(ords, [vals], reader.doc_ids,
+                                       [("prio", False)], k, seg_sort)
+    assert examined_asc == len(ords)
+    _, examined_other = indexsort.select(
+        ords, [dm.column("field_len").to_numpy()], reader.doc_ids,
+        [("field_len", True)], k, seg_sort)
+    assert examined_other == len(ords)
+    _, examined_ov = indexsort.select(ords, [vals], reader.doc_ids, sort, k,
+                                      seg_sort, overlaid=True)
+    assert examined_ov == len(ords)
     # the early-terminated selection equals the full comparator's answer
-    full, _ = field_sort_topk_ords(reader, ords, vals, False, len(ords),
-                                   "prio")
-    v = vals[full].astype(np.float64)
-    order = np.lexsort((reader.doc_ids[full], -v))[:k]
-    np.testing.assert_array_equal(sel, full[order])
+    full, _ = indexsort.select(ords, [vals], reader.doc_ids, sort,
+                               len(ords), None)
+    np.testing.assert_array_equal(sel, full[:k])
 
 
 def test_index_sort_rejects_block_align(ray_session, corpus, tmp_path):
@@ -205,11 +211,11 @@ def test_multi_field_sorted_vs_unsorted_identity(
     b = search_by_fields(Index(srt), queries, sort, k=9)
     assert a.equals(b)
     # single-field query sort = a PREFIX of the index sort: the early-
-    # terminated result's key values match the exhaustive top-k keys
-    # (ties beyond the prefix follow index order, as in the reference)
+    # terminated selection orders the tie run by doc_id, so the answer
+    # is the exhaustive one
     a1 = search_by_fields(Index(plain), queries, [("lang", False)], k=9)
     b1 = search_by_fields(Index(srt), queries, [("lang", False)], k=9)
-    assert a1.column("sort_0").equals(b1.column("sort_0"))
+    assert a1.equals(b1)
     # a NON-prefix query sort must not early-terminate and stays identical
     rev = [("prio", True), ("lang", False)]
     a2 = search_by_fields(Index(plain), queries, rev, k=9)
@@ -369,7 +375,6 @@ def test_sharded_sorted_merge_identity(ray_session, corpus_mf, tmp_path):
 def test_grouped_early_termination_scan_counts(ray_session, corpus,
                                                tmp_path):
     from lucene_solr_ray.search.scorer import score_segment
-    from lucene_solr_ray.search.searcher import grouped_field_topk_ords
 
     srt = str(tmp_path / "gsrt")
     _build(corpus, srt, index_sort=("prio", True))
@@ -388,16 +393,19 @@ def test_grouped_early_termination_scan_counts(ray_session, corpus,
         ["even" if v % 2 == 0 else "odd" for v in vals[ords]], dtype=object
     )
     n = 2
-    sel, scanned = grouped_field_topk_ords(
-        reader, ords, vals, groups, True, n, "prio"
-    )
+    sort = [("prio", True)]
+    seg_sort = indexsort.read(reader.meta)
+
+    def _sel(sort, seg_sort, overlaid=False):
+        return indexsort.select(ords, [vals], reader.doc_ids, sort, n,
+                                seg_sort, overlaid, groups)
+
+    sel, examined = _sel(sort, seg_sort)
     # early termination: only the SELECTED rows' keys examined
-    assert scanned == len(sel) <= 2 * n
-    # direction mismatch scans every candidate
-    sel_asc, scanned_asc = grouped_field_topk_ords(
-        reader, ords, vals, groups, False, n, "prio"
-    )
-    assert scanned_asc == len(ords)
+    assert examined == len(sel) <= 2 * n
+    # direction mismatch or an overlay examines every candidate
+    assert _sel([("prio", False)], seg_sort)[1] == len(ords)
+    assert _sel(sort, seg_sort, overlaid=True)[1] == len(ords)
     # the early-terminated selection equals the full comparator's answer
     # per group (values non-increasing, doc_id tiebreak)
     full_by_group = {}
@@ -408,11 +416,7 @@ def test_grouped_early_termination_scan_counts(ray_session, corpus,
         i for g, idxs in full_by_group.items() for i in idxs[:n]
     )
     assert sorted(sel.tolist()) == want
-    # overlay voids the guarantee
-    _, scanned_ov = grouped_field_topk_ords(
-        reader, ords, vals, groups, True, n, "prio", overlaid=True
-    )
-    assert scanned_ov == len(ords)
+    np.testing.assert_array_equal(sel, _sel(sort, None)[0])
 
 
 def test_grouped_sorted_vs_unsorted_identity(ray_session, corpus,
@@ -436,3 +440,228 @@ def test_grouped_sorted_vs_unsorted_identity(ray_session, corpus,
     )
     assert a.equals(b)
     assert a.num_rows > 0
+
+
+# ---------------------------------------------------------------------------
+# one comparator: sorted answers equal unsorted ones at any segmentation,
+# with missing values sorting as the greatest value
+# ---------------------------------------------------------------------------
+
+
+def _assert_same(a, b):
+    """Equal schemas and values, NaN equal to NaN (``Table.equals`` is
+    not)."""
+    import pandas as pd
+
+    assert a.schema == b.schema
+    pd.testing.assert_frame_equal(a.to_pandas(), b.to_pandas())
+
+
+@pytest.mark.parametrize("docs_per_segment", [25, 50, 150])
+def test_prefix_sort_does_not_depend_on_segmentation(
+    ray_session, corpus_mf, tmp_path, docs_per_segment
+):
+    """A query sort that is a proper prefix of the index sort gives the
+    unsorted index's answer however the docs are split into segments:
+    the tie run on the prefix key is ordered by doc_id, not index
+    order."""
+    from lucene_solr_ray.search.searcher import search_by_fields
+
+    plain = str(tmp_path / "plain")
+    srt = str(tmp_path / "srt")
+    for out, kw in ((plain, {}),
+                    (srt, {"index_sort": [("lang", False),
+                                          ("prio", True)]})):
+        build_index(corpus_mf, out, text_col="text", id_col="doc_id",
+                    stored_cols=["lang", "prio"],
+                    docs_per_segment=docs_per_segment, **kw)
+    queries = {0: "merge", 1: "merge sort", 2: "batch"}
+    a = search_by_fields(Index(plain), queries, [("lang", False)], k=9)
+    b = search_by_fields(Index(srt), queries, [("lang", False)], k=9)
+    assert a.num_rows == 27
+    assert a.equals(b)
+
+
+@pytest.fixture(scope="module")
+def corpus_missing(tmp_path_factory):
+    """A float key with 30% NaN, a string key with 25% nulls, a group
+    column; duplicates in every key."""
+    rng = np.random.default_rng(5)
+    n = 120
+    words = ["merge", "sort", "batch", "alpha", "beta"]
+    prio = rng.integers(0, 40, size=n).astype(np.float64)
+    prio[rng.random(n) < 0.3] = np.nan
+    langs = [None if rng.random() < 0.25 else str(rng.choice(["de", "en"]))
+             for _ in range(n)]
+    p = str(tmp_path_factory.mktemp("isortnan") / "docs.parquet")
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array(range(n), pa.int64()),
+            "text": pa.array([
+                " ".join(rng.choice(words, size=rng.integers(3, 9)))
+                for _ in range(n)
+            ]),
+            "prio": pa.array(prio, pa.float64()),
+            "lang": pa.array(langs, pa.string()),
+            "grp": pa.array(rng.integers(0, 3, size=n), pa.int64()),
+        }),
+        p,
+    )
+    return p
+
+
+def _build_missing(corpus, out, **kw):
+    return build_index(corpus, out, text_col="text", id_col="doc_id",
+                       stored_cols=["prio", "lang"], docs_per_segment=40,
+                       **kw)
+
+
+def test_nan_key_sorted_equals_plain(ray_session, corpus_missing, tmp_path):
+    """Over a float key with NaNs, a sorted index (early-terminating)
+    gives the plain index's answers in both directions, for
+    ``search_by_field``, ``search_by_fields`` and ``search_grouped``:
+    NaN sorts as the greatest value, first when descending."""
+    from lucene_solr_ray.search.searcher import (
+        search_by_fields,
+        search_grouped,
+    )
+
+    plain = str(tmp_path / "plain")
+    srt = str(tmp_path / "srt")
+    _build_missing(corpus_missing, plain)
+    _build_missing(corpus_missing, srt, index_sort=("prio", True))
+    queries = {0: "merge", 1: "merge sort", 2: "batch"}
+    for desc, k in [(True, 6), (False, 6), (True, 120), (False, 120)]:
+        a = search_by_field(Index(plain), queries, "prio", desc, k=k)
+        b = search_by_field(Index(srt), queries, "prio", desc, k=k)
+        _assert_same(a, b)
+        # missing greatest: NaNs lead a descending answer, trail an
+        # ascending one
+        nan = np.isnan(a.filter(pa.compute.equal(a.column("qid"), 0))
+                       .column("sort_value").to_numpy())
+        assert k < 120 or (nan.any() and not nan.all())
+        assert list(nan) == sorted(nan, reverse=desc)
+        _assert_same(
+            search_by_fields(Index(plain), queries, [("prio", desc)], k=k),
+            search_by_fields(Index(srt), queries, [("prio", desc)], k=k),
+        )
+        g = [search_grouped(Index(i), "merge OR sort", corpus_missing,
+                            "grp", top_groups=3, docs_per_group=k // 3,
+                            sort_field=("prio", desc))
+             for i in (plain, srt)]
+        assert g[0].num_rows >= 6
+        _assert_same(*g)
+        for rank in set(g[0].column("group_rank").to_pylist()):
+            in_group = g[0].filter(pa.compute.equal(
+                g[0].column("group_rank"), rank))
+            nan = np.isnan(in_group.column("score").to_numpy())
+            assert list(nan) == sorted(nan, reverse=desc)
+
+
+def test_string_key_with_nulls(ray_session, corpus_missing, tmp_path):
+    """A string sort key holding nulls: the sorted build, ``check_index``
+    and ``search_by_fields`` all succeed; nulls sort last ascending and
+    first descending, on a sorted index as on a plain one."""
+    from lucene_solr_ray.index.check import check_index
+    from lucene_solr_ray.search.searcher import search_by_fields
+
+    plain = str(tmp_path / "plain")
+    srt = str(tmp_path / "srt")
+    _build_missing(corpus_missing, plain)
+    _build_missing(corpus_missing, srt, index_sort=[("lang", False)])
+    assert check_index(srt)["ok"]
+    for d in Index(srt).seg_dirs:
+        lang = pq.read_table(os.path.join(d, "docmeta.parquet"),
+                             columns=["lang"]).column("lang")
+        assert lang.null_count and lang.to_pylist()[-lang.null_count:] == [
+            None] * lang.null_count
+    queries = {0: "merge", 1: "batch"}
+    for desc in (False, True):
+        a = search_by_fields(Index(plain), queries, [("lang", desc)], k=120)
+        b = search_by_fields(Index(srt), queries, [("lang", desc)], k=120)
+        assert a.equals(b)
+        assert a.schema.field("sort_0").type == pa.string()
+        for qid in queries:
+            v = a.filter(pa.compute.equal(a.column("qid"), qid)).column(
+                "sort_0").to_pylist()
+            nulls = [x is None for x in v]
+            assert any(nulls) and not all(nulls)
+            assert nulls == sorted(nulls, reverse=desc)
+
+
+def test_legacy_sort_marker_reads_unsorted(ray_session, corpus, tmp_path):
+    """A segment meta with only the legacy single-field ``field``/``desc``
+    keys reads as unsorted: ``check_segment`` warns (no error) and sorted
+    searches give the plain index's answers."""
+    from lucene_solr_ray.index.check import check_segment
+
+    plain = str(tmp_path / "plain")
+    srt = str(tmp_path / "srt")
+    _build(corpus, plain)
+    _build(corpus, srt, index_sort=("prio", True))
+    for d in Index(srt).seg_dirs:
+        path = os.path.join(d, "segment.json")
+        with open(path) as f:
+            meta = json.load(f)
+        meta["index_sort"] = {"field": "prio", "desc": True}
+        with open(path, "w") as f:
+            json.dump(meta, f)
+        assert indexsort.read(meta) is None
+        rep = check_segment(d)
+        assert rep["ok"], rep["errors"]
+        assert any("read as unsorted; merge or rebuild" in w
+                   for w in rep["warnings"])
+    queries = {0: "merge", 1: "batch"}
+    a = search_by_field(Index(plain), queries, "prio", True, k=7)
+    b = search_by_field(Index(srt), queries, "prio", True, k=7)
+    assert a.equals(b)
+
+
+def test_prefix_selection_examines_the_tie_run(ray_session, corpus_mf,
+                                               tmp_path):
+    """On a (lang, prio desc) segment, a ``lang`` query sort examines the
+    first k ords plus the run that ties the k-th's lang — more than k,
+    fewer than all candidates — and selects what the full comparator
+    selects."""
+    from lucene_solr_ray.search.scorer import score_segment
+
+    srt = str(tmp_path / "srt")
+    build_index(corpus_mf, srt, text_col="text", id_col="doc_id",
+                stored_cols=["lang", "prio"], docs_per_segment=150,
+                index_sort=[("lang", False), ("prio", True)])
+    idx = Index(srt)
+    q = idx.make_parser().parse("merge")
+    stats, _ = idx.collect_stats(sorted(set(q.terms())), [])
+    reader = SegmentReader(idx.seg_dirs[0])
+    lang = pq.read_table(os.path.join(idx.seg_dirs[0], "docmeta.parquet"),
+                         columns=["lang"]).column("lang").to_numpy(
+                             zero_copy_only=False)
+    ords, _ = score_segment(reader, q, stats)
+    k = 5
+    sort = [("lang", False)]
+    sel, examined = indexsort.select(ords, [lang], reader.doc_ids, sort, k,
+                                     indexsort.read(reader.meta))
+    run = int((lang[ords] == lang[ords[k - 1]]).sum())
+    assert examined == run + int((lang[ords] < lang[ords[k - 1]]).sum())
+    assert k < examined < len(ords)
+    full, all_examined = indexsort.select(ords, [lang], reader.doc_ids,
+                                          sort, k, None)
+    assert all_examined == len(ords)
+    np.testing.assert_array_equal(sel, full)
+
+
+@pytest.mark.parametrize("field", ["prio", "lang"])
+def test_no_hit_schema_equals_hit_schema(ray_session, corpus_mf, tmp_path,
+                                         field):
+    """``search_by_fields`` types each sort column as its docmeta column,
+    whether or not a query hits."""
+    from lucene_solr_ray.search.searcher import search_by_fields
+
+    out = str(tmp_path / "idx")
+    build_index(corpus_mf, out, text_col="text", id_col="doc_id",
+                stored_cols=["lang", "prio"], docs_per_segment=50)
+    hit = search_by_fields(Index(out), {0: "merge"}, [(field, False)], k=3)
+    miss = search_by_fields(Index(out), {0: "zzzz"}, [(field, False)], k=3)
+    assert hit.num_rows == 3 and miss.num_rows == 0
+    assert miss.schema == hit.schema
+    assert hit.schema.names == ["qid", "rank", "doc_id", "sort_0"]
