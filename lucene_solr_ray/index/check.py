@@ -5,11 +5,12 @@ postings/terms/norms/stored fields cross-consistency.  Ours validates, per
 segment (distributed — one task per segment) and globally:
 
 - manifest ↔ segment.json agreement (ids, stats);
-- postings decode round-trip: every blob decodes, ords strictly ascending
-  within list, df == len(ords), ttf == Σfreqs, ords < doc_count;
-- per-block skip entries consistent (base/last match decoded bounds);
-- impacts are exact: stored competitive pairs dominate every (freq, norm)
-  in their block;
+- the postings format is current (an older segment is one error saying
+  to rebuild);
+- postings content, as column operations: terms strictly sorted,
+  df == len(ords) == len(freqs), ords strictly ascending within each
+  list and in ``[0, doc_count)``, ttf == Σfreqs, and positions, offsets
+  and payloads (when stored) of ``ttf``, ``2·ttf`` and ``ttf`` values;
 - norms/docmeta row counts match doc_count; sha256 column present;
 - global stats = Σ per-segment stats;
 - sidecars: deletes, soft deletes and doc-values overlays hold strictly
@@ -31,9 +32,10 @@ import numpy as np
 
 from lucene_solr_ray.index import indexsort, sidecars
 from lucene_solr_ray.index.manifest import read_latest_manifest, segment_dir_name
-from lucene_solr_ray.index.postings_codec import (
-    decode_block_skips,
-    decode_postings,
+from lucene_solr_ray.index.segment import (
+    OCCURRENCE_COLUMNS,
+    list_views,
+    outdated_format,
 )
 
 __all__ = ["check_index", "check_segment"]
@@ -42,6 +44,7 @@ __all__ = ["check_index", "check_segment"]
 def check_segment(seg_dir: str) -> Dict:
     import json
 
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     errors: List[str] = []
@@ -58,53 +61,48 @@ def check_segment(seg_dir: str) -> Dict:
     if "content_sha256" not in dm.schema.names:
         errors.append("docmeta missing content_sha256")
 
-    t = pq.read_table(os.path.join(seg_dir, "postings.parquet"))
     n_docs = dm.num_rows
-    sum_df = 0
-    sum_ttf = 0
-    norms = dm.column("norm").to_numpy()
-    prev_term = None
-    for term, df, ttf, blob, pos_blob in zip(
-        t.column("term").to_pylist(),
-        t.column("df").to_pylist(),
-        t.column("ttf").to_pylist(),
-        t.column("blocks").to_pylist(),
-        t.column("positions").to_pylist(),
-    ):
-        if pos_blob is not None and len(pos_blob) != 4 * ttf:
-            errors.append(
-                f"{term!r}: positions blob {len(pos_blob)}B != 4*ttf"
-            )
-        if prev_term is not None and term <= prev_term:
-            errors.append(f"terms not strictly sorted at {term!r}")
-        prev_term = term
-        ords, freqs = decode_postings(blob)
-        if len(ords) != df:
-            errors.append(f"{term!r}: df {df} != decoded {len(ords)}")
-        if len(ords) and (np.diff(ords) <= 0).any():
-            errors.append(f"{term!r}: ords not strictly ascending")
-        if len(ords) and (ords[-1] >= n_docs or ords[0] < 0):
-            errors.append(f"{term!r}: ord out of range")
-        if int(freqs.sum()) != ttf:
-            errors.append(f"{term!r}: ttf {ttf} != Σfreqs {int(freqs.sum())}")
-        # skip + impact consistency
-        i = 0
-        for base, last, cnt, imp_f, imp_n in decode_block_skips(blob):
-            blk_o = ords[i : i + cnt]
-            blk_f = freqs[i : i + cnt]
-            if blk_o[0] != base or blk_o[-1] != last:
-                errors.append(f"{term!r}: skip bounds mismatch")
-            # every (freq, norm) in the block must be dominated by an impact
-            blk_n = norms[blk_o]
-            for f_, n_ in zip(blk_f, blk_n):
-                if not ((imp_f >= f_) & (imp_n <= n_)).any():
-                    errors.append(
-                        f"{term!r}: ({f_},{n_}) not dominated by impacts"
-                    )
-                    break
-            i += cnt
-        sum_df += df
-        sum_ttf += ttf
+    path = os.path.join(seg_dir, "postings.parquet")
+    outdated = outdated_format(seg_dir, pq.read_schema(path).names)
+    if outdated:
+        return {"segment_id": meta["segment_id"], "ok": False,
+                "errors": [outdated], "warnings": [], "orphans": [],
+                "terms": 0, "docs": n_docs}
+    t = pq.read_table(path)
+    terms = t.column("term")
+    df = t.column("df").to_numpy()
+    ttf = t.column("ttf").to_numpy()
+
+    def report(bad: np.ndarray, what: str) -> None:
+        for i in np.flatnonzero(bad)[:5]:
+            errors.append(f"{terms[int(i)].as_py()!r}: {what}")
+
+    if t.num_rows > 1:
+        report(np.append(False, pc.less_equal(
+            terms[1:], terms[:-1]).to_numpy(zero_copy_only=False)),
+            "terms not strictly sorted")
+    edges, ords = list_views(t.column("ords"))
+    f_edges, freqs = list_views(t.column("freqs"))
+    report(np.diff(edges) != df, "df != len(ords)")
+    report(np.diff(f_edges) != df, "df != len(freqs)")
+    if len(ords) == len(freqs) == edges[-1]:
+        # ords ascend inside a list; the first of each list starts anew
+        row = np.repeat(np.arange(t.num_rows), np.diff(edges))
+        step = np.append(True, np.diff(ords.astype(np.int64)) > 0)
+        step[edges[:-1][np.diff(edges) > 0]] = True
+        report(np.bincount(row[~step], minlength=t.num_rows),
+               "ords not strictly ascending")
+        report(np.bincount(row[(ords < 0) | (ords >= n_docs)],
+                           minlength=t.num_rows), "ord out of range")
+        sums = np.concatenate([[0], np.cumsum(freqs, dtype=np.int64)])
+        report(sums[edges[1:]] - sums[edges[:-1]] != ttf, "ttf != Σfreqs")
+    for name, width in OCCURRENCE_COLUMNS:
+        col = t.column(name)
+        if col.null_count < len(col):
+            lens = np.diff(list_views(col)[0])
+            report(lens != width * ttf, f"{name} length != {width}·ttf")
+    sum_df = int(df.sum())
+    sum_ttf = int(ttf.sum())
     if sum_df != stats["sum_doc_freq"]:
         errors.append(f"sum_doc_freq {stats['sum_doc_freq']} != {sum_df}")
     if sum_ttf != stats["sum_total_term_freq"]:

@@ -162,7 +162,7 @@ def add_documents(
 
 
 def _postings_col_nonnull(path: str, col: str) -> bool:
-    """True if the named postings column carries any non-null blob —
+    """True if the named postings column carries any non-null list —
     decided from parquet row-group statistics alone (no data read)."""
     f = pq.ParquetFile(path)
     try:

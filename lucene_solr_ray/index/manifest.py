@@ -85,6 +85,8 @@ def write_segment_dir(
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from lucene_solr_ray.index.segment import postings_writer
+
     final = os.path.join(out_dir, segment_dir_name(segment_id))
     if os.path.isdir(final) and os.path.exists(
         os.path.join(final, "segment.json")
@@ -92,18 +94,11 @@ def write_segment_dir(
         return final
     tmp = final + ".tmp-" + uuid.uuid4().hex[:8]
     os.makedirs(tmp, exist_ok=True)
-    path = os.path.join(tmp, "postings.parquet")
-    if isinstance(postings, pa.Table):
-        pq.write_table(postings, path, compression="zstd")
-    else:
-        writer = None
-        for part in postings:
-            if writer is None:
-                writer = pq.ParquetWriter(path, part.schema,
-                                          compression="zstd")
+    with postings_writer(os.path.join(tmp, "postings.parquet")) as writer:
+        for part in ([postings] if isinstance(postings, pa.Table)
+                     else postings):
             if part.num_rows:
                 writer.write_table(part)
-        writer.close()
     pq.write_table(
         docmeta, os.path.join(tmp, "docmeta.parquet"), compression="zstd"
     )

@@ -10,13 +10,15 @@ input shares one index sort, the merged comparator permutation
 (``MultiSorter.sort``).  That one map drives the postings, the points,
 the carried soft-deleted ordinals and the docmeta ``take``.
 
-Postings merge term by term.  An input without tombstones is
-concatenated as it is, its block headers shifted by its doc base
-(``postings_codec.concat_postings``: O(blocks), no codec work); an input
-with tombstones is first rewritten through its DocMap
-(:func:`remap_postings_rows`: decode, drop, re-encode, O(its postings)).
-A sorted merge concatenates every input and rewrites the result through
-the concatenated DocMaps — a full re-encode, as in the reference.
+Postings merge as column operations over the format-6 list columns, with
+no loop over terms or blocks: the inputs' rows are concatenated, each
+input's ords shifted by its raw doc base (:func:`_merge_postings_rows`:
+the rows of one term regroup into one list, in input order), and the
+result is sent through the concatenated DocMaps
+(:func:`remap_postings_rows`: a ``take`` of every ord, a filter on
+``>= 0``, one stable lexsort on (term row, new ord) when the map is not
+monotonic, the per-occurrence columns carried along, emptied terms
+dropped).  The same code merges one term range or many.
 
 ``merge_segments(..., num_shards=N)`` splits the term space at quantile
 terms of the largest input's dictionary.  One range merges in the calling
@@ -41,6 +43,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.index import indexsort, sidecars
@@ -56,8 +59,12 @@ from lucene_solr_ray.index.merge_policy import (
     TieredMergePolicy,
     segment_size_bytes,
 )
-from lucene_solr_ray.index.postings_codec import concat_postings
-from lucene_solr_ray.index.segment import POSTINGS_SCHEMA
+from lucene_solr_ray.index.segment import (
+    OCCURRENCE_COLUMNS,
+    list_views,
+    postings_table,
+    postings_writer,
+)
 
 __all__ = ["merge_segments", "merge_once", "merge_until_done"]
 
@@ -65,175 +72,85 @@ __all__ = ["merge_segments", "merge_once", "merge_until_done"]
 SHARDED_MERGE_THRESHOLD = 512 * 1024 * 1024
 
 
-def _merge_postings_rows(tables, bases) -> "pa.Table":
+def _occurrence_values(postings: pa.Table) -> Dict[str, np.ndarray]:
+    """The per-occurrence columns a postings table stores, flat: one row
+    (an offset pair: two values) per occurrence."""
+    out = {}
+    for name, width in OCCURRENCE_COLUMNS:
+        col = postings.column(name)
+        if col.null_count == len(col):
+            continue
+        if col.null_count:
+            raise ValueError(
+                f"cannot merge segments with and without {name}")
+        out[name] = list_views(col)[1].reshape(-1, width)
+    return out
+
+
+def _merge_postings_rows(tables: List[pa.Table],
+                         bases: List[int]) -> pa.Table:
     """Term-aligned merge of input postings tables (already filtered to a
-    common term range) into one combined table: each term's blobs are
-    concatenated in input order, block headers shifted by ``bases``."""
-    term_lists: Dict[str, List] = {}
-    has_positions = False
-    has_offsets = False
-    has_payloads = False
-    for si, t in enumerate(tables):
-        terms = t.column("term").to_pylist()
-        blocks = t.column("blocks").to_pylist()
-        dfs_in = t.column("df").to_pylist()
-        ttfs_in = t.column("ttf").to_pylist()
-        poss = t.column("positions").to_pylist()
-        offs = (
-            t.column("offsets").to_pylist()
-            if "offsets" in t.schema.names else [None] * t.num_rows
-        )
-        pays = (
-            t.column("payloads").to_pylist()
-            if "payloads" in t.schema.names else [None] * t.num_rows
-        )
-        for term, blob, df_i, ttf_i, pos, off, pay in zip(
-            terms, blocks, dfs_in, ttfs_in, poss, offs, pays
-        ):
-            if pos is not None:
-                has_positions = True
-            if off is not None:
-                has_offsets = True
-            if pay is not None:
-                has_payloads = True
-            term_lists.setdefault(term, []).append(
-                (si, blob, df_i, ttf_i, pos, off, pay)
-            )
-
-    terms_sorted = sorted(term_lists)
-    blobs, dfs, ttfs = [], [], []
-    positions_out, offsets_out, payloads_out = [], [], []
-    for term in terms_sorted:
-        parts = sorted(term_lists[term], key=lambda x: x[0])
-        blobs.append(
-            concat_postings([(p[1], bases[p[0]]) for p in parts])
-        )
-        dfs.append(sum(p[2] for p in parts))
-        ttfs.append(sum(p[3] for p in parts))
-        if has_positions:
-            if any(p[4] is None for p in parts):
-                raise ValueError(
-                    f"term {term!r}: cannot merge segments with and "
-                    "without positions"
-                )
-            positions_out.append(b"".join(p[4] for p in parts))
-        else:
-            positions_out.append(None)
-        if has_offsets:
-            if any(p[5] is None for p in parts):
-                raise ValueError(
-                    f"term {term!r}: cannot merge segments with and "
-                    "without offsets"
-                )
-            offsets_out.append(b"".join(p[5] for p in parts))
-        else:
-            offsets_out.append(None)
-        if has_payloads:
-            if any(p[6] is None for p in parts):
-                raise ValueError(
-                    f"term {term!r}: cannot merge segments with and "
-                    "without payloads"
-                )
-            payloads_out.append(b"".join(p[6] for p in parts))
-        else:
-            payloads_out.append(None)
-    return _postings_table({
-        "term": terms_sorted, "df": dfs, "ttf": ttfs, "blocks": blobs,
-        "positions": positions_out, "offsets": offsets_out,
-        "payloads": payloads_out,
-    })
+    common term range): every input's ords shifted by its base, and the
+    rows of one term joined into one list in input order."""
+    t = pa.concat_tables(tables)
+    # a stable sort keeps each term's rows in input order
+    order = pc.sort_indices(t.column("term"))
+    # int32 like the ords: merged ords stay below 2^31
+    row_base = np.repeat(np.asarray(bases, dtype=np.int32),
+                         [x.num_rows for x in tables])[order.to_numpy()]
+    t = t.take(order)
+    terms = t.column("term").combine_chunks()
+    new_term = np.ones(t.num_rows, dtype=bool)
+    new_term[1:] = pc.not_equal(terms[1:], terms[:-1]).to_numpy(
+        zero_copy_only=False)
+    starts = np.flatnonzero(new_term)
+    edges, ords = list_views(t.column("ords"))
+    ords = ords + np.repeat(row_base, np.diff(edges))
+    return postings_table(
+        terms.take(starts), edges[np.append(starts, t.num_rows)], ords,
+        list_views(t.column("freqs"))[1], _occurrence_values(t))
 
 
-def _postings_table(cols: Dict[str, list]) -> pa.Table:
-    return pa.table(
-        {
-            "term": pa.array(cols["term"], pa.string()),
-            "df": pa.array(np.asarray(cols["df"], dtype=np.int32)),
-            "ttf": pa.array(np.asarray(cols["ttf"], dtype=np.int64)),
-            "blocks": pa.array(cols["blocks"], pa.binary()),
-            "positions": pa.array(cols["positions"], type=pa.binary()),
-            "offsets": pa.array(cols["offsets"], type=pa.binary()),
-            "payloads": pa.array(cols["payloads"], type=pa.binary()),
-        },
-        schema=POSTINGS_SCHEMA,
-    )
-
-
-def remap_postings_rows(postings: pa.Table, doc_map: np.ndarray,
-                        norm_for_field) -> pa.Table:
+def remap_postings_rows(postings: pa.Table,
+                        doc_map: np.ndarray) -> pa.Table:
     """Rewrite a postings table through a DocMap: ``doc_map[old_ord]`` is
     the new ordinal, or −1 for a deleted doc (reference
-    ``MergeState.DocMap``).  Per term: decode, drop the deleted docs (and
-    the term when none is left, as ``SegmentMerger`` omits terms with no
-    live docs), map, re-sort ascending unless the map is monotonic, and
-    carry freqs plus the per-OCCURRENCE positions/offsets/payloads blobs
-    to the new doc order.  ``norm_for_field(field_or_None)`` returns the
-    norm bytes indexed by NEW ordinal, for the re-encoded impacts."""
-    from lucene_solr_ray.index.postings_codec import (
-        decode_postings,
-        encode_postings,
-    )
-    from lucene_solr_ray.index.segment import FIELD_SEP
-
+    ``MergeState.DocMap``).  Deleted docs drop out (and a term with none
+    left, as ``SegmentMerger`` omits terms with no live docs); unless the
+    map is monotonic each term's entries re-sort by new ord, and the
+    per-occurrence positions / offsets / payloads move with their
+    entry.  The identity map (no deletes, no sort) returns the table as
+    it is."""
+    if np.array_equal(doc_map, np.arange(len(doc_map))):
+        return postings
+    edges, ords = list_views(postings.column("ords"))
+    freqs = list_views(postings.column("freqs"))[1]
+    new_ords = doc_map[ords]
+    keep = new_ords >= 0
+    kept_below = np.concatenate([[0], np.cumsum(keep)])
+    df = kept_below[edges[1:]] - kept_below[edges[:-1]]
     live_map = doc_map[doc_map >= 0]
-    monotonic = bool(np.all(live_map[1:] > live_map[:-1]))
-    has_off = "offsets" in postings.schema.names
-    has_pay = "payloads" in postings.schema.names
-    terms = postings.column("term").to_pylist()
-    blocks = postings.column("blocks").to_pylist()
-    poss = postings.column("positions").to_pylist()
-    offs = (postings.column("offsets").to_pylist() if has_off
-            else [None] * postings.num_rows)
-    pays = (postings.column("payloads").to_pylist() if has_pay
-            else [None] * postings.num_rows)
-    out = {"term": [], "df": [], "ttf": [], "blocks": [], "positions": [],
-           "offsets": [], "payloads": []}
-    for term, blob, posblob, offblob, payblob in zip(
-        terms, blocks, poss, offs, pays
-    ):
-        ords, freqs = decode_postings(blob)
-        new_ords = doc_map[ords.astype(np.int64)]
-        keep = new_ords >= 0
-        if not keep.any():
-            continue
-        if monotonic:
-            perm = keep
-        else:
-            perm = np.flatnonzero(keep)
-            perm = perm[np.argsort(new_ords[perm], kind="mergesort")]
-        sorted_ords = new_ords[perm]
-        sorted_freqs = freqs[perm]
-        fld = term.split(FIELD_SEP, 1)[0] if FIELD_SEP in term else None
-        norms = norm_for_field(fld)
-        out["term"].append(term)
-        out["df"].append(len(sorted_ords))
-        out["ttf"].append(int(sorted_freqs.sum()))
-        out["blocks"].append(
-            encode_postings(sorted_ords, sorted_freqs, norms[sorted_ords])
-        )
-        if posblob is None and offblob is None and payblob is None:
-            occ = None
-        elif monotonic:
-            # kept docs keep their order: a mask over the occurrences
-            occ = np.repeat(keep, freqs)
-        else:
-            # each kept doc's occurrence slice moves as one unit to its
-            # new position
-            starts = np.zeros(len(freqs), dtype=np.int64)
-            np.cumsum(freqs[:-1], out=starts[1:])
-            pf = sorted_freqs.astype(np.int64)
-            occ = np.repeat(starts[perm], pf) + (
-                np.arange(int(pf.sum())) - np.repeat(np.cumsum(pf) - pf, pf)
-            )
-        # per occurrence: one position, one (start, end) offset pair, or
-        # one payload
-        for col, occ_blob, dtype, width in (
-            ("positions", posblob, "<i4", 1), ("offsets", offblob, "<i4", 2),
-            ("payloads", payblob, "<f4", 1),
-        ):
-            out[col].append(None if occ_blob is None else np.frombuffer(
-                occ_blob, dtype=dtype).reshape(-1, width)[occ].tobytes())
-    return _postings_table(out)
+    if np.all(live_map[1:] > live_map[:-1]):
+        # entries keep their order: masks over entries and occurrences
+        occ = np.repeat(keep, freqs)
+    else:
+        # one stable sort on (term row, new ord); each kept entry's
+        # occurrence slice moves with it
+        row = np.repeat(np.arange(postings.num_rows), np.diff(edges))
+        keep = np.flatnonzero(keep)
+        keep = keep[np.lexsort((new_ords[keep], row[keep]))]
+        kept_freqs = freqs[keep].astype(np.int64)
+        occ_start = np.cumsum(freqs, dtype=np.int64) - freqs
+        occ = np.repeat(occ_start[keep] - (np.cumsum(kept_freqs)
+                                           - kept_freqs), kept_freqs)
+        occ += np.arange(len(occ))
+    rows = np.flatnonzero(df)
+    return postings_table(
+        postings.column("term").take(rows),
+        np.concatenate([[0], np.cumsum(df[rows])]), new_ords[keep],
+        freqs[keep],
+        {name: values[occ]
+         for name, values in _occurrence_values(postings).items()})
 
 
 @dataclass
@@ -242,17 +159,6 @@ class _MergePlan:
 
     seg_dirs: List[str]
     doc_maps: List[np.ndarray]   # per input: old ord → merged ord, or −1
-    bases: List[int]             # per input: #live docs of earlier inputs
-    sorted: bool                 # the DocMaps carry a sort permutation
-    norms: Dict[Optional[str], np.ndarray]  # merged norms, by field
-
-    def norm_for_field(self, fld: Optional[str]) -> np.ndarray:
-        arr = self.norms.get(fld)
-        if arr is None:
-            arr = self.norms[fld] = np.zeros(
-                len(self.norms[None]), dtype=np.uint8
-            )
-        return arr
 
 
 def _read_postings(seg_dir: str, lo: Optional[str],
@@ -261,7 +167,6 @@ def _read_postings(seg_dir: str, lo: Optional[str],
     path = os.path.join(seg_dir, "postings.parquet")
     if lo is None and hi is None:
         return pq.read_table(path)
-    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     filt = None
@@ -275,25 +180,13 @@ def _read_postings(seg_dir: str, lo: Optional[str],
 
 def _merge_range(plan: _MergePlan, lo: Optional[str],
                  hi: Optional[str]) -> pa.Table:
-    """The merged postings rows of one term range."""
+    """The merged postings rows of one term range: every input at its raw
+    doc base, then one rewrite through the concatenated DocMaps."""
     tables = [_read_postings(d, lo, hi) for d in plan.seg_dirs]
-    if plan.sorted:
-        # every input at its raw doc base, then one rewrite through the
-        # concatenated DocMaps
-        counts = [len(m) for m in plan.doc_maps]
-        return remap_postings_rows(
-            _merge_postings_rows(tables, [0] + list(np.cumsum(counts[:-1]))),
-            np.concatenate(plan.doc_maps), plan.norm_for_field,
-        )
-    offsets = list(plan.bases)
-    for i, doc_map in enumerate(plan.doc_maps):
-        if (doc_map < 0).any():
-            # rewritten straight to merged ords: no base shift after
-            tables[i] = remap_postings_rows(
-                tables[i], doc_map, plan.norm_for_field
-            )
-            offsets[i] = 0
-    return _merge_postings_rows(tables, offsets)
+    counts = [len(m) for m in plan.doc_maps]
+    return remap_postings_rows(
+        _merge_postings_rows(tables, [0] + list(np.cumsum(counts[:-1]))),
+        np.concatenate(plan.doc_maps))
 
 
 def _term_ranges(seg_dirs: List[str], num_shards: int):
@@ -334,7 +227,8 @@ def _merge_ranges_in_tasks(index_dir: str, new_id: int, plan: _MergePlan,
         out_rows = []
         for ri in batch.column("ri").to_pylist():
             part = _merge_range(p, *ranges[ri])
-            pq.write_table(part, paths[ri], compression="zstd")
+            with postings_writer(paths[ri]) as writer:
+                writer.write_table(part)
             out_rows.append({
                 "terms": part.num_rows,
                 "df": int(part.column("df").to_numpy().sum()),
@@ -522,12 +416,7 @@ def merge_segments(index_dir: str, spec_ids: List[int], new_id: int,
     if perm is not None:
         docmeta = docmeta.take(perm)
     doc_maps = _doc_maps(counts, dels, bases, perm)
-    norms = {None: docmeta.column("norm").to_numpy()}
-    for c in docmeta.schema.names:
-        if c.startswith("norm__"):
-            norms[c[len("norm__"):]] = docmeta.column(c).to_numpy()
-    plan = _MergePlan(seg_dirs=seg_dirs, doc_maps=doc_maps, bases=bases,
-                      sorted=perm is not None, norms=norms)
+    plan = _MergePlan(seg_dirs=seg_dirs, doc_maps=doc_maps)
     points = _merge_points(seg_dirs, doc_maps)
     soft_ords = _merged_soft_ords(seg_dirs, doc_maps)
 

@@ -8,10 +8,14 @@ contiguous slice of corpus rows and emits:
 
 - ``postings.parquet`` — one row per term, byte-sorted by term (as the
   reference sorts terms before flush, ``FreqProxTermsWriter.java:88-103``):
-  ``term, df:int32, ttf:int64, blocks:binary`` (delta+FOR 128-blocks with
-  skip entries + competitive impacts, see ``postings_codec``) and
-  ``positions:binary`` (int32 positions in (doc, occurrence) order;
-  per-doc boundaries implied by freqs).
+  ``term, df:int32, ttf:int64`` and the term's postings as list columns:
+  ``ords`` (absolute doc ordinals, ascending) and ``freqs``, then
+  ``positions``, ``offsets`` ((start, end) pairs, flattened) and
+  ``payloads``, one value (pair) per occurrence in (doc, occurrence) order,
+  null when the build did not ask for them.  Parquet encodes the int32
+  list values ``DELTA_BINARY_PACKED`` — the delta + FOR 128-value blocks
+  of ``Lucene50PostingsFormat`` / ``ForUtil``, run in C++ — and
+  :func:`postings_writer` is the one place that sets the encodings.
 - ``docmeta.parquet`` — one row per doc ordinal: ``doc_id:int64,
   norm:uint8, field_len:int32, content_sha256:binary`` (the norm byte per
   ``BM25Similarity.computeNorm``, ``BM25Similarity.java:115-126``).
@@ -45,36 +49,45 @@ import pyarrow.compute as pc
 
 from lucene_solr_ray.analysis.analyzer import StandardAnalyzer, text_array
 from lucene_solr_ray.analysis.smallfloat import int_to_byte4_np
-from lucene_solr_ray.index.postings_codec import encode_postings_batch
 
 __all__ = ["build_segment_tables", "SegmentData", "POSTINGS_SCHEMA",
-           "DOCMETA_SCHEMA", "FORMAT_VERSION"]
+           "DOCMETA_SCHEMA", "FORMAT_VERSION", "postings_table",
+           "postings_writer", "list_views", "outdated_format"]
 
 #: bump when the on-disk segment layout changes (cache keys include it)
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
+
+
+def _list(value_type: pa.DataType) -> pa.DataType:
+    # "element" is the child name Parquet's nested list layout reads back
+    return pa.list_(pa.field("element", value_type))
+
 
 POSTINGS_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
         ("df", pa.int32()),
         ("ttf", pa.int64()),
-        # delta+FOR block-packed (ords, freqs) + per-block skip entries and
-        # competitive impacts — see index/postings_codec.py
-        ("blocks", pa.binary()),
-        # per-term little-endian int32 positions, concatenated in (doc,
-        # occurrence) order; per-doc boundaries are implied by the freqs
-        # (freq == #positions), so merge is a plain byte concat
-        ("positions", pa.binary()),
-        # optional (start,end) char-offset int32 pairs in the same order —
+        # absolute doc ordinals, ascending within each term, and their
+        # freqs (the .doc file: doc ids + freqs)
+        ("ords", _list(pa.int32())),
+        ("freqs", _list(pa.int32())),
+        # one position per occurrence, in (doc, occurrence) order; per-doc
+        # boundaries are implied by the freqs (freq == #positions)
+        ("positions", _list(pa.int32())),
+        # (start, end) char-offset pairs, flattened, in the same order —
         # DOCS_AND_FREQS_AND_POSITIONS_AND_OFFSETS (IndexOptions.java:25-48)
-        ("offsets", pa.binary()),
-        # optional per-occurrence float32 payloads in the same (doc,
-        # occurrence) order as positions — the PayloadAttribute blob
-        # (``analysis/tokenattributes/PayloadAttribute.java`` with the
-        # FloatEncoder layout PayloadScoreQuery decodes)
-        ("payloads", pa.binary()),
+        ("offsets", _list(pa.int32())),
+        # per-occurrence float32 payloads in the same order — the
+        # PayloadAttribute value (``analysis/tokenattributes/
+        # PayloadAttribute.java`` with the FloatEncoder layout
+        # PayloadScoreQuery decodes)
+        ("payloads", _list(pa.float32())),
     ]
 )
+
+#: the per-occurrence list columns and how many values one occurrence has
+OCCURRENCE_COLUMNS = (("positions", 1), ("offsets", 2), ("payloads", 1))
 
 DOCMETA_SCHEMA = pa.schema(
     [
@@ -97,15 +110,80 @@ class SegmentData:
         self.stats = stats
 
 
-def _term_blobs(values: np.ndarray, tok_edges: np.ndarray) -> pa.Array:
-    """One binary value per term over per-token rows: term *i* is the bytes
-    of ``values[tok_edges[i]:tok_edges[i + 1]]``, built from one values
-    buffer and one offsets buffer."""
-    offsets = (tok_edges * values.strides[0]).astype(np.int32)
-    return pa.Array.from_buffers(
-        pa.binary(), len(tok_edges) - 1,
-        [None, pa.py_buffer(offsets), pa.py_buffer(values)],
-    )
+def postings_writer(path) -> "pq.ParquetWriter":
+    """The writer of every postings file (segments and merge parts): the
+    one place that decides the encodings.  zstd on the file;
+    ``DELTA_BYTE_ARRAY`` on the sorted terms (shared prefixes, the
+    block-tree terms dictionary's role; a dictionary on unique terms only
+    adds bytes); the dictionary on ``df`` and ``ttf``, whose small values
+    repeat; ``DELTA_BINARY_PACKED`` on the int32 list values.  pyarrow
+    names a list child by its nested path: a bare ``"ords"`` key is
+    ignored and leaves the column PLAIN."""
+    import pyarrow.parquet as pq
+
+    encodings = {"term": "DELTA_BYTE_ARRAY"}
+    for f in POSTINGS_SCHEMA:
+        if pa.types.is_list(f.type) and f.type.value_type == pa.int32():
+            encodings[f"{f.name}.list.element"] = "DELTA_BINARY_PACKED"
+    return pq.ParquetWriter(path, POSTINGS_SCHEMA, compression="zstd",
+                            use_dictionary=["df", "ttf"],
+                            column_encoding=encodings)
+
+
+def outdated_format(seg_dir: str, names: List[str]) -> Optional[str]:
+    """Why a segment whose postings columns are ``names`` cannot be read,
+    or None when it is current."""
+    if "ords" in names:
+        return None
+    return (f"segment {seg_dir} uses an outdated on-disk format (postings "
+            f"format 5 or older: no 'ords' column); rebuild the index with "
+            f"the current engine (format {FORMAT_VERSION})")
+
+
+def list_views(arr: "pa.Array | pa.ChunkedArray"):
+    """(offsets int64, values) zero-copy numpy views of a list column:
+    row r's values are ``values[offsets[r]:offsets[r + 1]]`` (a null row
+    is empty)."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    offsets = arr.offsets.to_numpy().astype(np.int64)
+    return offsets - offsets[0], arr.flatten().to_numpy()
+
+
+def postings_table(terms: pa.Array, edges: np.ndarray, ords: np.ndarray,
+                   freqs: np.ndarray,
+                   occurrences: "Optional[Dict[str, np.ndarray]]" = None,
+                   ) -> pa.Table:
+    """The postings table of terms whose postings lie flat: term *i* has
+    the (ord, freq) entries ``[edges[i], edges[i + 1])``, and each entry
+    its ``freq`` occurrences in order.  ``occurrences`` maps a column of
+    :data:`OCCURRENCE_COLUMNS` to one row (an offset pair: two values)
+    per occurrence; a column it leaves out is null."""
+    edges = np.asarray(edges, dtype=np.int64)
+    occ_edges = np.concatenate(
+        [[0], np.cumsum(freqs, dtype=np.int64)])[edges]
+    n = len(edges) - 1
+
+    def lists(name: str, values: np.ndarray, offsets: np.ndarray):
+        typ = POSTINGS_SCHEMA.field(name).type
+        return pa.ListArray.from_arrays(
+            pa.array(offsets.astype(np.int32)),
+            pa.array(np.ravel(values).astype(
+                typ.value_type.to_pandas_dtype(), copy=False)), type=typ)
+
+    cols = {
+        "term": terms,
+        "df": pa.array(np.diff(edges).astype(np.int32)),
+        "ttf": pa.array(np.diff(occ_edges)),
+        "ords": lists("ords", ords, edges),
+        "freqs": lists("freqs", freqs, edges),
+    }
+    for name, width in OCCURRENCE_COLUMNS:
+        values = (occurrences or {}).get(name)
+        cols[name] = (
+            pa.nulls(n, POSTINGS_SCHEMA.field(name).type) if values is None
+            else lists(name, values, width * occ_edges))
+    return pa.table(cols, schema=POSTINGS_SCHEMA)
 
 
 def _sha256_each(texts: pa.Array) -> List[bytes]:
@@ -135,7 +213,7 @@ def build_segment_tables(
     analyzer = analyzer or StandardAnalyzer()
     if with_offsets and not with_positions:
         raise ValueError(
-            "with_offsets requires with_positions (the offsets blob is "
+            "with_offsets requires with_positions (the offsets column is "
             "indexed by the freq boundaries the positions path defines)"
         )
     if with_payloads and (not with_positions or with_offsets):
@@ -203,46 +281,29 @@ def build_segment_tables(
     new_term = np.ones(len(g_start), dtype=bool)
     new_term[1:] = g_code[1:] != g_code[:-1]
     t_starts = np.flatnonzero(new_term)
-    t_counts = np.diff(np.append(t_starts, len(g_start)))
     # every dictionary entry occurs, so the sorted dictionary is the terms
     terms_sorted = enc.dictionary.take(pa.array(by_term))
-    df = t_counts.astype(np.int32)
-    tok_edges = np.append(g_start[t_starts], n_occurrences)
-    ttf = np.diff(tok_edges)
-
-    field_lens = doc_lens.astype(np.int32)
     norm_bytes = int_to_byte4_np(doc_lens)
-    blobs = encode_postings_batch(g_ord, g_freq, norm_bytes, t_starts,
-                                  t_counts)
 
-    n_terms = len(t_starts)
-    positions_arr = offsets_arr = payloads_arr = pa.nulls(
-        n_terms, pa.binary())
+    occurrences = {}
     if with_positions:
-        positions_arr = _term_blobs(tok_pos[order].astype("<i4"), tok_edges)
+        occurrences["positions"] = tok_pos[order]
     if with_offsets:
-        pairs = np.stack([attrs[0][order], attrs[1][order]], axis=1)
-        offsets_arr = _term_blobs(pairs.astype("<i4"), tok_edges)
+        occurrences["offsets"] = np.stack(
+            [attrs[0][order], attrs[1][order]], axis=1)
     if with_payloads:
-        payloads_arr = _term_blobs(attrs[0][order].astype("<f4"),
-                                   tok_edges)
-
-    postings_cols: Dict[str, pa.Array] = {
-        "term": terms_sorted,
-        "df": pa.array(df),
-        "ttf": pa.array(ttf),
-        "blocks": blobs,
-        "positions": positions_arr,
-        "offsets": offsets_arr,
-        "payloads": payloads_arr,
-    }
-    postings = pa.table(postings_cols, schema=POSTINGS_SCHEMA)
+        occurrences["payloads"] = attrs[0][order]
+    postings = postings_table(
+        terms_sorted, np.append(t_starts, len(g_start)), g_ord, g_freq,
+        occurrences)
+    df = postings.column("df").to_numpy()
+    ttf = postings.column("ttf").to_numpy()
 
     docmeta = pa.table(
         {
             "doc_id": pa.array(np.asarray(doc_ids, dtype=np.int64)),
             "norm": pa.array(norm_bytes),
-            "field_len": pa.array(field_lens),
+            "field_len": pa.array(doc_lens.astype(np.int32)),
             "content_sha256": pa.array(shas, type=pa.binary()),
         },
         schema=DOCMETA_SCHEMA,

@@ -15,6 +15,8 @@ instead (float32 cast points aren't expressible in portable SQL).
 
 from __future__ import annotations
 
+import functools
+import glob
 import hashlib
 import os
 from typing import Dict, List, Tuple
@@ -39,6 +41,34 @@ __all__ = [
 ]
 
 _CACHE_ROOT = "/tmp/lsr_indexes"
+
+
+@functools.lru_cache(maxsize=None)
+def _code_digest() -> str:
+    """Digest of the sources that build, merge and analyze an index
+    (``index/*.py`` and ``analysis/*.py``): a cached gate index is rebuilt
+    when that code changes, not only when ``FORMAT_VERSION`` does."""
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.md5()
+    for sub in ("index", "analysis"):
+        for path in sorted(glob.glob(os.path.join(pkg, sub, "*.py"))):
+            with open(path, "rb") as f:
+                h.update(f.read())
+    return h.hexdigest()
+
+
+def _cache_dir(kind: str, sf_dir: str) -> str:
+    """The cache path of one gate artifact (an index, a generated corpus,
+    an export) over the testdata at ``sf_dir``, under ``_CACHE_ROOT``.
+    Its key covers the kind, ``FORMAT_VERSION``, the testdata path and
+    :func:`_code_digest`."""
+    from lucene_solr_ray.index.segment import FORMAT_VERSION
+
+    key = hashlib.md5(
+        (os.path.abspath(sf_dir) + _code_digest()).encode()
+    ).hexdigest()[:12]
+    os.makedirs(_CACHE_ROOT, exist_ok=True)
+    return os.path.join(_CACHE_ROOT, f"{kind}_v{FORMAT_VERSION}_{key}")
 DOCS_PER_SEGMENT = 250
 
 #: the reference-style query set (conf/query-terms.txt shapes): single terms
@@ -63,10 +93,7 @@ QUERY_SET: List[Tuple[int, str, int, List[List[str]]]] = [
 
 def documents_index(sf_dir: str) -> Index:
     """Build-or-open the cached index over ``{sf_dir}/documents.parquet``."""
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -835,10 +862,7 @@ def hit_counts_sql() -> str:
 
 def documents_index_mf(sf_dir: str) -> Index:
     """documents indexed with text (default) + a ``lang`` keyword field."""
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_mf_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_mf", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -908,10 +932,7 @@ def stemmed_search_topk(sf_dir: str) -> pa.Table:
     SQL-expressible); the analyzer itself is fixture-oracled in pytest
     (reference ``analysis/en/EnglishAnalyzer.java:41``)."""
     from lucene_solr_ray.analysis.en import EnglishAnalyzer
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_en_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_en", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -1300,12 +1321,10 @@ def block_join_parents(sf_dir: str) -> pa.Table:
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
     from lucene_solr_ray.search.join import ToParentBlockJoinQuery
     from lucene_solr_ray.search.query import TermQuery
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"blockjoin_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("blockjoin", sf_dir)
     if read_latest_manifest(out) is None:
         li = pq.read_table(
             os.path.join(sf_dir, "lineitem.parquet"),
@@ -1325,7 +1344,7 @@ def block_join_parents(sf_dir: str) -> pa.Table:
             rows.append((o.o_orderpriority, 1))
         corpus = pd.DataFrame(rows, columns=["text", "parent_flag"])
         corpus.insert(0, "doc_id", np.arange(len(corpus), dtype=np.int64))
-        cp = os.path.join("/tmp", f"lsr_blockjoin_{key}.parquet")
+        cp = out + ".parquet"
         pq.write_table(pa.Table.from_pandas(corpus, preserve_index=False),
                        cp)
         build_index(cp, out, text_col="text", id_col="doc_id",
@@ -1411,8 +1430,7 @@ def image_decode_stats(sf_dir: str) -> pa.Table:
 
     from lucene_solr_ray.functions.multimodal import decode_images, encode_bmp
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    corpus = os.path.join("/tmp", f"lsr_images_{key}.parquet")
+    corpus = _cache_dir("images", sf_dir) + ".parquet"
     if not os.path.exists(corpus):
         rng = np.random.default_rng(12345)
         rows = []
@@ -1463,8 +1481,7 @@ def topic_pull_docs(sf_dir: str) -> pa.Table:
     from lucene_solr_ray.stages.streaming import TopicStream
 
     idx_dir = documents_index(sf_dir).index_dir
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    ckpt = os.path.join("/tmp", f"lsr_topic_gate_{key}.json")
+    ckpt = _cache_dir("topic_gate", sf_dir) + ".json"
     if os.path.exists(ckpt):
         os.remove(ckpt)  # deterministic: every gate run starts fresh
     t = TopicStream(idx_dir, "merge", checkpoint_path=ckpt)
@@ -1795,10 +1812,7 @@ def documents_index_pts(sf_dir: str) -> Index:
     """documents indexed with an INDEXED NUMERIC point field ``n_chars``
     (LongPoint semantics: flat-sorted per-segment points, PointRangeQuery
     in the query language)."""
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_pts_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_pts", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -1872,10 +1886,7 @@ def delete_then_search(sf_dir: str) -> pa.Table:
     BM25 batch — survivors keep their EXACT pre-delete scores (stats stay
     maxDoc-based until merge), deleted docs vanish from every result."""
     from lucene_solr_ray.index.deletes import delete_by_query
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_del_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_del", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -1946,13 +1957,9 @@ def soft_delete_then_search(sf_dir: str) -> pa.Table:
     containing 'window'; the WRAPPED view (qids 0-2) excludes them with
     hard-delete-identical scores, the UNWRAPPED view (qid 3) still sees
     every doc — both against one index."""
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
     from lucene_solr_ray.index.softdeletes import soft_delete_by_query
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(
-        _CACHE_ROOT, f"documents_softdel_v{FORMAT_VERSION}_{key}"
-    )
+    out = _cache_dir("documents_softdel", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -2039,11 +2046,9 @@ def dv_update_then_sort(sf_dir: str) -> pa.Table:
     and rank docs matching 'data' by the column: the sort path reads
     through the overlay sidecars without rewriting any segment."""
     from lucene_solr_ray.index.docvalues import update_numeric_docvalue
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
     from lucene_solr_ray.search.searcher import search_by_field
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_dvu_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_dvu", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -2097,8 +2102,7 @@ def _payload_corpus(sf_dir: str) -> str:
     shape with a deterministic, SQL-recomputable payload."""
     import ray.data
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"payload_corpus_{key}")
+    out = _cache_dir("payload_corpus", sf_dir)
     done = os.path.join(out, "_DONE")
     if os.path.exists(done):
         return out
@@ -2134,12 +2138,9 @@ def _payload_corpus(sf_dir: str) -> str:
 
 def payload_index(sf_dir: str) -> Index:
     """Build-or-open the payload-carrying index (DelimitedPayloadAnalyzer
-    + per-occurrence float32 payload blobs in the postings)."""
+    + per-occurrence float32 payload lists in the postings)."""
     from lucene_solr_ray.analysis.analyzer import DelimitedPayloadAnalyzer
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_pay_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_pay", sf_dir)
     if read_latest_manifest(out) is None:
         corpus = _payload_corpus(sf_dir)
         paths = sorted(
@@ -2219,13 +2220,9 @@ def indexsort_topk(sf_dir: str) -> pa.Table:
     doc_id ASC) comparator order; ``search_by_field`` on the matching sort
     early-terminates per segment after k matching ords — results must be
     byte-identical to the full comparator over an unsorted index."""
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
     from lucene_solr_ray.search.searcher import search_by_field
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(
-        _CACHE_ROOT, f"documents_isort_v{FORMAT_VERSION}_{key}"
-    )
+    out = _cache_dir("documents_isort", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -2269,13 +2266,9 @@ def indexsort_multi_topk(sf_dir: str) -> pa.Table:
     down in (lang ASC, n_chars DESC, doc_id ASC) comparator order;
     ``search_by_fields`` on the full matching sort early-terminates per
     segment and must equal the exhaustive comparator."""
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
     from lucene_solr_ray.search.searcher import search_by_fields
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(
-        _CACHE_ROOT, f"documents_isortmf_v{FORMAT_VERSION}_{key}"
-    )
+    out = _cache_dir("documents_isortmf", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -2416,12 +2409,9 @@ def export_sorted_docs(sf_dir: str) -> pa.Table:
     from lucene_solr_ray.search.searcher import export_sorted
 
     idx = documents_index(sf_dir)
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out_dir = os.path.join("/tmp", f"lsr_export_{key}")
+    out_dir = _cache_dir("export", sf_dir)
     shutil.rmtree(out_dir, ignore_errors=True)
     export_sorted(idx, "merge OR sort", "field_len", out_dir)
-    import glob
-
     t = pa.concat_tables([
         pq.read_table(f)
         for f in sorted(glob.glob(os.path.join(out_dir, "*.parquet")))
@@ -2455,8 +2445,7 @@ def geo_distance_docs(sf_dir: str) -> pa.Table:
 
     from lucene_solr_ray.search.geo import geo_distance_search
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    corpus = os.path.join("/tmp", f"lsr_geo_{key}.parquet")
+    corpus = _cache_dir("geo_corpus", sf_dir) + ".parquet"
     if not os.path.exists(corpus):
         ids = pq.read_table(
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
@@ -2472,9 +2461,7 @@ def geo_distance_docs(sf_dir: str) -> pa.Table:
             }),
             corpus,
         )
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    out = os.path.join(_CACHE_ROOT, f"geo_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("geo", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(corpus, out, text_col="text", id_col="doc_id",
                     stored_cols=["lat", "lon"], docs_per_segment=1000)
@@ -2543,8 +2530,7 @@ def geo_polygon_docs(sf_dir: str) -> pa.Table:
         shape_polygon_query,
     )
 
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    idx = os.path.join(_CACHE_ROOT, f"shape_v1_{key}")
+    idx = _cache_dir("shape", sf_dir)
     if not os.path.isdir(idx) or not os.listdir(idx):
         ids = pq.read_table(
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
@@ -2896,10 +2882,7 @@ def documents_index_syn(sf_dir: str) -> Index:
     """Cached index over documents analyzed through the synonym graph
     chain (``SynonymGraphFilter`` → ``FlattenGraphFilter``, the
     reference's index-time multi-word synonym configuration)."""
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_syn_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_syn", sf_dir)
     if read_latest_manifest(out) is None:
         build_index(
             os.path.join(sf_dir, "documents.parquet"),
@@ -3103,10 +3086,7 @@ def atomic_update_docs(sf_dir: str) -> pa.Table:
         _current_stored,
         atomic_update_documents,
     )
-    from lucene_solr_ray.index.segment import FORMAT_VERSION
-
-    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"documents_atu_v{FORMAT_VERSION}_{key}")
+    out = _cache_dir("documents_atu", sf_dir)
     corpus = os.path.join(sf_dir, "documents.parquet")
     if read_latest_manifest(out) is None:
         build_index(

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from lucene_solr_ray.analysis.analyzer import StandardAnalyzer
-from lucene_solr_ray.index.postings_codec import decode_postings
-from lucene_solr_ray.index.segment import build_segment_tables
+from lucene_solr_ray.index.segment import build_segment_tables, list_views
 from lucene_solr_ray.search.parser import QueryParser
 from lucene_solr_ray.search.query import Query
 from lucene_solr_ray.search.reader import EntrySlices
@@ -37,8 +34,9 @@ class _OneDocReader:
         t = seg.postings
         self._terms = t.column("term").to_pylist()
         self._row = {x: i for i, x in enumerate(self._terms)}
-        self._blocks = t.column("blocks")
-        self._pos = t.column("positions")
+        self._edges, self._ords = list_views(t.column("ords"))
+        self._freqs = list_views(t.column("freqs"))[1]
+        self._pos_edges, self._pos = list_views(t.column("positions"))
 
     @property
     def terms(self):
@@ -48,15 +46,16 @@ class _OneDocReader:
         r = self._row.get(term)
         if r is None:
             return None
-        return decode_postings(self._blocks[r].as_py())
+        a, b = self._edges[r], self._edges[r + 1]
+        return self._ords[a:b], self._freqs[a:b]
 
     def positions(self, term):
         r = self._row.get(term)
         if r is None:
             return None
         ords, freqs = self.postings(term)
-        blob = self._pos[r].as_py() or b""
-        return ords, EntrySlices(np.frombuffer(blob, dtype="<i4"), freqs)
+        a, b = self._pos_edges[r], self._pos_edges[r + 1]
+        return ords, EntrySlices(self._pos[a:b], freqs)
 
 
 class MemoryIndex:

@@ -15,17 +15,21 @@ file, and then stays cached:
 - docmeta: ``doc_ids``; the norm columns when a scorer first needs them;
 - the term dictionary (sorted terms, df, ttf); a term lookup bisects the
   sorted terms (the FST role);
-- the posting blocks, each term's decoded on its first ``postings()``;
+- the ``ords`` and ``freqs`` list columns, on the first ``postings()``;
 - positions, offsets and payloads, each on the first ``positions()`` /
   ``offsets()`` / ``payloads()`` call — as Lucene's postings reader opens
   ``.pos`` only when a scorer asks its ``PostingsEnum`` for positions.
+
+Parquet decodes a whole list column in C++ (``DELTA_BINARY_PACKED``), so
+a loaded column is the cache: there is no per-term decode and no
+per-term cache.
 
 Segment files are immutable once written, so a lazy load sees what an
 eager one would have; and as Lucene's open ``IndexInput``s do, the open
 files stay readable after a merge or ``vacuum`` drops the segment's
 directory.  ``points.parquet``, when the segment has one, is opened with
 the other two and read per field by ``points()``.  Posting arrays are
-zero-copy numpy views over the Arrow buffers.
+zero-copy numpy slices of the list values.
 """
 
 from __future__ import annotations
@@ -42,18 +46,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.index import sidecars
-from lucene_solr_ray.index.postings_codec import decode_postings
+from lucene_solr_ray.index.segment import list_views, outdated_format
 
 __all__ = ["EntrySlices", "SegmentReader"]
-
-
-def _binary_views(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
-    """(offsets, bytes) zero-copy numpy views of a binary column: value r
-    is ``bytes[offsets[r]:offsets[r + 1]]`` (a null value is empty)."""
-    _, offs, data = arr.buffers()
-    offs = np.frombuffer(offs, dtype=np.int32)[
-        arr.offset: arr.offset + len(arr) + 1]
-    return offs, np.frombuffer(data, dtype=np.uint8)
 
 
 class SegmentReader:
@@ -75,19 +70,13 @@ class SegmentReader:
             os.path.join(seg_dir, "postings.parquet"))
         self._docmeta = pq.ParquetFile(
             os.path.join(seg_dir, "docmeta.parquet"))
-        pq_schema = self._postings.schema_arrow
-        if "positions" in pq_schema.names and not pa.types.is_binary(
-            pq_schema.field("positions").type
-        ):
-            raise ValueError(
-                f"segment {seg_dir} uses an outdated on-disk format "
-                "(nested-list positions); rebuild the index with the "
-                "current engine (FORMAT_VERSION >= 3)"
-            )
+        outdated = outdated_format(seg_dir,
+                                   self._postings.schema_arrow.names)
+        if outdated:
+            raise ValueError(outdated)
         points = os.path.join(seg_dir, "points.parquet")
         self._points_file = (pq.ParquetFile(points)
                              if os.path.exists(points) else None)
-        self._decoded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._points: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
         # live docs: deleted ordinals from the COMMITTED sidecar generations
@@ -111,11 +100,13 @@ class SegmentReader:
                 self.deleted_ords = np.union1d(self.deleted_ords, so)
         self.has_deletes = len(self.deleted_ords) > 0
 
-    def _column(self, name: str) -> Optional[pa.Array]:
-        """One postings column, or None if the segment has none."""
-        if name not in self._postings.schema_arrow.names:
+    def _lists(self, name: str, optional: bool = True):
+        """(offsets, values) of one postings list column; None for an
+        ``optional`` one the segment does not store (every row null)."""
+        col = self._postings.read(columns=[name]).column(0)
+        if optional and col.null_count == len(col) > 0:
             return None
-        return self._postings.read(columns=[name]).column(0).combine_chunks()
+        return list_views(col)
 
     # -- docmeta -----------------------------------------------------------
     @cached_property
@@ -227,78 +218,69 @@ class SegmentReader:
 
     # -- postings ----------------------------------------------------------
     @cached_property
-    def _blocks(self) -> pa.Array:
-        return self._column("blocks")
+    def _postings_lists(self):
+        t = self._postings.read(columns=["ords", "freqs"])
+        offsets, ords = list_views(t.column("ords"))
+        return offsets, ords, list_views(t.column("freqs"))[1]
 
     @cached_property
-    def _positions(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _binary_views(self._column("positions"))
+    def _positions(self):
+        # a segment without positions reads as empty lists
+        return self._lists("positions", optional=False)
 
     @cached_property
-    def _offsets(self) -> Optional[pa.Array]:
-        return self._column("offsets")
+    def _offsets(self):
+        return self._lists("offsets")
 
     @cached_property
-    def _payloads(self) -> Optional[pa.Array]:
-        return self._column("payloads")
+    def _payloads(self):
+        return self._lists("payloads")
 
     def postings(self, term: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(ords asc int32, freqs int32) or None — decoded from the block
-        codec on first access, cached per term (the hot-block cache of the
-        reference's ``LRUQueryCache`` idea).  Every query's scoring reads
-        through this cache, which is unbounded within an actor."""
-        hit = self._decoded.get(term)
-        if hit is None:
-            r = self._row(term)
-            if r is None:
-                return None
-            hit = self._decoded[term] = decode_postings(
-                self._blocks[r].as_py())
-        return hit
+        """(ords asc int32, freqs int32) or None: zero-copy slices of the
+        list columns."""
+        r = self._row(term)
+        if r is None:
+            return None
+        offsets, ords, freqs = self._postings_lists
+        a, b = offsets[r], offsets[r + 1]
+        return ords[a:b], freqs[a:b]
+
+    def _occurrences(self, term: str, lists, width: int = 1):
+        """(ords, EntrySlices) of a per-occurrence column's slice for the
+        term; None when the term is absent."""
+        r = self._row(term)
+        if r is None:
+            return None
+        ords, freqs = self.postings(term)
+        offsets, values = lists
+        flat = values[offsets[r]: offsets[r + 1]]
+        return ords, EntrySlices(flat.reshape(-1, width) if width > 1
+                                 else flat, freqs)
 
     def positions(
         self, term: str
     ) -> Optional[Tuple[np.ndarray, "EntrySlices"]]:
         """(ords, pos): ``pos(i)`` is the positions array of the i-th
         posting entry, and ``pos.flat`` / ``pos.offsets`` hold every
-        entry's at once."""
-        r = self._row(term)
-        if r is None:
-            return None
-        ords, freqs = self.postings(term)
-        offs, data = self._positions
-        # a view into the column: no copy of the term's positions
-        flat = data[offs[r]: offs[r + 1]]
-        return ords, EntrySlices(flat.view("<i4"), freqs)
+        entry's at once (empty when the index has no positions)."""
+        return self._occurrences(term, self._positions)
 
     def offsets(self, term: str):
         """(ords, off) — off(i) = (start, end) int32 pairs array of the
         i-th posting entry (requires an offsets-enabled index)."""
-        if self._offsets is None:
+        if self._offsets is None and self._row(term) is not None:
             raise RuntimeError("index built without offsets")
-        r = self._row(term)
-        if r is None:
-            return None
-        blob = self._offsets[r].as_py()
-        if blob is None:
-            raise RuntimeError("index built without offsets")
-        ords, freqs = self.postings(term)
-        pairs = np.frombuffer(blob, dtype="<i4").reshape(-1, 2)
-        return ords, EntrySlices(pairs, freqs)
+        return self._occurrences(term, self._offsets, 2)
 
     def payloads(self, term: str):
         """(ords, pay) — pay(i) = float32 payloads of the i-th posting
         entry, aligned with ``positions``; None if the term is absent or
-        the segment carries no payloads for it (PayloadAttribute read,
+        the segment carries no payloads (PayloadAttribute read,
         reference ``index/PostingsEnum.getPayload``)."""
-        r = self._row(term)
-        if r is None or self._payloads is None:
+        if self._payloads is None:
             return None
-        blob = self._payloads[r].as_py()
-        if blob is None:
-            return None
-        ords, freqs = self.postings(term)
-        return ords, EntrySlices(np.frombuffer(blob, dtype="<f4"), freqs)
+        return self._occurrences(term, self._payloads)
 
 
 class EntrySlices:

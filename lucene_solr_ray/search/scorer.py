@@ -174,7 +174,7 @@ class _Eval:
         )
 
     def _span_near(self, q: SpanNearQuery, boost: float):
-        """SpanNearQuery over the positions blobs: minimal spans per doc
+        """SpanNearQuery over the positions lists: minimal spans per doc
         (NearSpansOrdered / NearSpansUnordered), span frequency
         Σ 1/(1 + gaps), scored with the summed idf of the span's terms
         (the SpanScorer + sloppyFreq shape).  Matching-doc semantics are
@@ -294,7 +294,7 @@ class _Eval:
         return ords, sc.score(freqs, norms[ords])
 
     def _interval_query(self, q: IntervalQuery, boost: float):
-        """IntervalQuery over the positions blobs: the source's interval
+        """IntervalQuery over the positions lists: the source's interval
         algebra (search/intervals.py, ports of the reference
         IntervalFunction advance rules) runs per candidate doc;
         freq = Σ 1/(end − start + 1) (IntervalScorer.java:73), scored

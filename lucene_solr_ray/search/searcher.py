@@ -1291,7 +1291,11 @@ def elevated_search(
 
 def _collect_export(pairs, q, stats, field: str) -> pa.Table:
     """Export collector: (doc_id, sort value) for EVERY hit — the /export
-    handler's per-shard pass (no top-k truncation)."""
+    handler's per-shard pass (no top-k truncation) — plus the sort keys
+    of the index-sort comparator: ``_missing`` (null or NaN) and
+    ``_key``, the value with a missing one zeroed, so that a missing
+    value sorts as the greatest and ties on doc_id."""
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from lucene_solr_ray.search.scorer import score_segment
@@ -1301,24 +1305,25 @@ def _collect_export(pairs, q, stats, field: str) -> pa.Table:
         vals = pq.read_table(
             os.path.join(reader.seg_dir, "docmeta.parquet"),
             columns=[field],
-        ).column(field).to_numpy()
+        ).column(field).combine_chunks()
         ords, _s = score_segment(reader, q, stats)
         if len(ords) == 0:
             continue
-        out.append(
-            pa.table(
-                {
-                    "doc_id": pa.array(
-                        reader.doc_ids[ords].astype(np.int64)
-                    ),
-                    field: pa.array(vals[ords]),
-                }
-            )
-        )
+        v = vals.take(pa.array(ords))
+        missing = pc.is_null(v, nan_is_null=True)
+        zero = pa.scalar("" if pa.types.is_string(v.type) else 0)
+        out.append(pa.table({
+            "doc_id": pa.array(reader.doc_ids[ords].astype(np.int64)),
+            field: v,
+            "_missing": missing,
+            "_key": pc.if_else(missing, zero.cast(v.type), v),
+        }))
     if not out:
         return pa.table(
             {"doc_id": pa.array([], pa.int64()),
-             field: pa.array([], pa.int64())}
+             field: pa.array([], pa.int64()),
+             "_missing": pa.array([], pa.bool_()),
+             "_key": pa.array([], pa.int64())}
         )
     return pa.concat_tables(out)
 
@@ -1335,15 +1340,19 @@ def export_sorted(
     org/apache/solr/handler/export/ExportWriter.java``): stream EVERY
     matching doc, globally sorted by a docmeta field, into partitioned
     parquet under ``out_dir`` — the full-result-set path that top-k
-    collectors refuse.  Distributed end to end: per-segment match export →
-    Ray's distributed sort → ``write_parquet`` (one file per output
-    block, resumable by rerunning into a fresh dir).  Returns row count."""
+    collectors refuse.  Rows are in the index-sort comparator's order
+    (a missing value — null or NaN — sorts as the greatest, then doc_id
+    ascending), the order ``search_by_field`` ranks in.  Distributed end
+    to end: per-segment match export → Ray's distributed sort →
+    ``write_parquet`` (one file per output block, resumable by rerunning
+    into a fresh dir).  Returns row count."""
     (q,), stats = index.prepare([index.make_parser(analyzer).parse(query)])
     index.scan(
         partial(_collect_export, q=q, stats=stats, field=sort_field)
     ).sort(
-        [sort_field, "doc_id"], descending=[descending, False]
-    ).write_parquet(out_dir)
+        ["_missing", "_key", "doc_id"],
+        descending=[descending, descending, False],
+    ).drop_columns(["_missing", "_key"]).write_parquet(out_dir)
     import glob
     import pyarrow.parquet as pq
 

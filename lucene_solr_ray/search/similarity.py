@@ -135,12 +135,6 @@ class BM25Scorer:
         """Upper bound over all (freq, norm): freq→inf gives weight itself."""
         return self.weight
 
-    def max_score_for(self, freqs: np.ndarray, norm_bytes: np.ndarray) -> np.float32:
-        """Exact max over the supplied (freq, norm) impact pairs."""
-        if len(freqs) == 0:
-            return np.float32(0.0)
-        return np.float32(self.score(freqs, norm_bytes).max())
-
 
 class BM25ScorerF64:
     """Pure-float64 per-term scorer (oracle-comparable mode)."""
@@ -159,11 +153,6 @@ class BM25ScorerF64:
 
     def max_score(self) -> float:
         return self.weight
-
-    def max_score_for(self, freqs, norm_bytes) -> float:
-        if len(freqs) == 0:
-            return 0.0
-        return float(self.score(freqs, norm_bytes).max())
 
 
 class BM25SimilarityF64(BM25Similarity):
@@ -229,11 +218,6 @@ class _SimpleScorer:
 
     def max_score(self):
         return np.float32(self._mx)
-
-    def max_score_for(self, freqs, norm_bytes):
-        if len(freqs) == 0:
-            return np.float32(0.0)
-        return np.float32(self.score(freqs, norm_bytes).max())
 
 
 class ClassicSimilarity(BM25Similarity):

@@ -2,11 +2,11 @@
 
 The reference's dynamic-pruning scorers (``WANDScorer``,
 ``BlockMaxConjunctionScorer``, ``ImpactsDISI`` + ``MaxScoreCache``) were
-ported here as block-max WAND / MaxScore over the postings codec's
-per-block impacts.  Measured on one-segment indexes of 1k, 20k and 100k
-docs, that path was slower than exhaustive numpy scoring
-(``scorer.topk_segment``) on every query shape, so it was removed; the
-segments still store their per-block impacts.
+ported here as block-max WAND / MaxScore over per-block impacts that
+the segments stored.  Measured on one-segment indexes of 1k, 20k and
+100k docs, that path was slower than exhaustive numpy scoring
+(``scorer.topk_segment``) on every query shape, so it was removed, and
+postings format 6 stores no impacts.
 
 ``topk_pruned`` stays as the answer "not pruned" for callers that ask
 which queries take a pruned path.

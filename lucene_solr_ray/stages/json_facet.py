@@ -20,14 +20,15 @@ Executes a facet request dict with the reference's JSON semantics
 Execution strategy: metrics ride ONE grouped aggregate per facet level;
 a nested terms subfacet costs one extra groupby on (parent, child) — no
 per-bucket queries (the distributed-merge shape, not the single-node
-loop).  Supported metrics: count/sum/avg/min/max (``SumAgg`` family);
+loop).  The top level's buckets are sorted and cut to ``limit`` in Ray
+Data, so only ``limit`` rows reach the driver.  Supported metrics: count/sum/avg/min/max (``SumAgg`` family);
 ``sort``: "count desc" (default) or "index asc".
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 __all__ = ["json_facet"]
 
@@ -70,10 +71,9 @@ def json_facet(ds, request: Dict) -> Dict:
         if op == "count":
             continue
         aggs.append((op, col, name))
-    top = rollup(ds, [field], aggs).to_pandas()
-
-    top = _sort_buckets(top, field, sort, [n for n, _, _ in metrics])
-    top = top.head(limit)
+    keys, descending = _sort_keys(field, sort, [n for n, _, _ in metrics])
+    top = rollup(ds, [field], aggs).sort(
+        keys, descending=descending).limit(limit).to_pandas()
 
     buckets = []
     kept_vals = set(top[field])
@@ -124,25 +124,31 @@ def json_facet(ds, request: Dict) -> Dict:
     return {"buckets": buckets}
 
 
-def _sort_buckets(df, field: str, sort: str, metric_names: List[str]):
-    """Order buckets by ``sort``: "count desc" (default), "index asc/desc",
-    or "<metric> asc/desc" over a requested metric — anything else raises
-    (the reference rejects unknown sorts; silent fallback gives
+def _sort_keys(field: str, sort: str,
+               metric_names: List[str]) -> Tuple[List[str], List[bool]]:
+    """(sort keys, descending flags) of ``sort``: "count desc" (default),
+    "index asc/desc", or "<metric> asc/desc" over a requested metric, ties
+    by index asc (as FacetFieldProcessor's secondary sort) — anything else
+    raises (the reference rejects unknown sorts; silent fallback gives
     well-formed-but-wrong buckets)."""
     parts = sort.strip().split()
     key = parts[0] if parts else "count"
     direction = parts[1] if len(parts) > 1 else "desc"
     if direction not in ("asc", "desc"):
         raise ValueError(f"unsupported facet sort direction {sort!r}")
-    asc = direction == "asc"
+    desc = direction == "desc"
     if key == "index":
-        return df.sort_values(field, ascending=asc, kind="mergesort")
+        return [field], [desc]
     if key == "count" or key in metric_names:
-        # ties break by index asc, as FacetFieldProcessor's secondary sort
-        return df.sort_values(
-            [key, field], ascending=[asc, True], kind="mergesort"
-        )
+        return [key, field], [desc, False]
     raise ValueError(
         f"unsupported facet sort {sort!r} (not count/index/a requested "
         "metric)"
     )
+
+
+def _sort_buckets(df, field: str, sort: str, metric_names: List[str]):
+    """A pandas frame of buckets in :func:`_sort_keys` order."""
+    keys, descending = _sort_keys(field, sort, metric_names)
+    return df.sort_values(keys, ascending=[not d for d in descending],
+                          kind="mergesort")

@@ -4,19 +4,21 @@ the same tables, the same parquet bytes and the same stats as the
 per-token inversion it replaced, kept here as the oracle: a Python dict
 codes each token, ``sorted`` orders the vocabulary, one stable argsort
 of ``term * n + doc`` orders the occurrences, ``np.unique`` finds the
-(term, doc) and term groups, and every term's positions / offsets /
-payloads blob is its own ``bytes``.  The oracle encodes each posting
-list with the per-term ``encode_postings``, so it does not lean on the
-batch encoder under test.
+(term, doc) and term groups, and every term's ords, freqs, positions,
+offsets and payloads are its own Python lists.  Each built segment is
+also written with ``write_segment_dir`` and read back term by term
+through ``SegmentReader``, which must return the oracle's (df, ttf,
+ords, freqs, positions, offsets, payloads).
 
 Covered: positions on and off, offsets, payloads
 (``DelimitedPayloadAnalyzer``), ``None`` and empty texts, a stop-word-only
 doc, non-ASCII text, a single-doc segment, an all-empty segment, terms
-with df of exactly 128 and 129 (one and two blocks), and multi-field
-builds with a per-field analyzer."""
+with df of exactly 127, 128 and 129 (around a 128-value encoding block),
+and multi-field builds with a per-field analyzer."""
 
 import hashlib
 import io
+import tempfile
 from typing import Dict, List
 
 import numpy as np
@@ -32,14 +34,16 @@ from lucene_solr_ray.analysis.analyzer import (
     StandardAnalyzer,
 )
 from lucene_solr_ray.analysis.smallfloat import int_to_byte4_np
-from lucene_solr_ray.index.postings_codec import encode_postings
+from lucene_solr_ray.index.manifest import write_segment_dir
 from lucene_solr_ray.index.segment import (
     DOCMETA_SCHEMA,
     POSTINGS_SCHEMA,
     build_segment_tables,
     build_segment_tables_multi,
     field_term,
+    postings_writer,
 )
+from lucene_solr_ray.search.reader import SegmentReader
 
 ANALYZER = StandardAnalyzer(stop_words={"the", "of"})
 PAYLOADS = DelimitedPayloadAnalyzer(stop_words={"the"})
@@ -94,14 +98,12 @@ def _oracle(doc_ids, texts, analyzer, with_positions=True,
         edges = np.concatenate([[0], np.cumsum(gcounts)])[
             np.concatenate([[0], np.cumsum(t_counts)])]
         ttf = np.diff(edges).astype(np.int64)
-        blobs = [
-            encode_postings(g_ord[s:s + c], gcounts[s:s + c],
-                            norm_bytes[g_ord[s:s + c]])
-            for s, c in zip(t_starts, t_counts)
-        ]
+        ords = [g_ord[s:s + c].tolist() for s, c in zip(t_starts, t_counts)]
+        freqs = [gcounts[s:s + c].tolist()
+                 for s, c in zip(t_starts, t_counts)]
 
         def per_term(values):
-            return [values[edges[i]:edges[i + 1]].tobytes()
+            return [values[edges[i]:edges[i + 1]].ravel().tolist()
                     for i in range(len(t_codes))]
 
         nulls = [None] * len(t_codes)
@@ -109,27 +111,27 @@ def _oracle(doc_ids, texts, analyzer, with_positions=True,
         if with_positions:
             flat = np.concatenate(
                 [np.asarray(p, np.int64) for p in pos_parts])
-            positions = per_term(flat[order].astype("<i4"))
+            positions = per_term(flat[order])
         if with_offsets:
             pairs = np.concatenate(
                 [np.asarray(p, np.int64).reshape(-1, 2) for p in off_parts])
-            offsets = per_term(pairs[order].astype("<i4"))
+            offsets = per_term(pairs[order])
         if with_payloads:
             flat = np.concatenate(
                 [np.asarray(p, np.float64) for p in pay_parts])
-            payloads = per_term(flat[order].astype("<f4"))
+            payloads = per_term(flat[order].astype(np.float32))
     else:
-        terms_sorted, blobs = [], []
+        terms_sorted, ords, freqs = [], [], []
         df = np.empty(0, np.int32)
         ttf = np.empty(0, np.int64)
         positions = offsets = payloads = []
+    lists = {"ords": ords, "freqs": freqs, "positions": positions,
+             "offsets": offsets, "payloads": payloads}
     postings = pa.table({
         "term": pa.array(terms_sorted, pa.string()),
         "df": pa.array(df), "ttf": pa.array(ttf),
-        "blocks": pa.array(blobs, pa.binary()),
-        "positions": pa.array(positions, pa.binary()),
-        "offsets": pa.array(offsets, pa.binary()),
-        "payloads": pa.array(payloads, pa.binary()),
+        **{name: pa.array(v, POSTINGS_SCHEMA.field(name).type)
+           for name, v in lists.items()},
     }, schema=POSTINGS_SCHEMA)
     docmeta = pa.table({
         "doc_id": pa.array(np.asarray(doc_ids, dtype=np.int64)),
@@ -180,8 +182,34 @@ def _oracle_multi(doc_ids, field_texts, default_field, analyzer,
 
 def _parquet(table: pa.Table) -> bytes:
     buf = io.BytesIO()
-    pq.write_table(table, buf, compression="zstd")
+    if table.schema.equals(POSTINGS_SCHEMA):
+        with postings_writer(buf) as writer:
+            writer.write_table(table)
+    else:
+        pq.write_table(table, buf, compression="zstd")
     return buf.getvalue()
+
+
+def _assert_read_back(seg, postings):
+    """Every oracle term read through ``SegmentReader`` from the written
+    segment."""
+    with tempfile.TemporaryDirectory() as out:
+        seg_dir = write_segment_dir(out, 0, seg.postings, seg.docmeta,
+                                    {"segment_id": 0, "stats": seg.stats})
+        r = SegmentReader(seg_dir)
+        for row in postings.to_pylist():
+            term = row["term"]
+            assert r.term_stats(term) == (row["df"], row["ttf"])
+            ords, freqs = r.postings(term)
+            assert (ords.tolist(), freqs.tolist()) == \
+                (row["ords"], row["freqs"])
+            assert r.positions(term)[1].flat.tolist() == \
+                (row["positions"] or [])
+            if row["offsets"] is not None:
+                assert r.offsets(term)[1].flat.ravel().tolist() == \
+                    row["offsets"]
+            pay = r.payloads(term)
+            assert (pay and pay[1].flat.tolist()) == row["payloads"]
 
 
 def _assert_same(seg, want):
@@ -192,6 +220,7 @@ def _assert_same(seg, want):
     assert seg.stats == stats
     assert _parquet(seg.postings) == _parquet(postings)
     assert _parquet(seg.docmeta) == _parquet(docmeta)
+    _assert_read_back(seg, postings)
 
 
 WORDS = ["alpha", "beta", "the", "of", "zeta", "Äpfel", "naïve", "日本",
@@ -232,13 +261,16 @@ def test_build_payloads_match_per_token_inversion(texts):
 
 
 def test_build_block_boundaries_and_edge_docs():
-    """df of exactly 128 (one full block) and 129 (a second block of one),
-    next to a stop-word-only doc, None, empty and non-ASCII texts."""
+    """df of exactly 127, 128 (one full 128-value block) and 129 (a second
+    block of one), next to a stop-word-only doc, None, empty and
+    non-ASCII texts."""
     texts = []
     for i in range(260):
         words = ["both"]
         if i < 128:
             words += ["full", "over"]  # "over" is in the last doc too
+        if i < 127:
+            words.append("under")
         if i % 2 == 0:
             words.append("spill")
         texts.append(" ".join(words * (1 + i % 3)))
@@ -247,8 +279,8 @@ def test_build_block_boundaries_and_edge_docs():
     seg = build_segment_tables(ids, texts, ANALYZER)
     df = dict(zip(seg.postings["term"].to_pylist(),
                   seg.postings["df"].to_pylist()))
-    assert (df["full"], df["over"], df["spill"], df["both"]) == \
-        (128, 129, 130, 260)
+    assert (df["under"], df["full"], df["over"], df["spill"],
+            df["both"]) == (127, 128, 129, 130, 260)
     _assert_same(seg, _oracle(ids, texts, ANALYZER))
 
 

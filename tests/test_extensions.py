@@ -1023,3 +1023,16 @@ def test_batch_searches_over_empty_index(ray_session, tmp_path):
     assert by_fields.num_rows == 0
     assert by_fields.schema.names == ["qid", "rank", "doc_id", "sort_0"]
     assert by_fields.schema.field("rank").type == pa.int32()
+
+
+def test_gate_cache_dir_is_keyed_on_the_build_code(monkeypatch):
+    """A gate's cached index directory changes when the digest of the
+    index and analysis sources does, not only with ``FORMAT_VERSION``."""
+    from lucene_solr_ray.pipelines import fulltext
+
+    a = fulltext._cache_dir("documents", "/data/sf")
+    assert fulltext._cache_dir("documents", "/data/sf") == a
+    assert fulltext._cache_dir("documents_mf", "/data/sf") != a
+    assert fulltext._cache_dir("documents", "/data/other") != a
+    monkeypatch.setattr(fulltext, "_code_digest", lambda: "changed")
+    assert fulltext._cache_dir("documents", "/data/sf") != a

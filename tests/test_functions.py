@@ -652,3 +652,46 @@ def test_corpus_feeds_jsonl_csv(ray_session, tmp_path):
     ))
     out2 = corpus_from_csv(str(cp), "body", "id").to_pandas()
     assert len(out2) == 4 and set(out2.columns) == {"doc_id", "text"}
+
+
+def test_json_facet_pulls_only_limit_top_buckets(ray_session, sf_dir,
+                                                 monkeypatch):
+    """The top-level buckets are sorted and limited in the cluster: at
+    most ``limit`` rows reach the driver, in the order of the full
+    sort."""
+    import ray.data
+
+    from lucene_solr_ray.stages.json_facet import json_facet
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/part.parquet", columns=["p_brand", "p_retailprice"]
+    ).materialize()
+    request = {"type": "terms", "field": "p_brand", "limit": 4,
+               "sort": "count desc",
+               "facet": {"avg_price": "avg(p_retailprice)"}}
+    pulled = []
+    to_pandas = ray.data.Dataset.to_pandas
+
+    def spy(self, *a, **kw):
+        df = to_pandas(self, *a, **kw)
+        pulled.append(len(df))
+        return df
+
+    monkeypatch.setattr(ray.data.Dataset, "to_pandas", spy)
+    for sort in ("count desc", "index asc", "avg_price asc"):
+        pulled.clear()
+        res = json_facet(ds, dict(request, sort=sort))
+        assert pulled and max(pulled) <= 4
+        monkeypatch.setattr(ray.data.Dataset, "to_pandas", to_pandas)
+        full = ds.to_pandas().groupby("p_brand").agg(
+            count=("p_brand", "size"),
+            avg_price=("p_retailprice", "mean")).reset_index()
+        monkeypatch.setattr(ray.data.Dataset, "to_pandas", spy)
+        key, direction = sort.split()
+        key = {"index": "p_brand"}.get(key, key)
+        want = full.sort_values(
+            [key, "p_brand"], ascending=[direction == "asc", True],
+            kind="mergesort").head(4)
+        assert [b["val"] for b in res["buckets"]] == want.p_brand.tolist()
+        assert [b["count"] for b in res["buckets"]] == \
+            want["count"].tolist()

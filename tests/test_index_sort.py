@@ -589,6 +589,33 @@ def test_string_key_with_nulls(ray_session, corpus_missing, tmp_path):
             assert nulls == sorted(nulls, reverse=desc)
 
 
+@pytest.mark.parametrize("desc", [False, True])
+def test_export_sorted_orders_missing_as_greatest(ray_session,
+                                                  corpus_missing, tmp_path,
+                                                  desc):
+    """``export_sorted`` streams the rows in the comparator order of
+    ``search_by_field``: NaN keys sort as the greatest value, last
+    ascending and first descending, ties on doc_id."""
+    import glob
+
+    from lucene_solr_ray.search.searcher import export_sorted
+
+    plain = str(tmp_path / "plain")
+    _build_missing(corpus_missing, plain)
+    q = "merge OR sort OR batch"
+    out_dir = str(tmp_path / "export")
+    n = export_sorted(Index(plain), q, "prio", out_dir, descending=desc)
+    t = pa.concat_tables([pq.read_table(f) for f in sorted(
+        glob.glob(os.path.join(out_dir, "*.parquet")))])
+    assert t.column_names == ["doc_id", "prio"]
+    want = search_by_field(Index(plain), {0: q}, "prio", desc, k=n)
+    assert t.column("doc_id").to_pylist() == \
+        want.column("doc_id").to_pylist()
+    nan = np.isnan(t.column("prio").to_numpy())
+    assert nan.any() and not nan.all()
+    assert list(nan) == sorted(nan, reverse=desc)
+
+
 def test_legacy_sort_marker_reads_unsorted(ray_session, corpus, tmp_path):
     """A segment meta with only the legacy single-field ``field``/``desc``
     keys reads as unsorted: ``check_segment`` warns (no error) and sorted

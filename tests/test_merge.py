@@ -98,7 +98,7 @@ def test_check_index_after_merge(sf_dir, tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_sharded_merge_byte_identical(sf_dir, tmp_path):
     """Term-range-sharded merge must produce the same segment content as
-    the single-task merge (same terms/df/ttf/blobs, same search results)."""
+    the single-task merge (same terms, df, ords, freqs and positions)."""
     import os
 
     import pyarrow.parquet as pq
@@ -124,7 +124,8 @@ def test_sharded_merge_byte_identical(sf_dir, tmp_path):
     b = pq.read_table(os.path.join(outs[1], "seg_000099/postings.parquet"))
     assert a.column("term").to_pylist() == b.column("term").to_pylist()
     assert a.column("df").to_pylist() == b.column("df").to_pylist()
-    assert a.column("blocks").to_pylist() == b.column("blocks").to_pylist()
+    assert a.column("ords").to_pylist() == b.column("ords").to_pylist()
+    assert a.column("freqs").to_pylist() == b.column("freqs").to_pylist()
     assert a.column("positions").to_pylist() == b.column("positions").to_pylist()
 
 

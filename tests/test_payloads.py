@@ -1,7 +1,7 @@
 """Payload postings + PayloadScoreQuery — reference contract per
 ``analysis/payloads/DelimitedPayloadTokenFilter.java`` (FloatEncoder) and
 ``queries/payloads/PayloadScoreQuery.java`` with Min/Max/Avg/Sum payload
-functions; merge/compaction carry payload blobs like positions."""
+functions; merge/compaction carry payload lists like positions."""
 
 import random
 

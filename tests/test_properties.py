@@ -2,26 +2,46 @@
 (``RandomPostingsTester``, ``BaseSimilarityTestCase`` fuzzing) driven by a
 real property-based engine.
 
-All properties run on pure kernels (no Ray): codec round-trips, SmallFloat
+All properties run on pure kernels (no Ray): postings-file round trips
+and merges, SmallFloat
 monotonicity, tokenizer window laws, BM25 bounds, checkTopScores, and
 multi-term expansion (Arrow kernels against the Python reference).
 """
 
+import io
 from itertools import product
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lucene_solr_ray.analysis.smallfloat import byte4_to_int, int_to_byte4
 from lucene_solr_ray.analysis.tokenizer import tokenize
-from lucene_solr_ray.index.postings_codec import (
-    concat_postings,
-    decode_postings,
-    encode_postings,
+from lucene_solr_ray.index.merge import _merge_postings_rows
+from lucene_solr_ray.index.segment import (
+    list_views,
+    postings_table,
+    postings_writer,
 )
 from lucene_solr_ray.search.query import FuzzyQuery, RegexpQuery
 from lucene_solr_ray.search.similarity import BM25Similarity
+
+
+def _one_term(ords, freqs) -> pa.Table:
+    return postings_table(pa.array(["t"]), np.array([0, len(ords)]),
+                          ords, freqs)
+
+
+def _read_back(table: pa.Table):
+    """(ords, freqs) of the first term, through a written postings file."""
+    buf = io.BytesIO()
+    with postings_writer(buf) as writer:
+        writer.write_table(table)
+    t = pq.read_table(pa.BufferReader(buf.getvalue()))
+    edges, ords = list_views(t.column("ords"))
+    return ords[:edges[1]], list_views(t.column("freqs"))[1][:edges[1]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -38,15 +58,7 @@ def test_codec_round_trip(ords, data):
         ),
         dtype=np.int64,
     )
-    norms = np.asarray(
-        data.draw(
-            st.lists(st.integers(0, 255), min_size=len(ords),
-                     max_size=len(ords))
-        ),
-        dtype=np.uint8,
-    )
-    blob = encode_postings(ords, freqs, norms)
-    o, f = decode_postings(blob)
+    o, f = _read_back(_one_term(ords, freqs))
     np.testing.assert_array_equal(o, ords)
     np.testing.assert_array_equal(f, freqs)
 
@@ -57,16 +69,15 @@ def test_codec_round_trip(ords, data):
     min_size=1, max_size=4,
 ))
 def test_concat_equals_decode_concat(segments):
-    parts, want = [], []
+    tables, bases, want = [], [], []
     base = 0
     for seg in segments:
         ords = np.sort(np.asarray(seg, dtype=np.int64))
-        freqs = np.ones(len(ords), dtype=np.int64)
-        norms = np.zeros(len(ords), dtype=np.uint8)
-        parts.append((encode_postings(ords, freqs, norms), base))
+        tables.append(_one_term(ords, np.ones(len(ords), dtype=np.int64)))
+        bases.append(base)
         want.append(ords + base)
         base += 5001
-    o, _ = decode_postings(concat_postings(parts))
+    o, _ = _read_back(_merge_postings_rows(tables, bases))
     np.testing.assert_array_equal(o, np.concatenate(want))
 
 

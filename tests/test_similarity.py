@@ -76,15 +76,6 @@ def test_longer_docs_score_lower():
     assert short > long_
 
 
-def test_max_score_bound_over_impacts():
-    sim = BM25Similarity()
-    sc = sim.scorer(1.0, 100, 1000, 10)
-    freqs = np.array([1.0, 7.0, 3.0])
-    norms = np.array([int_to_byte4(x) for x in [30, 10, 4]], dtype=np.uint8)
-    mx = sc.max_score_for(freqs, norms)
-    assert mx == sc.score(freqs, norms).max()
-
-
 def test_round2_similarity_families(ray_session, tmp_path):
     """LMJelinekMercer / DFI / AxiomaticF2EXP / DFR / IB-LL: sane ranking
     behavior end-to-end (higher tf ranks higher at equal length; all

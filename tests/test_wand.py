@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from lucene_solr_ray.index.segment import build_segment_tables
+from lucene_solr_ray.index.segment import build_segment_tables, list_views
 from lucene_solr_ray.search.parser import parse
 from lucene_solr_ray.search.reader import EntrySlices
 from lucene_solr_ray.search.scorer import (
@@ -31,27 +31,29 @@ class _MemReader:
     """SegmentReader protocol over in-memory tables (no files)."""
 
     def __init__(self, seg):
-        self._seg = seg
         self.norms = seg.docmeta.column("norm").to_numpy()
         self.doc_ids = seg.docmeta.column("doc_id").to_numpy()
         self.ndocs = len(self.norms)
         t = seg.postings
         self._row = {x: i for i, x in enumerate(t.column("term").to_pylist())}
-        self._blocks = t.column("blocks")
+        self._edges, self._ords = list_views(t.column("ords"))
+        self._freqs = list_views(t.column("freqs"))[1]
+        self._pos_edges, self._pos = list_views(t.column("positions"))
 
     def postings(self, term):
-        from lucene_solr_ray.index.postings_codec import decode_postings
-
         r = self._row.get(term)
-        return None if r is None else decode_postings(self._blocks[r].as_py())
+        if r is None:
+            return None
+        a, b = self._edges[r], self._edges[r + 1]
+        return self._ords[a:b], self._freqs[a:b]
 
     def positions(self, term):
         r = self._row.get(term)
         if r is None:
             return None
         ords, freqs = self.postings(term)
-        blob = self._seg.postings.column("positions")[r].as_py() or b""
-        return ords, EntrySlices(np.frombuffer(blob, dtype="<i4"), freqs)
+        a, b = self._pos_edges[r], self._pos_edges[r + 1]
+        return ords, EntrySlices(self._pos[a:b], freqs)
 
 
 def _make_corpus(rng: random.Random, n_docs: int, vocab_n: int):
