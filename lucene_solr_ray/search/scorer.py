@@ -24,11 +24,19 @@ WAND / MaxScore scorers measured slower here than scoring every match
 with numpy and selecting the top k, on every query shape at 1k–100k
 docs, so they are not ported.  Exact phrases count their frequencies
 for all candidate docs in one vectorised pass (``exact_phrase_freqs``).
+The other positional queries run per-doc kernels over one positions
+gather per query (``_Eval._gather``): sloppy phrases, intervals, and
+one span evaluator (``_spans``) for SpanTerm/Near/First/Not/Or, complex
+phrases and payload spans.  Every positional query scores through one
+idf-sum tail (``_Eval._score``).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -105,6 +113,7 @@ class _Eval:
         self.sim = sim
         self.norms = reader.norms  # uint8[ndocs]
         self.ndocs = reader.ndocs
+        self._pos: Dict[str, object] = {}  # see _positions
 
     # returns (ords ascending int32, scores float32 aligned)
     def eval(self, q: Query, boost: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,18 +141,14 @@ class _Eval:
             ords, _ = self.eval(q.query, 1.0)
             dt = self.sim.out_dtype
             return ords, np.full(len(ords), dt(boost), dtype=dt)
-        if isinstance(q, SpanNearQuery):
-            return self._span_near(q, boost)
-        if isinstance(q, ComplexPhraseQuery):
-            return self._complex_phrase(q, boost)
         if isinstance(q, IntervalQuery):
             return self._interval_query(q, boost)
         if isinstance(q, CommonTermsQuery):
             # buildQuery rewrite against the EXACT global stats
             doc_count, _ = self.stats.collection_for(q.field)
             return self.eval(q.build(self.stats.df, doc_count), boost)
-        if isinstance(q, (SpanTermQuery, SpanFirstQuery, SpanNotQuery,
-                          SpanOrQuery)):
+        if isinstance(q, (SpanTermQuery, SpanNearQuery, ComplexPhraseQuery,
+                          SpanFirstQuery, SpanNotQuery, SpanOrQuery)):
             return self._span_query(q, boost)
         if isinstance(q, PayloadScoreQuery):
             return self._payload_score(q, boost)
@@ -173,202 +178,49 @@ class _Eval:
             f"unrewritten or unsupported query node: {type(q).__name__}"
         )
 
-    def _span_near(self, q: SpanNearQuery, boost: float):
-        """SpanNearQuery over the positions lists: minimal spans per doc
-        (NearSpansOrdered / NearSpansUnordered), span frequency
-        Σ 1/(1 + gaps), scored with the summed idf of the span's terms
-        (the SpanScorer + sloppyFreq shape).  Matching-doc semantics are
-        pytest-oracled against an exhaustive position-tuple scan."""
-        keys = [field_term(q.field, t) for t in q.span_terms]
-        readers = []
-        cand = None
-        for k in keys:
-            pr = self.reader.positions(k)
-            if pr is None:
-                return _EMPTY_I, _EMPTY_F
-            readers.append(pr)
-            cand = pr[0] if cand is None else np.intersect1d(
-                cand, pr[0], assume_unique=True
-            )
-        if cand is None or len(cand) == 0:
-            return _EMPTY_I, _EMPTY_F
-        out_ords: List[int] = []
-        out_freqs: List[float] = []
-        n = len(keys)
-        for d in cand:
-            pls = []
-            for (ords, posfn) in readers:
-                idx = np.searchsorted(ords, d)
-                pls.append(posfn(int(idx)))
-            f = (
-                _span_freq_ordered(pls, q.slop)
-                if q.in_order else _span_freq_unordered(pls, q.slop)
-            )
-            if f > 0:
-                out_ords.append(int(d))
-                out_freqs.append(f)
-        if not out_ords:
-            return _EMPTY_I, _EMPTY_F
-        ords = np.asarray(out_ords, dtype=np.int32)
-        freqs = np.asarray(out_freqs, dtype=np.float64)
-        dt = self.sim.out_dtype
-        doc_count, sttf = self.stats.collection_for(q.field)
-        idf_acc = 0.0
-        # each DISTINCT term contributes once — SpanWeight builds its sim
-        # weight from a Map<Term,TermStates>, so duplicated clause terms
-        # (e.g. SpanNear("x","x")) must not double the idf
-        for key in dict.fromkeys(keys):
-            idf_acc += float(
-                dt(self.sim.idf_value(self.stats.df.get(key, 0), doc_count))
-            )
-        idf = dt(idf_acc)
-        sc = self.sim.scorer_from_idf(boost, idf, doc_count, sttf)
-        norms = self.reader.norms_for(q.field) if q.field else self.norms
-        return ords, sc.score(freqs, norms[ords])
-
-    def _complex_phrase(self, q: "ComplexPhraseQuery", boost: float):
-        """ComplexPhraseQuery: SpanNear semantics with per-slot
-        alternative-term sets — each slot's position list for a doc is
-        the sorted union of its alternatives' positions (exactly what
-        NearSpans sees over a SpanOr subclause); scored like
-        ``_span_near`` with the summed distinct idf of the PRESENT
-        alternatives (SpanWeight skips absent TermStates)."""
-        slot_readers = []
-        cand = None
-        present: List[str] = []
-        for slot in q.slots:
-            rs = []
-            docs = None
-            for t in slot:
-                k = field_term(q.field, t)
-                pr = self.reader.positions(k)
-                if pr is None:
-                    continue
-                rs.append(pr)
-                present.append(k)
-                docs = pr[0] if docs is None else np.union1d(docs, pr[0])
-            if docs is None or len(docs) == 0:
-                return _EMPTY_I, _EMPTY_F
-            slot_readers.append(rs)
-            cand = docs if cand is None else np.intersect1d(cand, docs)
-        if cand is None or len(cand) == 0:
-            return _EMPTY_I, _EMPTY_F
-        out_ords: List[int] = []
-        out_freqs: List[float] = []
-        for d in cand:
-            pls = []
-            ok = True
-            for rs in slot_readers:
-                parts = []
-                for (ords, posfn) in rs:
-                    i = np.searchsorted(ords, d)
-                    if i < len(ords) and ords[i] == d:
-                        parts.append(posfn(int(i)))
-                if not parts:
-                    ok = False
-                    break
-                pls.append(np.sort(np.concatenate(parts))
-                           if len(parts) > 1 else parts[0])
-            if not ok:
-                continue
-            f = (
-                _span_freq_ordered(pls, q.slop)
-                if q.in_order else _span_freq_unordered(pls, q.slop)
-            )
-            if f > 0:
-                out_ords.append(int(d))
-                out_freqs.append(f)
-        if not out_ords:
-            return _EMPTY_I, _EMPTY_F
-        ords = np.asarray(out_ords, dtype=np.int32)
-        freqs = np.asarray(out_freqs, dtype=np.float64)
-        dt = self.sim.out_dtype
-        doc_count, sttf = self.stats.collection_for(q.field)
-        idf_acc = 0.0
-        for key in dict.fromkeys(present):
-            idf_acc += float(
-                dt(self.sim.idf_value(self.stats.df.get(key, 0), doc_count))
-            )
-        sc = self.sim.scorer_from_idf(boost, dt(idf_acc), doc_count, sttf)
-        norms = self.reader.norms_for(q.field) if q.field else self.norms
-        return ords, sc.score(freqs, norms[ords])
-
     def _interval_query(self, q: IntervalQuery, boost: float):
         """IntervalQuery over the positions lists: the source's interval
         algebra (search/intervals.py, ports of the reference
         IntervalFunction advance rules) runs per candidate doc;
         freq = Σ 1/(end − start + 1) (IntervalScorer.java:73), scored
         with the summed distinct-leaf-term idf (buildSimScorer)."""
-        leaf_terms = list(dict.fromkeys(q.source.leaves()))
-        readers = {}
+        src = q.source
+        # candidate docs: each requires()-group needs ≥1 of its terms
+        cand = self._docs_all(
+            [[field_term(q.field, t) for t in alts] for alts in src.requires()]
+        )
+        if cand is None:
+            return _EMPTY_I, _EMPTY_F
         # positions load for position_terms(): subtractive sources need
         # the subtrahend's positions even though it never scores
-        for t in dict.fromkeys(q.source.position_terms()):
-            pr = self.reader.positions(field_term(q.field, t))
-            if pr is not None:
-                readers[t] = pr
-        # candidate docs: each requires()-group needs ≥1 of its terms
-        cand = None
-        for alts in q.source.requires():
-            docs = None
-            for t in alts:
-                pr = readers.get(t)
-                if pr is None:
-                    continue
-                docs = pr[0] if docs is None else np.union1d(docs, pr[0])
-            if docs is None or len(docs) == 0:
-                return _EMPTY_I, _EMPTY_F
-            cand = docs if cand is None else np.intersect1d(cand, docs)
-        if cand is None or len(cand) == 0:
-            return _EMPTY_I, _EMPTY_F
+        keys = {
+            t: field_term(q.field, t)
+            for t in dict.fromkeys(src.position_terms())
+        }
+        at = self._gather(cand)
         out_ords: List[int] = []
         out_freqs: List[float] = []
-        for d in cand:
+        for j, d in enumerate(cand.tolist()):
             pos = {}
-            for t, (ords, posfn) in readers.items():
-                i = np.searchsorted(ords, d)
-                if i < len(ords) and ords[i] == d:
-                    pos[t] = posfn(int(i))
-            ivs = q.source.eval(pos)
+            for t, key in keys.items():
+                p = at(key, j)
+                if p is not None:
+                    pos[t] = p
+            ivs = src.eval(pos)
             if ivs:
-                out_ords.append(int(d))
-                out_freqs.append(
-                    sum(1.0 / (e - s + 1) for s, e in ivs)
-                )
-        if not out_ords:
-            return _EMPTY_I, _EMPTY_F
-        ords = np.asarray(out_ords, dtype=np.int32)
-        freqs = np.asarray(out_freqs, dtype=np.float64)
-        dt = self.sim.out_dtype
-        doc_count, sttf = self.stats.collection_for(q.field)
-        idf_acc = 0.0
-        for t in leaf_terms:
-            key = field_term(q.field, t)
-            idf_acc += float(
-                dt(self.sim.idf_value(self.stats.df.get(key, 0), doc_count))
-            )
-        idf = dt(idf_acc)
-        sc = self.sim.scorer_from_idf(boost, idf, doc_count, sttf)
-        norms = self.reader.norms_for(q.field) if q.field else self.norms
-        return ords, sc.score(freqs, norms[ords])
+                out_ords.append(d)
+                out_freqs.append(sum(1.0 / (e - s + 1) for s, e in ivs))
+        return self._score(q.field, q.terms(), out_ords, out_freqs, boost)
 
-    # -- composable span family (SpanTerm/First/Not/Or over SpanNear) ------
+    # -- the one span evaluator (SpanTerm/Near/First/Not/Or, and complex
+    # phrases as SpanNear over SpanOr slots), as Lucene's SpanWeight ------
 
     def _span_candidates(self, q) -> Optional[np.ndarray]:
         """Docs that COULD carry spans of q (sorted ords), None = none."""
         if isinstance(q, SpanTermQuery):
-            pr = self.reader.positions(field_term(q.field, q.span_term))
-            return pr[0] if pr is not None else None
-        if isinstance(q, SpanNearQuery):
-            cand = None
-            for k in [field_term(q.field, t) for t in q.span_terms]:
-                pr = self.reader.positions(k)
-                if pr is None:
-                    return None
-                cand = pr[0] if cand is None else np.intersect1d(
-                    cand, pr[0], assume_unique=True
-                )
-            return cand
+            return self._docs_all([[field_term(q.field, q.span_term)]])
+        if isinstance(q, (SpanNearQuery, ComplexPhraseQuery)):
+            return self._docs_all(_slots(q))
         if isinstance(q, SpanFirstQuery):
             return self._span_candidates(q.match)
         if isinstance(q, SpanNotQuery):
@@ -381,41 +233,35 @@ class _Eval:
             return np.unique(np.concatenate(cands))
         raise TypeError(type(q))
 
-    def _doc_spans(self, q, d: int):
-        """Spans of q in doc d: list of (start, end, gaps)."""
+    def _doc_spans(self, q, j: int, at):
+        """Spans of q in candidate doc j: list of (start, end, gaps);
+        ``at`` is the query's positions gather (``_gather``)."""
         if isinstance(q, SpanTermQuery):
-            pr = self.reader.positions(field_term(q.field, q.span_term))
-            if pr is None:
-                return []
-            ords, posfn = pr
-            i = np.searchsorted(ords, d)
-            if i >= len(ords) or ords[i] != d:
-                return []
-            return [(int(p), int(p) + 1, 0) for p in posfn(int(i))]
-        if isinstance(q, SpanNearQuery):
+            pl = at(field_term(q.field, q.span_term), j)
+            return [] if pl is None else [(p, p + 1, 0) for p in pl.tolist()]
+        if isinstance(q, (SpanNearQuery, ComplexPhraseQuery)):
+            # a slot's positions are the sorted union of its
+            # alternatives' (what NearSpans sees over a SpanOr subclause)
             pls = []
-            for k in [field_term(q.field, t) for t in q.span_terms]:
-                pr = self.reader.positions(k)
-                if pr is None:
+            for keys in _slots(q):
+                parts = [p for p in (at(k, j) for k in keys) if p is not None]
+                if not parts:
                     return []
-                ords, posfn = pr
-                i = np.searchsorted(ords, d)
-                if i >= len(ords) or ords[i] != d:
-                    return []
-                pls.append(posfn(int(i)))
+                pls.append(parts[0] if len(parts) == 1
+                           else np.sort(np.concatenate(parts)))
             return (
                 _span_list_ordered(pls, q.slop)
                 if q.in_order else _span_list_unordered(pls, q.slop)
             )
         if isinstance(q, SpanFirstQuery):
             return [
-                s for s in self._doc_spans(q.match, d) if s[1] <= q.end
+                s for s in self._doc_spans(q.match, j, at) if s[1] <= q.end
             ]
         if isinstance(q, SpanNotQuery):
-            inc = self._doc_spans(q.include, d)
+            inc = self._doc_spans(q.include, j, at)
             if not inc:
                 return []
-            exc = self._doc_spans(q.exclude, d)
+            exc = self._doc_spans(q.exclude, j, at)
             if not exc:
                 return inc
             return [
@@ -425,45 +271,38 @@ class _Eval:
         if isinstance(q, SpanOrQuery):
             out = []
             for c in q.clauses:
-                out.extend(self._doc_spans(c, d))
+                out.extend(self._doc_spans(c, j, at))
             return sorted(out)
         raise TypeError(type(q))
 
-    def _span_query(self, q, boost: float):
-        """Generic span scorer: freq(doc) = Σ 1/(1 + gaps) over the doc's
-        spans, scored with the summed idf of the leaf terms (SpanWeight +
-        SpanScorer shape)."""
+    def _spans(self, q) -> Tuple[np.ndarray, List[list]]:
+        """(ords asc int32, spans) of the docs where q has spans: one list
+        of (start, end, gaps) per doc."""
         cand = self._span_candidates(q)
-        if cand is None or len(cand) == 0:
-            return _EMPTY_I, _EMPTY_F
-        out_ords: List[int] = []
-        out_freqs: List[float] = []
-        for d in cand:
-            spans = self._doc_spans(q, int(d))
-            if not spans:
-                continue
-            out_ords.append(int(d))
-            out_freqs.append(sum(1.0 / (1.0 + g) for _, _, g in spans))
-        if not out_ords:
-            return _EMPTY_I, _EMPTY_F
-        ords = np.asarray(out_ords, dtype=np.int32)
-        freqs = np.asarray(out_freqs, dtype=np.float64)
-        keys = _span_scoring_terms(q)
-        fld = _span_field(q)
-        dt = self.sim.out_dtype
-        doc_count, sttf = self.stats.collection_for(fld)
-        idf_acc = 0.0
-        # distinct terms only (SpanWeight's Map<Term,TermStates>) — see
-        # _span_near
-        for key in dict.fromkeys(keys):
-            idf_acc += float(
-                dt(self.sim.idf_value(self.stats.df.get(key, 0), doc_count))
-            )
-        sc = self.sim.scorer_from_idf(
-            boost, dt(idf_acc), doc_count, sttf
-        )
-        norms = self.reader.norms_for(fld) if fld else self.norms
-        return ords, sc.score(freqs, norms[ords])
+        if cand is None:
+            return _EMPTY_I, []
+        at = self._gather(cand)
+        hit: List[int] = []
+        spans: List[list] = []
+        for j in range(len(cand)):
+            s = self._doc_spans(q, j, at)
+            if s:
+                hit.append(j)
+                spans.append(s)
+        return np.asarray(cand[hit], dtype=np.int32), spans
+
+    def _span_query(self, q, boost: float):
+        ords, spans = self._spans(q)
+        return self._score_spans(q, ords, spans, boost)
+
+    def _score_spans(self, q, ords, spans, boost: float):
+        """SpanScorer: freq(doc) = Σ 1/(1 + gaps) over the doc's spans,
+        scored with the summed idf of the DISTINCT leaf terms (SpanWeight
+        builds its sim weight from a Map<Term,TermStates>, so duplicated
+        clause terms, e.g. SpanNear("x","x"), must not double the idf)."""
+        freqs = [sum(1.0 / (1.0 + g) for _, _, g in s) for s in spans]
+        keys = dict.fromkeys(_span_scoring_terms(q))
+        return self._score(_span_field(q), keys, ords, freqs, boost)
 
     def _payload_leaves(self, q) -> List[str]:
         """Positive leaf term-dictionary keys whose occurrences carry the
@@ -472,8 +311,8 @@ class _Eval:
         include side's term positions)."""
         if isinstance(q, SpanTermQuery):
             return [field_term(q.field, q.span_term)]
-        if isinstance(q, SpanNearQuery):
-            return [field_term(q.field, t) for t in q.span_terms]
+        if isinstance(q, (SpanNearQuery, ComplexPhraseQuery)):
+            return [k for keys in _slots(q) for k in keys]
         if isinstance(q, SpanFirstQuery):
             return self._payload_leaves(q.match)
         if isinstance(q, SpanNotQuery):
@@ -492,32 +331,27 @@ class _Eval:
         Min/Max/Avg/SumPayloadFunction (a doc with spans but zero payloads
         scores the reference's ``docScore`` default of 1), optionally
         multiply by the span score."""
-        cand = self._span_candidates(q.span)
-        if cand is None or len(cand) == 0:
+        ords, spans = self._spans(q.span)
+        if not spans:
             return _EMPTY_I, _EMPTY_F
         srcs = []
         for key in dict.fromkeys(self._payload_leaves(q.span)):
-            pr = self.reader.positions(key)
+            pr = self._positions(key)
             py = self.reader.payloads(key)
             if pr is not None and py is not None:
-                srcs.append((pr[0], pr[1], py[1]))
-        out_ords: List[int] = []
+                srcs.append((_PerCand(pr, ords), _PerCand(py, ords)))
         out_pay: List[float] = []
-        for d in cand:
-            spans = self._doc_spans(q.span, int(d))
-            if not spans:
-                continue
+        for i, doc_spans in enumerate(spans):
             pays = []
-            for ords_k, posfn, payfn in srcs:
-                i = np.searchsorted(ords_k, d)
-                if i >= len(ords_k) or ords_k[i] != d:
+            for pos_at, pay_at in srcs:
+                pos = pos_at(i)
+                if pos is None:
                     continue
-                pos = posfn(int(i))
                 m = np.zeros(len(pos), dtype=bool)
-                for s, e, _ in spans:
+                for s, e, _ in doc_spans:
                     m |= (pos >= s) & (pos < e)
                 if m.any():
-                    pays.append(payfn(int(i))[m])
+                    pays.append(pay_at(i)[m])
             if pays:
                 arr = np.concatenate(pays).astype(np.float64)
                 if q.func == "min":
@@ -530,21 +364,14 @@ class _Eval:
                     p = float(arr.mean())
             else:
                 p = 1.0
-            out_ords.append(int(d))
             out_pay.append(p)
-        if not out_ords:
-            return _EMPTY_I, _EMPTY_F
-        ords = np.asarray(out_ords, dtype=np.int32)
         pscores = np.asarray(out_pay, dtype=np.float64)
-        dt = self.sim.out_dtype
         if q.include_span_score:
-            s_ords, s_scores = self.eval(q.span, boost)
-            # identical match sets by construction: align by position
-            pos = np.searchsorted(s_ords, ords)
-            pscores = pscores * s_scores[pos].astype(np.float64)
+            _, s_scores = self._score_spans(q.span, ords, spans, boost)
+            pscores = pscores * s_scores.astype(np.float64)
         else:
             pscores = pscores * boost
-        return ords, pscores.astype(dt)
+        return ords, pscores.astype(self.sim.out_dtype)
 
     def _function_score(self, q: FunctionScoreQuery, boost: float):
         """FunctionScoreQuery: combine inner scores with a per-doc value
@@ -794,25 +621,10 @@ class _Eval:
         return ords, acc[ords].astype(self.sim.out_dtype)
 
     def _phrase(self, q: PhraseQuery, boost: float):
+        # every phrase position's term adds its idf, repeated ones too
+        # (PhraseWeight passes one TermStatistics per position)
         ords, freqs = self._phrase_freqs(q)
-        if not len(ords):
-            return _EMPTY_I, _EMPTY_F
-        # combined idf = sum of per-term idfs (BM25Similarity.idfExplain for
-        # multiple TermStatistics), accumulated in the similarity's dtype
-        dt = self.sim.out_dtype
-        doc_count, sttf = self.stats.collection_for(q.field)
-        # per-term float idfs summed in a DOUBLE, single final cast —
-        # BM25Similarity.idfExplain(CollectionStatistics, TermStatistics[])
-        # accumulates getValue().doubleValue() and casts once
-        idf_acc = 0.0
-        for key in q.terms():
-            idf_acc += float(
-                dt(self.sim.idf_value(self.stats.df[key], doc_count))
-            )
-        idf = dt(idf_acc)
-        sc = self.sim.scorer_from_idf(boost, idf, doc_count, sttf)
-        norms = self.reader.norms_for(q.field) if q.field else self.norms
-        return ords, sc.score(freqs, norms[ords])
+        return self._score(q.field, q.terms(), ords, freqs, boost)
 
     def _phrase_freqs(self, q: PhraseQuery) -> Tuple[np.ndarray, np.ndarray]:
         """(ords asc int32, phrase freqs float64) of the docs matching the
@@ -820,7 +632,7 @@ class _Eval:
         keys = q.terms()
         readers = []
         for key in keys:
-            pp = self.reader.positions(key)
+            pp = self._positions(key)
             if pp is None or self.stats.df.get(key, 0) <= 0:
                 return _EMPTY_I, _EMPTY_D
             readers.append(pp)
@@ -833,46 +645,111 @@ class _Eval:
         if q.slop == 0:
             return exact_phrase_freqs(readers, cand, rel)
         distinct = len(set(keys)) == len(keys)
+        at = self._gather(cand)
         out_ords: List[int] = []
         out_freqs: List[float] = []
-        for d in cand:
-            f = self._sloppy_freq(readers, d, q.slop, rel,
-                                  terms_distinct=distinct)
+        for j, d in enumerate(cand.tolist()):
+            f = _sloppy_freq([at(k, j) for k in keys], q.slop, rel,
+                             terms_distinct=distinct)
             if f > 0:
-                out_ords.append(int(d))
+                out_ords.append(d)
                 out_freqs.append(f)
         return (np.asarray(out_ords, dtype=np.int32),
                 np.asarray(out_freqs, dtype=np.float64))
 
-    def _sloppy_freq(self, readers, d, slop, rel,
-                     terms_distinct: bool = True) -> float:
-        """Sloppy phrase frequency for one doc.
+    # -- shared by every positional query ----------------------------------
 
-        Distinct-term phrases run the exact reference algorithm
-        (``SloppyPhraseScorer.phraseFreq`` — the min-position priority
-        queue that minimizes each match length before scoring it
-        ``1/(1+matchLength)``).  Phrases with REPEATED terms fall back to
-        enumerating alignments (the reference's repeats machinery —
-        ``advanceRpts`` term grouping — is not ported)."""
-        import itertools
+    def _positions(self, key: str):
+        """``reader.positions(key)``, read once per query: each read
+        rebuilds the term's entry offsets, a sum over its posting list.
+        The memo lives on this per-query evaluator, never on the
+        long-lived reader, so a warm engine's memory stays bounded."""
+        if key not in self._pos:
+            self._pos[key] = self.reader.positions(key)
+        return self._pos[key]
 
-        pos_lists = []
-        for (ords, posfn) in readers:
-            idx = np.searchsorted(ords, d)
-            pos_lists.append(posfn(int(idx)))
-        if terms_distinct:
-            adjusted = [
-                (np.asarray(p, dtype=np.int64) - off).tolist()
-                for p, off in zip(pos_lists, rel)
-            ]
-            return _sloppy_freq_exact(adjusted, slop)
-        freq = 0.0
-        for combo in itertools.product(*[p.tolist() for p in pos_lists]):
-            adj = [int(p) - int(off) for p, off in zip(combo, rel)]
-            ml = max(adj) - min(adj)
-            if ml <= slop and len(set(combo)) == len(combo):
-                freq += 1.0 / (1.0 + ml)
-        return freq
+    def _docs_all(self, groups) -> Optional[np.ndarray]:
+        """Sorted ords of the docs holding a term of every group of
+        term-dictionary keys; None when all of a group's terms are
+        absent from the segment."""
+        cand = None
+        for keys in groups:
+            docs = [pr[0] for pr in map(self._positions, keys)
+                    if pr is not None]
+            if not docs:
+                return None
+            docs = (docs[0] if len(docs) == 1
+                    else np.unique(np.concatenate(docs)))
+            cand = docs if cand is None else np.intersect1d(
+                cand, docs, assume_unique=True
+            )
+        return cand
+
+    def _gather(self, cand: np.ndarray):
+        """The positions gather of one query over its candidate docs:
+        ``at(key, j)`` is term ``key``'s positions in doc ``cand[j]``
+        (None when the doc lacks the term).  A term is located in every
+        candidate with one ``searchsorted`` on first use, so the per-doc
+        kernels get slices of ``pos.flat``."""
+        per = {}
+
+        def at(key: str, j: int):
+            pc = per.get(key)
+            if pc is None:
+                pr = self._positions(key)
+                pc = per[key] = (_PerCand(pr, cand) if pr is not None
+                                 else _absent)
+            return pc(j)
+
+        return at
+
+    def _score(self, fld: Optional[str], keys, ords, freqs, boost: float):
+        """(ords int32, scores) of docs with positional frequencies
+        ``freqs``, scored with the summed idf of ``keys``: per-term float
+        idfs summed in a DOUBLE, one final cast, as
+        ``BM25Similarity.idfExplain(CollectionStatistics,
+        TermStatistics[])`` does.  A key no segment holds (global df 0)
+        adds nothing, as SpanWeight and IntervalWeight skip a TermStates
+        with docFreq 0; the test is global, so scores do not depend on
+        how the index is segmented."""
+        if not len(ords):
+            return _EMPTY_I, _EMPTY_F
+        dt = self.sim.out_dtype
+        doc_count, sttf = self.stats.collection_for(fld)
+        idf_acc = 0.0
+        for key in keys:
+            df = self.stats.df.get(key, 0)
+            if df > 0:
+                idf_acc += float(dt(self.sim.idf_value(df, doc_count)))
+        sc = self.sim.scorer_from_idf(boost, dt(idf_acc), doc_count, sttf)
+        ords = np.asarray(ords, dtype=np.int32)
+        norms = self.reader.norms_for(fld) if fld else self.norms
+        return ords, sc.score(np.asarray(freqs, dtype=np.float64), norms[ords])
+
+
+class _PerCand:
+    """One term's per-occurrence values (positions or payloads) in each
+    candidate doc of a query, located with one ``searchsorted`` for all
+    of them: ``self(j)`` is doc ``cand[j]``'s values, a slice of the
+    term's flat column, or None when the term is not in that doc."""
+
+    __slots__ = ("flat", "start", "end")
+
+    def __init__(self, occ, cand: np.ndarray) -> None:
+        ords, vals = occ
+        i = np.minimum(np.searchsorted(ords, cand), len(ords) - 1)
+        self.flat = vals.flat
+        self.start = np.where(ords[i] == cand, vals.offsets[i], -1).tolist()
+        self.end = vals.offsets[i + 1].tolist()
+
+    def __call__(self, j: int) -> Optional[np.ndarray]:
+        a = self.start[j]
+        return None if a < 0 else self.flat[a: self.end[j]]
+
+
+def _absent(j: int) -> None:
+    """The gather of a term the segment lacks."""
+    return None
 
 
 def exact_phrase_freqs(readers, cand: np.ndarray, rel: np.ndarray
@@ -980,7 +857,7 @@ def _span_scoring_terms(q) -> List[str]:
 def _span_field(q) -> Optional[str]:
     """Common field of a span tree's leaves (span queries are single-field,
     as the reference's SpanQuery.getField contract requires)."""
-    if isinstance(q, (SpanTermQuery, SpanNearQuery)):
+    if isinstance(q, (SpanTermQuery, SpanNearQuery, ComplexPhraseQuery)):
         return q.field
     if isinstance(q, SpanFirstQuery):
         return _span_field(q.match)
@@ -992,6 +869,14 @@ def _span_field(q) -> Optional[str]:
             raise ValueError("SpanOrQuery clauses must share one field")
         return next(iter(flds))
     raise TypeError(type(q))
+
+
+def _slots(q) -> List[List[str]]:
+    """Term-dictionary keys of each slot of a SpanNear (one term a slot)
+    or of a complex phrase (the slot's alternatives)."""
+    if isinstance(q, SpanNearQuery):
+        return [[field_term(q.field, t)] for t in q.span_terms]
+    return [[field_term(q.field, t) for t in slot] for slot in q.slots]
 
 
 def _span_list_ordered(pos_lists, slop: int):
@@ -1053,17 +938,41 @@ def _span_list_unordered(pos_lists, slop: int):
     return out
 
 
-def _span_freq_ordered(pos_lists, slop: int) -> float:
-    return sum(
-        1.0 / (1.0 + g) for _, _, g in _span_list_ordered(pos_lists, slop)
-    )
+def _sloppy_freq(pos_lists, slop: int, rel,
+                 terms_distinct: bool = True) -> float:
+    """Sloppy phrase frequency of one doc from its terms' positions
+    (``rel``: each term's offset in the phrase).
 
-
-def _span_freq_unordered(pos_lists, slop: int) -> float:
-    return sum(
-        1.0 / (1.0 + g)
-        for _, _, g in _span_list_unordered(pos_lists, slop)
-    )
+    Distinct-term phrases run the exact reference algorithm
+    (``_sloppy_freq_exact``).  Phrases with REPEATED terms sum
+    ``1/(1 + matchLength)`` over every alignment (one position per
+    phrase term, all distinct) whose match length is ≤ slop; the
+    reference's repeats machinery (``advanceRpts`` term grouping) is not
+    ported.  Term 0's position is the outer loop and every other term is
+    restricted to offset-adjusted positions within ``slop`` of it, so
+    the contributing alignments are visited in the order of the full
+    product over the terms' positions and sum to the same float, without
+    enumerating the rest."""
+    adjusted = [
+        (np.asarray(p, dtype=np.int64) - off).tolist()
+        for p, off in zip(pos_lists, rel)
+    ]
+    if terms_distinct:
+        return _sloppy_freq_exact(adjusted, slop)
+    offs = [int(o) for o in rel]
+    freq = 0.0
+    for a0 in adjusted[0]:
+        windows = [
+            pl[bisect.bisect_left(pl, a0 - slop):
+               bisect.bisect_right(pl, a0 + slop)]
+            for pl in adjusted[1:]
+        ]
+        for adj in itertools.product((a0,), *windows):
+            ml = max(adj) - min(adj)
+            # the raw positions (adjusted + offset) must be distinct
+            if ml <= slop and len(set(map(add, adj, offs))) == len(offs):
+                freq += 1.0 / (1.0 + ml)
+    return freq
 
 
 def _sloppy_freq_exact(adjusted_pos_lists, slop: int) -> float:

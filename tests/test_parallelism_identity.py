@@ -20,7 +20,35 @@ QUERIES = {
     4: '"batch batch"',
     5: "the",
     6: "mer*",
+    7: '"batch batch"~1',
 }
+
+
+def _positional_queries():
+    """One query of each positional shape, run through ``search_parsed``:
+    span trees, intervals and complex phrases have no query syntax."""
+    from lucene_solr_ray.search.intervals import Intervals
+    from lucene_solr_ray.search.query import (
+        ComplexPhraseQuery,
+        IntervalQuery,
+        SpanFirstQuery,
+        SpanNearQuery,
+        SpanNotQuery,
+        SpanOrQuery,
+        SpanTermQuery,
+    )
+
+    near = SpanNearQuery(("merge", "sort"), slop=3, in_order=False)
+    return [
+        SpanNearQuery(("merge", "sort"), slop=3, in_order=True),
+        near,
+        SpanOrQuery((SpanTermQuery("merge"), SpanTermQuery("batch"))),
+        SpanNotQuery(near, SpanTermQuery("fast")),
+        SpanFirstQuery(SpanTermQuery("merge"), 5),
+        IntervalQuery(Intervals.maxwidth(
+            6, Intervals.ordered("merge", Intervals.or_("sort", "key")))),
+        ComplexPhraseQuery((("dup", "fast"), ("merge", "sort")), slop=2),
+    ]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -35,16 +63,24 @@ def test_topk_identical_across_segmentations(sf_dir, tmp_path):
             text_col="text", id_col="doc_id",
             docs_per_segment=docs_per_segment,
         )
-        results.append(
-            (len(m["segments"]), Index(out).search(QUERIES, k=10).to_pandas())
-        )
-    (n1, a), (n2, b) = results
+        idx = Index(out)
+        # every match, not the top 10, so a score off in one segment shows
+        parsed = [(i, q, 500) for i, q in enumerate(_positional_queries())]
+        results.append((
+            len(m["segments"]),
+            idx.search(QUERIES, k=10).to_pandas(),
+            idx.search_parsed(parsed).to_pandas(),
+        ))
+    (n1, *a), (n2, *b) = results
     assert n1 != n2  # genuinely different parallelism/partitioning
-    assert list(a["qid"]) == list(b["qid"])
-    assert list(a["doc_id"]) == list(b["doc_id"])
-    np.testing.assert_array_equal(
-        a["score"].to_numpy(), b["score"].to_numpy()
-    )
+    for x, y in zip(a, b):
+        assert list(x["qid"]) == list(y["qid"])
+        assert list(x["doc_id"]) == list(y["doc_id"])
+        np.testing.assert_array_equal(
+            x["score"].to_numpy(), y["score"].to_numpy()
+        )
+    # every positional shape matches something
+    assert set(a[1]["qid"]) == set(range(len(_positional_queries())))
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -6,8 +6,16 @@ every term's positions shifted by its phrase offset, and count.
 
 Covered: repeated terms (``"a a"``), stop-word position gaps in docs and
 phrases, field-scoped phrases on a multi-field segment, a tombstoned
-segment, and the one-doc ``MemoryIndex`` reader."""
+segment, and the one-doc ``MemoryIndex`` reader.
 
+Sloppy phrases with repeated terms: the windowed enumeration must give
+the same float frequencies as the full product of the terms' positions
+it replaced (``_sloppy_freq_product``, kept as the oracle), in bounded
+time."""
+
+import dataclasses
+import itertools
+import signal
 import tempfile
 
 import numpy as np
@@ -143,3 +151,86 @@ def test_repeated_term_phrase_counts_overlaps():
     ords, freqs = _Eval(mi.reader, _stats(mi.reader, q),
                         BM25Similarity())._phrase_freqs(q)
     assert ords.tolist() == [0] and freqs.tolist() == [2.0]
+
+
+def _sloppy_freq_product(pos_lists, slop, rel) -> float:
+    """The repeated-term sloppy frequency as a full product: every
+    alignment of one position per phrase term, all distinct, whose match
+    length is within the slop adds ``1/(1 + matchLength)``."""
+    freq = 0.0
+    for combo in itertools.product(*[p.tolist() for p in pos_lists]):
+        adj = [int(p) - int(off) for p, off in zip(combo, rel)]
+        ml = max(adj) - min(adj)
+        if ml <= slop and len(set(combo)) == len(combo):
+            freq += 1.0 / (1.0 + ml)
+    return freq
+
+
+def _sloppy_repeated(reader, q):
+    """(ords, freqs) of ``q`` from the scorer and from the product
+    oracle, over every doc holding all its terms."""
+    got_ords, got = _Eval(reader, _stats(reader, q),
+                          BM25Similarity())._phrase_freqs(q)
+    readers = [reader.positions(k) for k in q.terms()]
+    want_ords, want = [], []
+    if all(r is not None for r in readers):
+        cand = readers[0][0]
+        for ords, _ in readers[1:]:
+            cand = np.intersect1d(cand, ords, assume_unique=True)
+        rel = np.asarray(q.positions) - q.positions[0]
+        for d in cand.tolist():
+            f = _sloppy_freq_product(
+                [pos(int(np.searchsorted(ords, d))) for ords, pos in readers],
+                q.slop, rel)
+            if f > 0:
+                want_ords.append(d)
+                want.append(f)
+    return (got_ords.tolist(), got.tolist()), (want_ords, want)
+
+
+repeated = phrases.filter(
+    lambda ws: len({w for w in ws if w != "the"})
+    < len([w for w in ws if w != "the"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(VOCAB), max_size=18).map(" ".join),
+       repeated, st.integers(0, 3))
+@example("a a b a the a", ["a", "the", "a"], 1)
+@example("a b a a", ["a", "b", "a"], 2)
+def test_repeated_term_sloppy_freq_matches_product(text, words, slop):
+    q = dataclasses.replace(_query(words), slop=slop)
+    reader = MemoryIndex(text, analyzer=ANALYZER).reader
+    got, want = _sloppy_repeated(reader, q)
+    assert got == want, q
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("repeated-term sloppy phrase ran past 10 s")
+
+
+def test_repeated_term_sloppy_freq_is_bounded():
+    """``"a a a"~1`` over 2,000 occurrences of ``a``: the full product
+    holds 8·10⁹ alignments; the windowed walk visits nine per occurrence.
+    Away from the doc's ends each occurrence adds the same amount, so
+    the frequency extrapolates from the oracle's at 40 and 41."""
+    q = PhraseQuery(("a", "a", "a"), (0, 1, 2), slop=1)
+
+    def freqs(n):
+        return _sloppy_repeated(
+            MemoryIndex(" ".join(["a"] * n), analyzer=ANALYZER).reader, q)
+
+    (_, f40), want40 = freqs(40)
+    (_, f41), want41 = freqs(41)
+    assert (f40, f41) == (want40[1], want41[1])
+    old = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        reader = MemoryIndex(" ".join(["a"] * 2000), analyzer=ANALYZER).reader
+        ords, f = _Eval(reader, _stats(reader, q),
+                        BM25Similarity())._phrase_freqs(q)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert ords.tolist() == [0]
+    assert f.tolist() == [f40[0] + (2000 - 40) * (f41[0] - f40[0])]
