@@ -2401,7 +2401,9 @@ FROM pos GROUP BY doc_id, term ORDER BY doc_id, term
 def export_sorted_docs(sf_dir: str) -> pa.Table:
     """ExportStream gate: every doc matching "merge OR sort" exported to
     partitioned parquet globally sorted by (field_len, doc_id); the gate
-    reads the export back.  SQL-matched."""
+    reads the export back in file-name order and raises unless its rows
+    come in that order (the oracle diff sorts both sides, so the row
+    order is checked here).  SQL-matched."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -2416,11 +2418,14 @@ def export_sorted_docs(sf_dir: str) -> pa.Table:
         pq.read_table(f)
         for f in sorted(glob.glob(os.path.join(out_dir, "*.parquet")))
     ])
-    df = t.to_pandas().sort_values(["field_len", "doc_id"]).reset_index(
-        drop=True
-    )
-    df["field_len"] = df["field_len"].astype("int64")
-    return pa.Table.from_pandas(df, preserve_index=False)
+    t = t.set_column(t.column_names.index("field_len"), "field_len",
+                     t.column("field_len").cast(pa.int64()))
+    fl, d = (t.column(c).to_numpy() for c in ("field_len", "doc_id"))
+    step = (fl[1:] > fl[:-1]) | ((fl[1:] == fl[:-1]) & (d[1:] > d[:-1]))
+    if not step.all():
+        raise AssertionError(
+            "export_sorted rows are not in (field_len, doc_id) order")
+    return t
 
 
 def export_sorted_docs_sql() -> str:

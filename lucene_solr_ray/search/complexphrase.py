@@ -6,9 +6,9 @@ complexPhrase/ComplexPhraseQueryParser.java:63``: a quoted phrase like
 expanded terms and the phrase to a SpanNear with the given slop.  Here
 the parse produces a :class:`~lucene_solr_ray.search.query
 .ComplexPhraseQuery` whose pattern slots are expanded against the LIVE
-index dictionary (one distributed ``collect_stats`` pass for all
-patterns) before construction — the rewrite the reference performs at
-weight-creation time.
+index dictionary (one ``collect_stats`` read of the segments' term
+columns for all patterns) before construction — the rewrite the
+reference performs at weight-creation time.
 
 Slot syntax inside the quoted phrase:
 - ``word`` — analyzed term

@@ -7,16 +7,16 @@ verifies with exact haversine.
 
 Ours: lat/lon ride as stored docmeta columns (built with
 ``stored_cols=["lat", "lon"]``) plus optional numeric point fields for
-segment-level min/max pruning.  ``geo_distance_search`` runs one
-distributed pass: per segment a vectorized bounding-box prefilter (the
-BKD-cell role) then exact haversine on the survivors; the driver merges
-≤ segments × k tiny rows.
+segment-level min/max pruning.  ``geo_distance_search`` is a collector
+on ``Index.scan``: per segment a vectorized bounding-box prefilter (the
+BKD-cell role) over the live docs, then exact haversine on the
+survivors; the driver merges ≤ segments × k tiny rows.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -36,59 +36,44 @@ def haversine_m(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * _EARTH_R_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-class _GeoFn:
-    """Per-segment: bbox prefilter on the stored lat/lon columns, exact
-    haversine verify, local top-k by (distance asc, doc asc)."""
+_GEO_SCHEMA = pa.schema([("doc_id", pa.int64()), ("distance_m", pa.float64())])
 
-    def __init__(self, lat: float, lon: float, radius_m: float, k: int,
-                 lat_col: str, lon_col: str):
-        self.lat = lat
-        self.lon = lon
-        self.radius = radius_m
-        self.k = k
-        self.lat_col = lat_col
-        self.lon_col = lon_col
-        # bounding box (the BKD cell prune): ±radius in degrees, widened
-        # for longitude by the cos(lat) shrink (clamped near the poles)
-        dlat = np.degrees(radius_m / _EARTH_R_M)
-        coslat = max(np.cos(np.radians(lat)), 1e-6)
-        dlon = min(np.degrees(radius_m / (_EARTH_R_M * coslat)), 180.0)
-        self.bbox = (lat - dlat, lat + dlat, lon - dlon, lon + dlon)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
+def _bbox(lat: float, lon: float, radius_m: float):
+    """(lat lo, lat hi, lon lo, lon hi) of the circle (the BKD cell
+    prune): ±radius in degrees, widened for longitude by the cos(lat)
+    shrink (clamped near the poles)."""
+    dlat = np.degrees(radius_m / _EARTH_R_M)
+    coslat = max(np.cos(np.radians(lat)), 1e-6)
+    dlon = min(np.degrees(radius_m / (_EARTH_R_M * coslat)), 180.0)
+    return lat - dlat, lat + dlat, lon - dlon, lon + dlon
 
-        rows = []
-        for seg_dir in batch.column("seg_dir").to_pylist():
-            dm = pq.read_table(
-                os.path.join(seg_dir, "docmeta.parquet"),
-                columns=["doc_id", self.lat_col, self.lon_col],
-            )
-            lats = dm.column(self.lat_col).to_numpy()
-            lons = dm.column(self.lon_col).to_numpy()
-            lo_la, hi_la, lo_lo, hi_lo = self.bbox
-            m = (lats >= lo_la) & (lats <= hi_la) \
-                & (lons >= lo_lo) & (lons <= hi_lo)
-            cand = np.nonzero(m)[0]
-            if len(cand) == 0:
-                continue
-            d = haversine_m(self.lat, self.lon, lats[cand], lons[cand])
-            ok = d <= self.radius
-            cand, d = cand[ok], d[ok]
-            if len(cand) == 0:
-                continue
-            dids = dm.column("doc_id").to_numpy()[cand]
-            order = np.lexsort((dids, d))[: self.k]
-            for i in order:
-                rows.append(
-                    {"doc_id": int(dids[i]), "distance_m": float(d[i])}
-                )
-        return pa.Table.from_pylist(
-            rows,
-            schema=pa.schema(
-                [("doc_id", pa.int64()), ("distance_m", pa.float64())]
-            ),
-        )
+
+def _collect_geo(pairs, lat: float, lon: float, radius_m: float, k: int,
+                 lat_col: str, lon_col: str) -> pa.Table:
+    """Geo collector: per segment, a bbox prefilter on the stored lat/lon
+    columns over the live docs, exact haversine verify, local top-k by
+    (distance asc, doc asc)."""
+    import pyarrow.parquet as pq
+
+    lo_la, hi_la, lo_lo, hi_lo = _bbox(lat, lon, radius_m)
+    parts = [_GEO_SCHEMA.empty_table()]
+    for reader, _ in pairs:
+        dm = pq.read_table(os.path.join(reader.seg_dir, "docmeta.parquet"),
+                           columns=[lat_col, lon_col])
+        lats = dm.column(lat_col).to_numpy()
+        lons = dm.column(lon_col).to_numpy()
+        cand = np.nonzero((lats >= lo_la) & (lats <= hi_la)
+                          & (lons >= lo_lo) & (lons <= hi_lo))[0]
+        cand = cand[reader.live_mask(cand)]
+        d = haversine_m(lat, lon, lats[cand], lons[cand])
+        ok = d <= radius_m
+        cand, d = cand[ok], d[ok]
+        dids = reader.doc_ids[cand]
+        top = np.lexsort((dids, d))[:k]
+        parts.append(pa.table([dids[top].astype(np.int64), d[top]],
+                              schema=_GEO_SCHEMA))
+    return pa.concat_tables(parts)
 
 
 def geo_distance_search(
@@ -100,34 +85,19 @@ def geo_distance_search(
     lat_col: str = "lat",
     lon_col: str = "lon",
 ) -> pa.Table:
-    """Top-k docs within ``radius_m`` of (lat, lon), sorted by distance
-    (``LatLonPoint.newDistanceQuery`` + distance sort)."""
-    import ray.data
-
-    seg_items = [
-        {"seg_dir": d, "seg_ord": i} for i, d in enumerate(index.seg_dirs)
-    ]
-    df = (
-        ray.data.from_items(seg_items, override_num_blocks=len(seg_items))
-        .map_batches(
-            _GeoFn(lat, lon, radius_m, k, lat_col, lon_col),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-    )
-    if df.empty:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "rank": pa.array([], pa.int64()),
-             "distance_m": pa.array([], pa.float64())}
-        )
-    df = df.sort_values(["distance_m", "doc_id"]).head(k).reset_index(
-        drop=True
-    )
-    return pa.table(
-        {
-            "doc_id": pa.array(df["doc_id"].to_numpy(np.int64)),
-            "rank": pa.array(np.arange(1, len(df) + 1, dtype=np.int64)),
-            "distance_m": pa.array(df["distance_m"].to_numpy(np.float64)),
-        }
-    )
+    """Top-k live docs within ``radius_m`` of (lat, lon), sorted by
+    distance then doc id (``LatLonPoint.newDistanceQuery`` + distance
+    sort): the geo collector on ``Index.scan``, merged on the driver."""
+    parts = list(index.scan(
+        partial(_collect_geo, lat=lat, lon=lon, radius_m=radius_m, k=k,
+                lat_col=lat_col, lon_col=lon_col),
+    ).iter_batches(batch_size=None, batch_format="pyarrow"))
+    t = pa.concat_tables([_GEO_SCHEMA.empty_table()] + parts)
+    d = t.column("distance_m").to_numpy()
+    dids = t.column("doc_id").to_numpy()
+    top = np.lexsort((dids, d))[:k]
+    return pa.table({
+        "doc_id": pa.array(dids[top], pa.int64()),
+        "rank": pa.array(np.arange(1, len(top) + 1, dtype=np.int64)),
+        "distance_m": pa.array(d[top], pa.float64()),
+    })

@@ -199,11 +199,6 @@ class SegmentReader:
         """The sorted terms as Arrow, for C-kernel pattern expansion."""
         return self._dictionary[0]
 
-    @property
-    def term_columns(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
-        """The dictionary's sorted terms with their df and ttf."""
-        return self._dictionary[1:]
-
     def _row(self, term: str) -> Optional[int]:
         terms = self._dictionary[1]
         r = bisect.bisect_left(terms, term)

@@ -904,37 +904,67 @@ def _span_list_ordered(pos_lists, slop: int):
 
 
 def _span_list_unordered(pos_lists, slop: int):
-    """Minimal UNORDERED spans (start, end, gaps): sliding window over the
-    merged tagged position stream; every minimal window covering ≥1
-    position of each term with gap count ≤ slop is emitted."""
-    tagged = sorted(
-        (int(p), t) for t, pl in enumerate(pos_lists) for p in pl.tolist()
-    )
+    """Minimal UNORDERED spans (start, end, gaps): a sliding window over
+    the distinct positions; every minimal window in which each slot holds
+    a position of its own, with gap count ≤ slop, is emitted.  A position
+    that several slots can fill (a repeated term, or an alternative two
+    slots share) fills one of them, the rule ``_sloppy_freq`` applies to
+    repeated phrase terms, so a span is never shorter than its slots."""
+    slot_pos = [sorted(set(pl.tolist())) for pl in pos_lists]
+    slots_at: Dict[int, List[int]] = {}
+    for t, pl in enumerate(slot_pos):
+        for p in pl:
+            slots_at.setdefault(p, []).append(t)
+    pos = sorted(slots_at)
     n_terms = len(pos_lists)
     counts = [0] * n_terms
-    covered = 0
+    covered = shared = 0
+
+    def move(i: int, d: int) -> None:
+        nonlocal covered, shared
+        ts = slots_at[pos[i]]
+        shared += d * (len(ts) > 1)
+        for t in ts:
+            counts[t] += d
+            covered += (counts[t] == 1) if d > 0 else -(counts[t] == 0)
+
+    def filled(lo: int, hi: int) -> bool:
+        # every slot counted; with a shared position in the window, also
+        # a distinct position per slot (augmenting-path matching)
+        if covered < n_terms:
+            return False
+        if not shared:
+            return True
+        owner: Dict[int, int] = {}
+
+        def place(t: int, seen: set) -> bool:
+            pl = slot_pos[t]
+            for p in pl[bisect.bisect_left(pl, pos[lo]):
+                        bisect.bisect_right(pl, pos[hi])]:
+                if p not in seen:
+                    seen.add(p)
+                    if p not in owner or place(owner[p], seen):
+                        owner[p] = t
+                        return True
+            return False
+
+        return all(place(t, set()) for t in range(n_terms))
+
     out = []
     left = 0
-    for right in range(len(tagged)):
-        t = tagged[right][1]
-        counts[t] += 1
-        if counts[t] == 1:
-            covered += 1
-        while covered == n_terms:
-            # shrink to minimal window, then record + advance
-            lt = tagged[left][1]
-            if counts[lt] > 1:
-                counts[lt] -= 1
-                left += 1
-                continue
-            gaps = (tagged[right][0] - tagged[left][0] + 1) - n_terms
-            if gaps <= slop:
-                out.append(
-                    (tagged[left][0], tagged[right][0] + 1, gaps)
-                )
-            counts[lt] -= 1
-            covered -= 1
+    for right in range(len(pos)):
+        move(right, 1)
+        if not filled(left, right):
+            continue
+        # shrink to the minimal window, then record + advance past it
+        while True:
+            move(left, -1)
             left += 1
+            if not filled(left, right):
+                break
+        gaps = (pos[right] - pos[left - 1] + 1) - n_terms
+        if gaps <= slop:
+            out.append((pos[left - 1], pos[right] + 1, gaps))
     return out
 
 

@@ -3,20 +3,21 @@
 The Ray-Data shape of ``IndexSearcher.search(Query, n)``
 (``lucene/core/src/java/org/apache/lucene/search/IndexSearcher.java:428``):
 
-1. **Rewrite** multi-term queries against the (distributed) term dictionary
-   — one map over segments collecting matching terms, unioned on the driver
+1. **Rewrite** multi-term queries against the term dictionary: each
+   pattern's matches over every segment's terms, unioned
    (``IndexSearcher.rewrite:665-672`` + CONSTANT_SCORE_REWRITE).
-2. **Global stats pass** — per-segment (df, ttf) partials for the query's
-   terms, summed on the driver; equivalent to ``TermStates.build`` walking
-   all leaves + ``collectionStatistics`` summing leaves (``:764-792``) and
-   to Solr's ``ExactStatsCache`` extra round-trip (rank-identical across
-   shardings, unlike the default LocalStatsCache).
+2. **Global stats** — (df, ttf) of the query's terms and expansion terms
+   summed over all leaves, as ``TermStates.build`` walking the leaves +
+   ``collectionStatistics`` summing them (``:764-792``) do in-process
+   (rank-identical across shardings, as Solr's ExactStatsCache is, with
+   no extra round trip).
    Steps 1–2 are :func:`prepare_queries`, shared by every batch search
    (:meth:`Index.prepare`), the warm ``QueryEngine`` and ``MemoryIndex``.
-   A batch search runs them as one map over the segments, each
-   segment's share being :func:`segment_term_meta`; the warm engine
-   answers them on the driver from a global term dictionary it fetches
-   once (the in-process leaf sum, with no per-query round trip).
+   Both engines read the statistics through :func:`term_stats`, one
+   Arrow scan of the segments' ``term, df, ttf`` columns on the driver:
+   a batch search once per batch, filtered to its terms and patterns;
+   the warm engine once in its life, unfiltered, then answers every
+   batch from that dictionary.
 3. **Segment scan** — :meth:`Index.scan`, one stateless ``map_batches``
    over the segment list: each task opens its batch's ``SegmentReader``s
    once and hands the ``(reader, seg_ord)`` pairs to a *collector*, a
@@ -25,8 +26,8 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    term dictionary, blocks, positions) on first use, so a collector
    reads only what its queries touch.  Collectors here: top score,
    field sort (one or several fields, optionally per group), count,
-   grouped, export, rescore; LTR features, join gather and topic pull
-   live with their features.
+   grouped, export, rescore; LTR features, join gather, topic pull and
+   geo distance live with their features.
    Write passes are collectors too: delete, soft delete, soft-deletes
    policy and doc-values update return per-segment sidecar rows that
    ``index.sidecars.write_pass`` folds into one manifest commit; the
@@ -43,10 +44,10 @@ touches posting lists.
 
 from __future__ import annotations
 
-import bisect
 import os
 import re
 from functools import partial
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +78,7 @@ from lucene_solr_ray.search.reader import SegmentReader
 from lucene_solr_ray.search.scorer import GlobalStats, topk_segment
 from lucene_solr_ray.search.similarity import BM25Similarity
 
-__all__ = ["Index", "search", "prepare_queries", "rewrite_query"]
+__all__ = ["Index", "search", "prepare_queries", "rewrite_query", "term_stats"]
 
 _MULTITERM = (PrefixQuery, WildcardQuery, RegexpQuery, FuzzyQuery, TermRangeQuery)
 
@@ -397,109 +398,64 @@ def prepare_queries(
 
 
 # ---------------------------------------------------------------------------
-# Ray stages
+# global term statistics
 # ---------------------------------------------------------------------------
 
-
-def segment_term_meta(
-    terms: Sequence[str], patterns: Sequence[Query], term_col: "pa.Array",
-    lookup,
-) -> Tuple[Dict[str, Tuple[int, int]], List[List[str]]]:
-    """One segment's term metadata: ``(stats, matches)``.
-
-    ``stats`` maps each explicit term present in the segment and each
-    pattern match to its (df, ttf), every key counted once (a term can be
-    an explicit query term and match several patterns); ``matches[i]``
-    lists ``patterns[i]``'s matches in ``term_col``.  ``lookup(term)``
-    returns the segment's (df, ttf) or None.  The batch stats map
-    (:class:`_StatsFn`) folds each segment through this; the warm engine
-    resolves the same metadata over its summed dictionary instead."""
-    stats: Dict[str, Tuple[int, int]] = {}
-    for t in terms:
-        st = lookup(t)
-        if st:
-            stats[t] = st
-    matches = [match_terms_arrow(p, term_col) for p in patterns]
-    for ms in matches:
-        for t in ms:
-            if t not in stats:
-                stats[t] = lookup(t)
-    return stats, matches
+_TERM_STATS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("df", pa.int64()), ("ttf", pa.int64())])
 
 
-class _StatsFn:
-    """Per-segment (df, ttf) partials + multi-term expansions.
+def term_stats(
+    seg_dirs: Sequence[str], terms: Optional[Sequence[str]] = None,
+    patterns: Sequence[Query] = (),
+) -> Tuple[pa.Table, Dict[Query, Tuple[str, ...]]]:
+    """Global term statistics, read on the driver: ``(table, expansions)``.
 
-    Reads only the term/df/ttf columns (no posting lists)."""
+    ``table`` holds (term, df, ttf) summed over ``seg_dirs``, sorted by
+    term, for ``terms`` and every pattern match (every term when
+    ``terms`` is None); ``expansions`` maps each pattern to its sorted
+    matches.  Lucene sums the leaves' term dictionaries in-process the
+    same way (``IndexSearcher.java:780-792``).
 
-    def __init__(self, terms: List[str], patterns: List[Query]):
-        self.terms = terms
-        self.patterns = patterns
+    One threaded Arrow scan streams the ``term, df, ttf`` columns of every
+    segment's ``postings.parquet``: without patterns ``isin(terms)``
+    prunes row groups by their min/max statistics (the terms are sorted
+    on disk); with patterns each batch runs :func:`match_terms_arrow`.
+    Each batch's kept rows fold into the running table with one
+    ``group_by``, so the driver holds the summed rows plus one batch at
+    any segment count."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-        import pyarrow.parquet as pq
+    acc = _TERM_STATS_SCHEMA.empty_table()
+    matches: List[set] = [set() for _ in patterns]
+    flt = (pc.field("term").isin(terms)
+           if terms is not None and not patterns else None)
+    ds = pads.dataset(
+        [os.path.join(d, "postings.parquet") for d in seg_dirs],
+        schema=_TERM_STATS_SCHEMA, format="parquet")
+    for batch in ds.to_batches(columns=_TERM_STATS_SCHEMA.names,
+                               filter=flt):
+        if patterns:
+            found = [match_terms_arrow(p, batch.column("term"))
+                     for p in patterns]
+            for ms, f in zip(matches, found):
+                ms.update(f)
+            if terms is not None:
+                batch = batch.filter(pc.is_in(batch.column("term"), pa.array(
+                    list(chain(terms, *found)), pa.string())))
+        sums = pa.concat_tables([acc, pa.Table.from_batches([batch])]
+                                ).group_by("term").aggregate(
+                                    [("df", "sum"), ("ttf", "sum")])
+        acc = pa.table([sums["term"], sums["df_sum"], sums["ttf_sum"]],
+                       schema=_TERM_STATS_SCHEMA)
+    return acc.sort_by("term"), {
+        p: tuple(sorted(ms)) for p, ms in zip(patterns, matches)}
 
-        # partial aggregation: this task may hold MANY segments; sum each
-        # (kind, key)'s stats across them so the task emits ≤ |keys| rows
-        # no matter how many segments it processed (the groupby in
-        # collect_stats then folds the per-task partials in-cluster)
-        partial: Dict[Tuple[str, str], List[int]] = {}
 
-        def emit(kind: str, key: str, df: int, ttf: int) -> None:
-            cur = partial.get((kind, key))
-            if cur is None:
-                partial[(kind, key)] = [df, ttf]
-            else:
-                cur[0] += df
-                cur[1] += ttf
-
-        for seg_dir in batch.column("seg_dir").to_pylist():
-            path = os.path.join(seg_dir, "postings.parquet")
-            if self.patterns:
-                # the pattern scans need the whole dictionary: one read
-                # serves them and the explicit terms
-                t = pq.read_table(path, columns=["term", "df", "ttf"])
-            else:
-                # terms are byte-sorted on disk → parquet row-group min/max
-                # statistics prune the term-dict read to the groups that
-                # can contain the query terms (FST-index lookup analogue)
-                t = pads.dataset(path, format="parquet").to_table(
-                    columns=["term", "df", "ttf"],
-                    filter=pc.field("term").isin(self.terms),
-                )
-            term_col = t.column("term").combine_chunks()
-            term_np = term_col.to_numpy(zero_copy_only=False)
-            dfs = t.column("df").to_numpy()
-            ttfs = t.column("ttf").to_numpy()
-
-            def lookup(term: str) -> Optional[Tuple[int, int]]:
-                # binary search: the term column is byte-sorted
-                i = bisect.bisect_left(term_np, term)
-                if i < len(term_np) and term_np[i] == term:
-                    return int(dfs[i]), int(ttfs[i])
-                return None
-
-            stats, matches = segment_term_meta(
-                self.terms, self.patterns, term_col, lookup
-            )
-            for key, (df, ttf) in stats.items():
-                emit("stat", key, df, ttf)
-            for pi, ms in enumerate(matches):
-                for key in ms:
-                    emit(f"pat{pi}", key, 0, 0)
-        rows = [
-            {"kind": kind, "key": key, "df": v[0], "ttf": v[1]}
-            for (kind, key), v in partial.items()
-        ]
-        return pa.Table.from_pylist(
-            rows,
-            schema=pa.schema(
-                [("kind", pa.string()), ("key", pa.string()),
-                 ("df", pa.int64()), ("ttf", pa.int64())]
-            ),
-        )
+# ---------------------------------------------------------------------------
+# Ray stages
+# ---------------------------------------------------------------------------
 
 
 #: the top-k collector's columns, in the order :func:`_topk_columns`
@@ -648,63 +604,6 @@ class Index:
             respect_soft_deletes=respect_soft_deletes,
         )
 
-    def _collect_stats_rows(
-        self, terms: List[str], patterns: List[Query]
-    ) -> List[dict]:
-        """The distributed half of :meth:`collect_stats`: per-task partial
-        (kind, key, df, ttf) sums over batches of segments, folded
-        IN-CLUSTER to one row per distinct (kind, key) — the driver
-        receives one row per term or expansion term plus one per
-        (pattern, match) at ANY segment count (the ExactStatsCache
-        contract, ``IndexSearcher.java:780-792``)."""
-        import ray
-        import ray.data
-
-        seg_items = [
-            {"seg_dir": d, "seg_ord": i}
-            for i, d in enumerate(self.seg_dirs)
-        ]
-        # each stats task reads many segments' term-dict metadata: cap the
-        # task count at a cluster-sized multiple, not one per segment
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_blocks = max(1, min(len(seg_items), 4 * cpus))
-
-        def _fold(batch: pa.Table) -> pa.Table:
-            acc: Dict[Tuple[str, str], List[int]] = {}
-            for kind, key, df, ttf in zip(
-                batch.column("kind").to_pylist(),
-                batch.column("key").to_pylist(),
-                batch.column("df").to_pylist(),
-                batch.column("ttf").to_pylist(),
-            ):
-                cur = acc.get((kind, key))
-                if cur is None:
-                    acc[(kind, key)] = [df, ttf]
-                else:
-                    cur[0] += df
-                    cur[1] += ttf
-            return pa.Table.from_pylist(
-                [
-                    {"kind": k[0], "key": k[1], "df": v[0], "ttf": v[1]}
-                    for k, v in acc.items()
-                ],
-                schema=batch.schema,
-            )
-
-        return (
-            ray.data.from_items(seg_items, override_num_blocks=n_blocks)
-            .map_batches(
-                _StatsFn(list(terms), patterns),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-            # coalesce the per-task partials into ONE fold task (no sort
-            # shuffle; the partials are ≤ |keys| rows per task)
-            .repartition(1)
-            .map_batches(_fold, batch_format="pyarrow", batch_size=None)
-            .take_all()
-        )
-
     def collection_stats(self) -> GlobalStats:
         """The manifest's collection-level stats (``CollectionStatistics``)
         with empty per-term maps."""
@@ -722,23 +621,18 @@ class Index:
     def collect_stats(
         self, terms: List[str], patterns: Optional[List[Query]] = None
     ) -> Tuple[GlobalStats, Dict[Query, Tuple[str, ...]]]:
-        """Exact global (df, ttf) for ``terms`` + multi-term expansions —
-        one metadata-only map over the segments, folded in-cluster."""
+        """Exact global (df, ttf) for ``terms`` + multi-term expansions
+        (:func:`term_stats`); a term absent from every segment gets no
+        entry."""
         patterns = patterns or []
         stats = self.collection_stats()
-        expansions: Dict[Query, set] = {p: set() for p in patterns}
-        if terms or patterns:
-            # folded rows: one "stat" row per key, one "pat<i>" row per
-            # (pattern, match)
-            for r in self._collect_stats_rows(list(terms), patterns):
-                if r["kind"] == "stat":
-                    stats.df[r["key"]] = r["df"]
-                    stats.ttf[r["key"]] = r["ttf"]
-                else:
-                    expansions[patterns[int(r["kind"][3:])]].add(r["key"])
-        return stats, {
-            p: tuple(sorted(ts)) for p, ts in expansions.items()
-        }
+        if not (terms or patterns):
+            return stats, {}
+        t, expansions = term_stats(self.seg_dirs, list(terms), patterns)
+        keys = t.column("term").to_pylist()
+        stats.df.update(zip(keys, t.column("df").to_pylist()))
+        stats.ttf.update(zip(keys, t.column("ttf").to_pylist()))
+        return stats, expansions
 
     def more_like_this(
         self,

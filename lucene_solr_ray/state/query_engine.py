@@ -17,8 +17,9 @@ executor, ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher
   which then stay hot across queries;
 - the batch search's prepare step (``searcher.prepare_queries``: collect
   patterns, fetch stats + expansions, rewrite), answered on the driver
-  from a global term dictionary summed over every segment once per
-  engine (``IndexSearcher`` summing leaves in-process, not Solr's
+  from a global term dictionary that the batch search's stats read
+  (``searcher.term_stats``) sums over every segment once per engine
+  (``IndexSearcher`` summing leaves in-process, not Solr's
   ExactStatsCache round trip);
 - ``search`` sends a batch's misses in one fan-out to the actors, which
   run the batch search's top-k collector.  This is the only place the
@@ -47,8 +48,10 @@ from lucene_solr_ray.search.searcher import (
     _batch_items,
     _merge_topk,
     _prepare_batch,
+    _tolist,
     _topk_columns,
     match_terms_arrow,
+    term_stats,
 )
 from lucene_solr_ray.search.similarity import BM25Similarity
 
@@ -71,13 +74,6 @@ def _make_actor_cls():
                 (SegmentReader(d), o) for d, o in zip(seg_dirs, seg_ords)
             ]
             self.sim = sim
-
-        def term_columns(self) -> List[Tuple]:
-            """Every resident segment's (terms, df, ttf), for the driver
-            to sum into the global dictionary.  A list and numpy arrays,
-            not Arrow: the first Arrow reply imports Ray Data into the
-            actor (about 1 s and several MB)."""
-            return [r.term_columns for r, _ in self.readers]
 
         def prime(self) -> None:
             """firstSearcher warming (Solr's solrconfig warm-up queries):
@@ -215,7 +211,7 @@ class QueryEngine:
     def warm(self, queries: Optional[Sequence[str]] = None,
              k: int = 10) -> None:
         """Block until every actor has loaded its segments AND run the
-        firstSearcher-style warm-up (one scoring per reader), fetch the
+        firstSearcher-style warm-up (one scoring per reader), read the
         term dictionary, then run (optionally) a list of representative
         warm-up queries as one batch, which also fills the result cache —
         the role of Solr's configured ``firstSearcher``/``newSearcher``
@@ -229,21 +225,15 @@ class QueryEngine:
     def _dictionary(self) -> Tuple:
         """The global term dictionary: sorted terms (Arrow, to expand
         patterns, and a list, to binary-search) and their df and ttf
-        lists, summed over every segment.  Fetched once per engine: one
-        engine serves one commit point, and an actor rebuilt on failover
-        serves the same segments."""
+        lists, summed over every segment by :func:`term_stats`.  Read
+        once per engine: one engine serves one commit point, and an
+        actor rebuilt on failover serves the same segments."""
         if self._dict is None:
-            sums: Dict[str, List[int]] = {}
-            for part in self._gather("term_columns"):
-                for terms, dfs, ttfs in part:
-                    for t, df, ttf in zip(terms, dfs.tolist(), ttfs.tolist()):
-                        acc = sums.setdefault(t, [0, 0])
-                        acc[0] += df
-                        acc[1] += ttf
-            keys = sorted(sums)
-            self._dict = (pa.array(keys, pa.string()), keys,
-                          [sums[t][0] for t in keys],
-                          [sums[t][1] for t in keys])
+            t, _ = term_stats(self.index.seg_dirs)
+            terms = t.column("term").combine_chunks()
+            self._dict = (terms, _tolist(terms),
+                          t.column("df").to_pylist(),
+                          t.column("ttf").to_pylist())
         return self._dict
 
     def _stats_for(self, terms: Sequence[str],

@@ -226,18 +226,18 @@ def _check_query_engine(index, q):
     a = index.search(q, k=10).to_pandas()
     assert set(a["qid"]) == set(q)
 
-    # never warmed: the first search fetches the term dictionary, and
-    # that is the engine's only fetch; a first-seen batch fans out to
+    # never warmed: the first search reads the term dictionary on the
+    # driver, with no actor call; a first-seen batch fans out to
     # ``search`` alone, and its repeat is answered with no actor call
     eng = QueryEngine(index, num_actors=2)
     try:
         calls = _spy_gathers(eng)
         b = eng.search(q, k=10).to_pandas()
         _assert_same_topk(a, b)
-        assert calls == ["term_columns", "search"]
+        assert calls == ["search"]
         c = eng.search(q, k=10).to_pandas()
         _assert_same_topk(b, c)
-        assert calls == ["term_columns", "search"]
+        assert calls == ["search"]
     finally:
         eng.shutdown()
 
@@ -249,7 +249,7 @@ def _check_query_engine(index, q):
         sent = []
         calls = _spy_gathers(eng, sent)
         eng.warm()
-        assert calls == ["prime", "term_columns"]
+        assert calls == ["prime"]
         singles = []
         for qid in sorted(q, reverse=True):
             del calls[:]
@@ -394,8 +394,8 @@ def test_cli_serve_prints_engine_stats(docs_index_3seg, monkeypatch,
     st = lines[3]
     assert st["result_hits"] == 1 and st["result_misses"] == 1
     assert st["result_cache_size"] == 1
-    # warm: one prime and one term_columns call; then one search
-    assert st["actor_calls"] == 3 and st["failovers"] == 0
+    # warm: one prime call; then one search
+    assert st["actor_calls"] == 2 and st["failovers"] == 0
     assert st["expansion_hits"] == st["expansion_misses"] == 0
 
 
@@ -624,7 +624,7 @@ def test_multifield_query_engine(mf_index):
         calls = _spy_gathers(eng)
         _assert_same_topk(a, eng.search(q, k=10).to_pandas())
         _assert_same_topk(a, eng.search(q, k=10).to_pandas())
-        assert calls == ["term_columns", "search"]  # the repeat: no call
+        assert calls == ["search"]  # the repeat: no call
     finally:
         eng.shutdown()
 
@@ -954,32 +954,36 @@ def test_rescore(docs_index, sf_dir):
         assert abs(r.score - want) < 1e-9
 
 
-def test_geo_distance_search(ray_session, tmp_path):
+#: known cities (doc id, lat, lon): Paris, London (~343 km from Paris),
+#: Brussels (~264 km) and Madrid (~1052 km)
+_CITIES = [(0, 48.8566, 2.3522), (1, 51.5074, -0.1278),
+           (2, 50.8503, 4.3517), (3, 40.4168, -3.7038)]
+
+
+def _geo_index(tmp_path, pts, **kw):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from lucene_solr_ray.index.build import build_index
-    from lucene_solr_ray.search.geo import geo_distance_search, haversine_m
     from lucene_solr_ray.search.searcher import Index
 
-    # known cities (lat, lon): distances from Paris
-    pts = [
-        (0, 48.8566, 2.3522),    # Paris
-        (1, 51.5074, -0.1278),   # London ~343 km
-        (2, 50.8503, 4.3517),    # Brussels ~264 km
-        (3, 40.4168, -3.7038),   # Madrid ~1052 km
-    ]
     p = str(tmp_path / "c.parquet")
     pq.write_table(pa.table({
         "doc_id": pa.array([x[0] for x in pts], pa.int64()),
-        "text": pa.array(["city"] * len(pts)),
-        "lat": pa.array([x[1] for x in pts]),
-        "lon": pa.array([x[2] for x in pts]),
+        "text": pa.array(["city"] * len(pts), pa.string()),
+        "lat": pa.array([x[1] for x in pts], pa.float64()),
+        "lon": pa.array([x[2] for x in pts], pa.float64()),
     }), p)
     out = str(tmp_path / "idx")
     build_index(p, out, text_col="text", id_col="doc_id",
-                stored_cols=["lat", "lon"], docs_per_segment=2)
-    idx = Index(out)
+                stored_cols=["lat", "lon"], **kw)
+    return Index(out)
+
+
+def test_geo_distance_search(ray_session, tmp_path):
+    from lucene_solr_ray.search.geo import geo_distance_search, haversine_m
+
+    idx = _geo_index(tmp_path, _CITIES, docs_per_segment=2)
     res = geo_distance_search(idx, 48.8566, 2.3522, 400_000.0,
                               k=10).to_pandas()
     assert list(res.doc_id) == [0, 2, 1]  # Paris, Brussels, London
@@ -988,6 +992,36 @@ def test_geo_distance_search(ray_session, tmp_path):
     assert abs(res.distance_m[2] - 343_000) / 343_000 < 0.02
     # scalar haversine sanity
     assert abs(float(haversine_m(0, 0, 0, 1)) - 111_195) < 200
+
+
+def test_geo_distance_search_skips_deleted_docs(ray_session, tmp_path):
+    """A deleted doc leaves geo results as it leaves ``Index.search``."""
+    from lucene_solr_ray.index.deletes import delete_doc_ids
+    from lucene_solr_ray.search.geo import geo_distance_search
+    from lucene_solr_ray.search.searcher import Index
+
+    idx = _geo_index(tmp_path, _CITIES, docs_per_segment=2)
+    delete_doc_ids(idx.index_dir, [2])
+    idx = Index(idx.index_dir)
+    assert 2 not in idx.search({0: "city"}).column("doc_id").to_pylist()
+    res = geo_distance_search(idx, 48.8566, 2.3522, 400_000.0, k=10)
+    assert res.column("doc_id").to_pylist() == [0, 1]
+    assert res.column("rank").to_pylist() == [1, 2]
+
+
+def test_geo_distance_search_over_empty_index(ray_session, tmp_path):
+    """An index with no segments answers with no rows, typed as usual."""
+    import pyarrow as pa
+
+    from lucene_solr_ray.search.geo import geo_distance_search
+
+    idx = _geo_index(tmp_path, [])
+    assert idx.seg_dirs == []
+    res = geo_distance_search(idx, 48.8566, 2.3522, 400_000.0, k=10)
+    assert res.num_rows == 0
+    assert res.schema == pa.schema([("doc_id", pa.int64()),
+                                    ("rank", pa.int64()),
+                                    ("distance_m", pa.float64())])
 
 
 def test_batch_searches_over_empty_index(ray_session, tmp_path):

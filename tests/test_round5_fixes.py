@@ -99,9 +99,9 @@ def test_checkindex_soft_hard_overlap_is_warning(ray_session, tmp_path):
 
 def test_collect_stats_rows_independent_of_segment_count(ray_session,
                                                          tmp_path):
-    """The stats pass folds per-segment partials IN-CLUSTER: the driver
-    receives one row per distinct key no matter how many segments the
-    index has (was: one row per key per segment, summed driver-side)."""
+    """The stats read sums every segment's (df, ttf) into one entry per
+    term present: the same entries and values at 1 and at 12 segments,
+    and none for a term absent from every segment."""
     from lucene_solr_ray.index.build import build_index
     from lucene_solr_ray.search.searcher import Index
 
@@ -116,16 +116,17 @@ def test_collect_stats_rows_independent_of_segment_count(ray_session,
     i1, im = Index(one), Index(many)
     assert len(im.seg_dirs) > 8 and len(i1.seg_dirs) == 1
     terms = ["alpha", "beta", "word3", "nosuchterm"]
-    r1 = i1._collect_stats_rows(terms, [])
-    rm = im._collect_stats_rows(terms, [])
-    # same number of driver-visible rows despite 12× the segments, and
-    # bounded by the number of terms actually present
-    assert len(r1) == len(rm) == 3
-    # identical aggregated stats
-    def as_map(rows):
-        return {r["key"]: (r["df"], r["ttf"]) for r in rows}
-    assert as_map(r1) == as_map(rm)
-    assert as_map(r1)["alpha"] == (24, 24)
+    s1, e1 = i1.collect_stats(terms)
+    sm, em = im.collect_stats(terms)
+    assert e1 == em == {}
+
+    def as_map(st):
+        assert st.df.keys() == st.ttf.keys()
+        return {t: (st.df[t], st.ttf[t]) for t in st.df}
+
+    # one entry per term present despite 12× the segments
+    assert as_map(s1) == as_map(sm) == {
+        "alpha": (24, 24), "beta": (24, 24), "word3": (1, 1)}
     # and the search built on them is identical
     q = {0: "alpha beta", 1: "word3"}
     t1 = i1.search(q, k=5)

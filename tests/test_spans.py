@@ -240,3 +240,33 @@ def test_span_not_scores_include_side_only(ray_session, tmp_path):
     sb = {d: s for d, s in zip(b.column("doc_id").to_pylist(),
                                b.column("score").to_pylist())}
     assert 0 in sa and sa[0] == sb[0]
+
+
+def test_unordered_span_near_repeated_term_takes_distinct_positions():
+    """Each slot of an unordered span takes a position of its own, as the
+    exhaustive oracle above requires: ``c c`` within slop 2 over
+    ``"c x c"`` is the one span (0, 3) with one gap (a zero-width window
+    over one ``c`` used to give gaps -1 and divide by zero), for a
+    SpanNear and for a complex phrase; a slot whose alternatives include
+    the other slot's term takes the position the other one leaves."""
+    from lucene_solr_ray.search.memory import MemoryIndex
+    from lucene_solr_ray.search.query import ComplexPhraseQuery
+    from lucene_solr_ray.search.scorer import _Eval
+    from lucene_solr_ray.search.similarity import BM25Similarity
+
+    mi = MemoryIndex("c x c")
+
+    def spans(q):
+        ords, s = _Eval(mi.reader, mi.stats, BM25Similarity())._spans(q)
+        assert ords.tolist() == ([0] if s else [])
+        assert (mi.score(q) > 0) == bool(s)
+        return s
+
+    for slop, want in ((2, [[(0, 3, 1)]]), (0, [])):
+        assert spans(SpanNearQuery(("c", "c"), slop=slop,
+                                   in_order=False)) == want
+        assert spans(ComplexPhraseQuery((("c",), ("c",)), slop=slop,
+                                        in_order=False)) == want
+    assert spans(ComplexPhraseQuery((("c",), ("c", "x")), slop=0,
+                                    in_order=False)) == [[(0, 2, 0),
+                                                          (1, 3, 0)]]
