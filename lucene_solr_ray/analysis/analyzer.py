@@ -22,15 +22,17 @@ Semantics mirror the reference:
 
 Segment builds analyze a whole Arrow column at once
 (``StandardAnalyzer.analyze_column``).  ASCII docs with no joiner between
-word chars take a column path of Arrow string kernels: ``ascii_lower``,
-one RE2 split into ``[0-9a-z_]`` runs, ``is_in`` for stop words, and
-positions from the list offsets.  Non-ASCII docs, docs with a joiner
-(``a.b``, ``3,4``, ``x'y``), docs with a run longer than
-``max_token_length``, and every doc of an analyzer that overrides
-``analyze_with_positions`` go through the per-doc
-``analyze_with_positions``, spliced back in doc order.  Texts become
-Arrow through ``text_array``, which replaces unpaired surrogates with
-U+FFFD as ``UnicodeUtil.UTF16toUTF8`` does.
+word chars take a column path: one byte table over the column's values
+buffer lowercases ``A-Z`` and turns every non-word byte into a space,
+``ascii_split_whitespace`` cuts the ``[0-9a-z_]`` runs, a run longer than
+``max_token_length`` is cut into the tokenizer's windows (as
+``StandardTokenizer`` cuts it, ``StandardTokenizer.java:154-165``),
+``is_in`` drops stop words, and positions come from the list offsets.
+Non-ASCII docs, docs with a joiner (``a.b``, ``3,4``, ``x'y``), and every
+doc of an analyzer that overrides ``analyze_with_positions`` go through
+the per-doc ``analyze_with_positions``, spliced back in doc order.
+Texts become Arrow through ``text_array``, which replaces unpaired
+surrogates with U+FFFD as ``UnicodeUtil.UTF16toUTF8`` does.
 """
 
 from __future__ import annotations
@@ -112,9 +114,26 @@ def text_array(texts) -> pa.Array:
     return texts
 
 
-#: the ASCII tokenizer's word chars, after lowercasing; a run of them is a
-#: token when it holds an alphanumeric (``tokenizer._SIMPLE_RUN``)
-_NON_WORD_RUN = "[^0-9a-z_]+"
+#: byte → byte: the ASCII tokenizer's word chars ``[0-9A-Za-z_]``
+#: lowercased, every other byte a space.  A run of word chars is a token
+#: when it holds an alphanumeric (``tokenizer._SIMPLE_RUN``).
+_WORD_BYTES = bytes(
+    c + 32 if 65 <= c <= 90
+    else c if 48 <= c <= 57 or 97 <= c <= 122 or c == 95
+    else 32
+    for c in range(256))
+
+
+def _word_runs(texts: pa.Array) -> pa.Array:
+    """ASCII ``texts`` lowercased, each non-word byte a space."""
+    _, offsets, data = texts.buffers()
+    offsets = np.frombuffer(offsets, np.int32, count=len(texts) + 1,
+                            offset=4 * texts.offset)
+    start, end = int(offsets[0]), int(offsets[-1])
+    values = b"" if data is None or end == start else \
+        bytes(memoryview(data)[start:end]).translate(_WORD_BYTES)
+    return pa.StringArray.from_buffers(
+        len(texts), pa.py_buffer(offsets - start), pa.py_buffer(values))
 
 
 class StandardAnalyzer:
@@ -215,10 +234,9 @@ class StandardAnalyzer:
             ).to_numpy(zero_copy_only=False)
             col_docs = np.flatnonzero(~per_doc)
             if len(col_docs):
-                part, long_docs = self._analyze_ascii_runs(
+                part = self._analyze_ascii_runs(
                     texts if len(col_docs) == n else texts.take(col_docs),
                     col_docs)
-                per_doc[long_docs] = True
                 if len(part[1]):
                     parts.append(part)
                     field_lens += np.bincount(part[1], minlength=n)
@@ -250,26 +268,24 @@ class StandardAnalyzer:
 
     def _analyze_ascii_runs(self, texts: pa.Array, docs: np.ndarray):
         """The column path over ASCII, joiner-free ``texts`` (doc ordinals
-        ``docs``): ``((tokens, token_docs, positions), long_docs)``.  Docs
-        holding a run longer than ``max_token_length`` are left out and
-        returned as ``long_docs``, since the tokenizer splits such runs."""
-        runs = pc.split_pattern_regex(pc.ascii_lower(texts), _NON_WORD_RUN)
+        ``docs``): ``(tokens, token_docs, positions)``."""
+        runs = pc.ascii_split_whitespace(_word_runs(texts))
         tokens = runs.flatten()
         owner = pc.list_parent_indices(runs).to_numpy()
         # empty and underscore-only runs are no tokens
         keep = pc.binary_length(pc.ascii_ltrim(tokens, "_")).to_numpy() > 0
-        long_runs = pc.binary_length(tokens).to_numpy() \
-            > self.max_token_length
-        long_docs = np.zeros(len(docs), dtype=bool)
-        if long_runs.any():
-            long_docs[owner[keep & long_runs]] = True
-            keep &= ~long_docs[owner]
         if not keep.all():
             tokens = tokens.filter(pa.array(keep))
             owner = owner[keep]
+        n_toks = np.bincount(owner, minlength=len(docs))
+        long_runs = np.flatnonzero(
+            pc.binary_length(tokens).to_numpy() > self.max_token_length)
+        if len(long_runs):
+            tokens, n_pieces = self._cut_long_runs(tokens, long_runs)
+            np.add.at(n_toks, owner[long_runs], n_pieces - 1)
+            owner = np.repeat(np.arange(len(docs)), n_toks)
         # position = index among the doc's tokens, taken before the stop
         # filter so that dropped stop words leave their gaps
-        n_toks = np.bincount(owner, minlength=len(docs))
         positions = np.arange(len(owner)) - (np.cumsum(n_toks) - n_toks)[owner]
         if self.stop_words:
             kept = pc.invert(pc.is_in(tokens, value_set=pa.array(
@@ -277,7 +293,21 @@ class StandardAnalyzer:
             tokens = tokens.filter(kept)
             kept = kept.to_numpy(zero_copy_only=False)
             owner, positions = owner[kept], positions[kept]
-        return (tokens, docs[owner], positions), docs[long_docs]
+        return tokens, docs[owner], positions
+
+    def _cut_long_runs(self, tokens: pa.Array, long_runs: np.ndarray):
+        """Replace each run at ``long_runs`` by the tokens the tokenizer
+        cuts it into (``maxTokenLength`` windows), in run order; returns
+        the new tokens and each long run's number of pieces."""
+        pieces = [tokenize(run, self.max_token_length)
+                  for run in tokens.take(long_runs).to_pylist()]
+        chunks, prev = [], 0
+        for run, p in zip(long_runs.tolist(), pieces):
+            chunks += [tokens[prev:run], pa.array(p, pa.string())]
+            prev = run + 1
+        chunks.append(tokens[prev:])
+        return (pa.concat_arrays(chunks),
+                np.array([len(p) for p in pieces], dtype=np.int64))
 
     def analyze_with_offsets(self, text: str):
         """(terms, positions, starts, ends, field_length) — the

@@ -31,10 +31,11 @@ doc_id assignment; ``docmeta`` row *i* is ordinal *i* (ords → doc_id is one
 Texts arrive as an Arrow string column (a list is converted once, unpaired
 surrogates becoming U+FFFD) and are analyzed as a column by
 ``StandardAnalyzer.analyze_column``: ASCII docs without joiners go through
-Arrow string kernels, the rest through the per-doc
-``analyze_with_positions`` (see ``analysis/analyzer.py``).  The offset and
-payload attribute paths analyze doc by doc.  Inversion reads the flat
-token column that either path returns.
+a byte table and Arrow string kernels (over-long runs included), the
+non-ASCII and joiner docs through the per-doc ``analyze_with_positions``
+(see ``analysis/analyzer.py``).  The offset and payload attribute paths
+analyze doc by doc.  Inversion reads the flat token column that either
+path returns.
 """
 
 from __future__ import annotations

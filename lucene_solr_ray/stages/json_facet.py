@@ -21,7 +21,10 @@ Execution strategy: metrics ride ONE grouped aggregate per facet level;
 a nested terms subfacet costs one extra groupby on (parent, child) — no
 per-bucket queries (the distributed-merge shape, not the single-node
 loop).  The top level's buckets are sorted and cut to ``limit`` in Ray
-Data, so only ``limit`` rows reach the driver.  Supported metrics: count/sum/avg/min/max (``SumAgg`` family);
+Data, and a subfacet's buckets are filtered to the kept parents and cut
+to the subfacet's ``limit`` per parent there, so at most ``limit`` and
+``limit`` x sub-``limit`` rows reach the driver.  Supported metrics:
+count/sum/avg/min/max (``SumAgg`` family);
 ``sort``: "count desc" (default) or "index asc".
 """
 
@@ -92,11 +95,24 @@ def json_facet(ds, request: Dict) -> Dict:
             (op, col, mname) for mname, op, col in cmetrics
             if op != "count"
         ]
-        nested = rollup(ds, [field, child], caggs).to_pandas()
-        nested = nested[nested[field].isin(kept_vals)]
-        nested = _sort_buckets(
-            nested, child, csort, [n for n, _, _ in cmetrics]
-        )
+        cnames = [n for n, _, _ in cmetrics]
+        _sort_keys(child, csort, cnames)  # reject a bad sort before the job
+        if not kept_vals or climit <= 0:
+            sub_results[name] = {}
+            continue
+
+        def kept_parents(df):
+            return df[df[field].isin(kept_vals)]
+
+        def top_children(g):
+            return _sort_buckets(g, child, csort, cnames).head(climit)
+
+        # filter to the kept parents and cap each one's children in the
+        # cluster: at most limit x climit rows reach the driver
+        nested = rollup(ds, [field, child], caggs).map_batches(
+            kept_parents, batch_format="pandas").groupby(field).map_groups(
+            top_children, batch_format="pandas").to_pandas()
+        nested = _sort_buckets(nested, child, csort, cnames)
         sub_results[name] = {
             val: [
                 {
@@ -108,7 +124,7 @@ def json_facet(ds, request: Dict) -> Dict:
                         if op != "count"
                     },
                 }
-                for _, r in g.head(climit).iterrows()
+                for _, r in g.iterrows()
             ]
             for val, g in nested.groupby(field, sort=False)
         }

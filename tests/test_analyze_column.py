@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,9 @@ _PIECES = [
     ".c", "it's", "'", "café", "ÉCOLE", "İstanbul", "ΟΔΟΣ", "日本語",
     "한국어", "ｶﾀｶﾅ", " ", "\ud800", "\udc00", "😀",
 ]
-_SEPS = [" ", "  ", "\n", "\t", ".", ",", "-", "'", ":", ";", "!?", "/", ""]
+_SEPS = [" ", "  ", "\n", "\t", ".", ",", "-", "'", ":", ";", "!?", "/", "",
+         "\x00", "\x0b", "\x1c", "\x7f"]
+_FORMS = ["list", "array", "chunked", "sliced", "large_string"]
 
 
 @st.composite
@@ -61,8 +64,7 @@ def _case(draw):
                 else StandardAnalyzer(stop, max_token_length=max_len))
     texts = draw(st.lists(st.one_of(st.none(), st.just(""), _doc(max_len)),
                           max_size=8))
-    form = draw(st.sampled_from(["list", "array", "chunked", "sliced",
-                                 "large_string"]))
+    form = draw(st.sampled_from(_FORMS))
     return analyzer, texts, form
 
 
@@ -102,6 +104,50 @@ def test_analyze_column_equals_per_doc(case):
         a, b = edges[i], edges[i + 1]
         assert (tokens[a:b], positions[a:b].tolist(), int(lens[i])) == \
             tuple(want), (i, text)
+
+
+def _per_doc(analyzer, texts):
+    """(tokens, token_docs, positions, field_lengths) from the per-doc
+    path, in ``analyze_column``'s shape."""
+    rows = [analyzer.analyze_with_positions(t or "") for t in texts]
+    return ([t for r in rows for t in r[0]],
+            [d for d, r in enumerate(rows) for _ in r[0]],
+            [p for r in rows for p in r[1]], [r[2] for r in rows])
+
+
+def _column(analyzer, texts):
+    tokens, docs, positions, lens = analyzer.analyze_column(texts)
+    return (tokens.to_pylist(), docs.tolist(), positions.tolist(),
+            lens.tolist())
+
+
+@pytest.mark.parametrize("stop", [(), ENGLISH_STOP_WORDS])
+def test_long_runs_stay_on_the_column_path(monkeypatch, stop):
+    analyzer = StandardAnalyzer(stop)
+    texts = ["the " + "a" * 256 + " of b", "x " + "B9_" * 170 + "c",
+             "_" * 300 + "abc", "short words only", "z" * 511 + "\x00" + "q"]
+    want = _per_doc(analyzer, texts)
+    assert max(len(t) for t in want[0]) == 255 and "abc" not in want[0]
+    calls, per_doc = [], analyzer.analyze_with_positions
+
+    def spy(text):
+        calls.append(text)
+        return per_doc(text)
+
+    monkeypatch.setattr(analyzer, "analyze_with_positions", spy)
+    assert _column(analyzer, texts) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("texts", [
+    ["", "", ""],
+    [" ", ".,;", "\x00\x7f-", "___ _", "\x0b\x1c\t\n"],
+])
+def test_columns_without_tokens(texts, form):
+    analyzer = StandardAnalyzer()
+    assert _column(analyzer, _as_form(texts, form)) == \
+        ([], [], [], [0] * len(texts))
 
 
 def test_lone_surrogate_builds():

@@ -695,3 +695,59 @@ def test_json_facet_pulls_only_limit_top_buckets(ray_session, sf_dir,
         assert [b["val"] for b in res["buckets"]] == want.p_brand.tolist()
         assert [b["count"] for b in res["buckets"]] == \
             want["count"].tolist()
+
+
+def test_json_facet_pulls_only_kept_sub_buckets(ray_session, sf_dir,
+                                                monkeypatch):
+    """A subfacet's buckets are filtered to the kept parents and capped
+    to its limit per parent in the cluster: at most ``limit x climit``
+    rows reach the driver, and each parent's children are its top
+    ``climit`` under the full sort."""
+    import ray.data
+
+    from lucene_solr_ray.stages.json_facet import json_facet
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/part.parquet",
+        columns=["p_brand", "p_size", "p_retailprice"]).materialize()
+    full = ds.to_pandas()
+    pulled = []
+    to_pandas = ray.data.Dataset.to_pandas
+
+    def spy(self, *a, **kw):
+        df = to_pandas(self, *a, **kw)
+        pulled.append(len(df))
+        return df
+
+    monkeypatch.setattr(ray.data.Dataset, "to_pandas", spy)
+    for csort in ("count desc", "index asc", "max_price desc"):
+        pulled.clear()
+        res = json_facet(ds, {
+            "type": "terms", "field": "p_brand", "limit": 4,
+            "facet": {"by_size": {
+                "type": "terms", "field": "p_size", "limit": 3,
+                "sort": csort,
+                "facet": {"max_price": "max(p_retailprice)"}}}})
+        assert pulled and max(pulled) <= 4 * 3
+        key, direction = csort.split()
+        key = {"index": "p_size"}.get(key, key)
+        assert len(res["buckets"]) == 4
+        for b in res["buckets"]:
+            g = full[full.p_brand == b["val"]].groupby("p_size").agg(
+                count=("p_size", "size"),
+                max_price=("p_retailprice", "max")).reset_index()
+            want = g.sort_values(
+                [key, "p_size"], ascending=[direction == "asc", True],
+                kind="mergesort").head(3)
+            got = b["by_size"]["buckets"]
+            assert [s["val"] for s in got] == want.p_size.tolist()
+            assert [s["count"] for s in got] == want["count"].tolist()
+            assert [s["max_price"] for s in got] == \
+                want.max_price.tolist()
+    pulled.clear()
+    res = json_facet(ds, {
+        "type": "terms", "field": "p_brand", "limit": 2,
+        "facet": {"by_size": {"type": "terms", "field": "p_size",
+                              "limit": 0}}})
+    assert [b["by_size"]["buckets"] for b in res["buckets"]] == [[], []]
+    assert max(pulled) <= 2
