@@ -143,15 +143,12 @@ def get_current_documents(
 def _collect_stored(pairs, ids: np.ndarray, columns: List[str]) -> pa.Table:
     """Scan collector: overlay-aware stored columns of the LIVE copies of
     the sorted doc ids ``ids``."""
-    from lucene_solr_ray.index.docvalues import read_docmeta_column_raw
-
     rows = []
     for reader, _ in pairs:
         ords, _ = reader.live_ords(ids)
         if not len(ords):
             continue
-        cols = {c: read_docmeta_column_raw(reader.seg_dir, c)[0][ords]
-                for c in columns}
+        cols = {c: reader.values(c)[ords] for c in columns}
         for k, o in enumerate(ords):
             rows.append({
                 "doc_id": int(reader.doc_ids[o]),

@@ -52,17 +52,7 @@ __all__ = [
     "delete_doc_ids",
     "add_documents",
     "update_documents",
-    "segment_deleted_ords",
 ]
-
-
-def segment_deleted_ords(seg_dir: str) -> np.ndarray:
-    """Sorted deleted ordinals from the COMMITTED sidecar generation
-    (manifest-resolved, falling back to the newest on-disk sidecar for
-    standalone segment dirs); empty if none."""
-    return sidecars.read_ords(
-        seg_dir, sidecars.segment_gens(seg_dir), sidecars.DELETES
-    )
 
 
 def matching_ords(reader, query, stats, ids: Optional[np.ndarray]):

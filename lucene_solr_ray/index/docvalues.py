@@ -4,10 +4,11 @@ Reference: ``IndexWriter.updateNumericDocValue(Term, String, long)``
 (``lucene/core/src/java/org/apache/lucene/index/IndexWriter.java:1683``)
 with ``DocValuesFieldUpdates`` / ``ReadersAndUpdates``: segments stay
 immutable; an update re-writes NO documents — the new values ride in a
-generation-stamped per-field sidecar next to the segment, readers overlay
-the sidecar on the base column (highest generation wins), and merges bake
-the overlay into the rewritten doc values, dropping the sidecar — exactly
-the reference's ``.dvm``/``.dvd`` update-generation files.
+generation-stamped per-field sidecar next to the segment,
+``SegmentReader.values`` overlays the sidecar generation the reader
+opened on over the base column, and merges bake the overlay into the
+rewritten doc values (``SegmentReader.docmeta``), dropping the sidecar —
+exactly the reference's ``.dvm``/``.dvd`` update-generation files.
 
 Ours: ``dvu-<field>-<gen>.parquet`` with sorted ``ord:int32`` +
 ``value:int64`` (the reference API is long-valued).  Each new generation
@@ -26,13 +27,11 @@ count) rows return to the driver.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from lucene_solr_ray.index import sidecars
 from lucene_solr_ray.index.manifest import read_latest_manifest
@@ -41,8 +40,6 @@ __all__ = [
     "update_numeric_docvalue",
     "update_numeric_docvalues_by_id",
     "segment_dv_overlay",
-    "read_docmeta_column",
-    "docmeta_with_overlays",
 ]
 
 def dvu_fields(seg_dir: str) -> Dict[str, int]:
@@ -67,69 +64,6 @@ def segment_dv_overlay(
         t.column("ord").to_numpy().astype(np.int64),
         t.column("value").to_numpy().astype(np.int64),
     )
-
-
-def read_docmeta_column(
-    seg_dir: str, column: str
-) -> Tuple[np.ndarray, bool]:
-    """One docmeta column as float64 with any DV overlay applied.
-
-    Returns ``(values, overlaid)`` — ``overlaid`` tells sort paths that the
-    physical row order no longer reflects current values (an index-sorted
-    segment must NOT early-terminate on an updated sort field)."""
-    vals = (
-        pq.read_table(os.path.join(seg_dir, "docmeta.parquet"),
-                      columns=[column])
-        .column(column).to_numpy(zero_copy_only=False).astype(np.float64)
-    )
-    ov = segment_dv_overlay(seg_dir, column)
-    if ov is None:
-        return vals, False
-    out = vals.copy() if not vals.flags.writeable else vals
-    out[ov[0]] = ov[1].astype(np.float64)
-    return out, True
-
-
-def read_docmeta_column_raw(
-    seg_dir: str, column: str
-) -> Tuple[np.ndarray, bool]:
-    """One docmeta column in its NATIVE dtype (strings stay strings) with
-    any DV overlay applied — the multi-field sort path needs non-numeric
-    sort keys, which the float64-casting ``read_docmeta_column`` cannot
-    carry.  Overlays only ever exist for numeric fields."""
-    vals = (
-        pq.read_table(os.path.join(seg_dir, "docmeta.parquet"),
-                      columns=[column])
-        .column(column).to_numpy(zero_copy_only=False)
-    )
-    ov = segment_dv_overlay(seg_dir, column)
-    if ov is None:
-        return vals, False
-    out = vals.copy() if not vals.flags.writeable else vals
-    out[ov[0]] = ov[1].astype(out.dtype)
-    return out, True
-
-
-def docmeta_with_overlays(seg_dir: str) -> pa.Table:
-    """Full docmeta with every field's DV overlay baked in (merge path:
-    the reference rewrites doc values on merge and drops the update
-    generations — ``SegmentMerger`` reads through ``ReadersAndUpdates``)."""
-    fields = sidecars.dv_fields(sidecars.segment_gens(seg_dir))
-    dm = pq.read_table(os.path.join(seg_dir, "docmeta.parquet"))
-    for field, gen in fields.items():
-        if field not in dm.schema.names:
-            continue
-        ov = segment_dv_overlay(seg_dir, field, gen=gen)
-        if ov is None:
-            continue
-        i = dm.schema.get_field_index(field)
-        base_type = dm.schema.field(i).type
-        vals = dm.column(i).to_numpy(zero_copy_only=False).copy()
-        ords, new = ov
-        vals[ords] = new.astype(vals.dtype)
-        dm = dm.set_column(i, dm.schema.field(i),
-                           pa.array(vals).cast(base_type))
-    return dm
 
 
 def _merge_overlay(

@@ -309,15 +309,13 @@ def _doc_maps(counts: List[int], dels: List[np.ndarray], bases: List[int],
     return maps
 
 
-def _merged_soft_ords(seg_dirs: List[str],
-                      doc_maps: List[np.ndarray]) -> np.ndarray:
+def _merged_soft_ords(readers, doc_maps: List[np.ndarray]) -> np.ndarray:
     """Soft-deleted ordinals carried through the merge: soft-deleted docs
     stay soft-deleted in the merged segment (hard-deleted ones vanish),
     as the reference's soft-deletes-aware merging keeps the DV marker."""
-    from lucene_solr_ray.index.softdeletes import soft_deleted_ords
-
     ords = np.concatenate([np.empty(0, dtype=np.int64)] + [
-        m[soft_deleted_ords(d)] for d, m in zip(seg_dirs, doc_maps)
+        m[sidecars.read_ords(r.seg_dir, r.sidecar_gens, sidecars.SOFT)]
+        for r, m in zip(readers, doc_maps)
     ])
     return np.sort(ords[ords >= 0])
 
@@ -386,29 +384,27 @@ def merge_segments(index_dir: str, spec_ids: List[int], new_id: int,
     Deleted docs are dropped here, as in Lucene.  ``num_shards`` term
     ranges: one merges in the calling task and starts no Ray task; more
     merge one range per Ray task (for specs too big for one task)."""
-    import json
-
-    from lucene_solr_ray.index.deletes import segment_deleted_ords
-    from lucene_solr_ray.index.docvalues import docmeta_with_overlays
+    from lucene_solr_ray.search.reader import SegmentReader
 
     seg_dirs = [os.path.join(index_dir, segment_dir_name(s)) for s in spec_ids]
+    # one reader per input: its sidecar generations, resolved once, fix
+    # the tombstones, soft deletes and doc values the merge reads
+    readers = [SegmentReader(d) for d in seg_dirs]
     in_metas, docmetas, dels, in_stats, counts = [], [], [], [], []
-    for d in seg_dirs:
-        with open(os.path.join(d, "segment.json")) as f:
-            meta = json.load(f)
+    for r in readers:
         # DocValues-update overlays bake into the merged docmeta (the
         # reference rewrites doc values on merge, dropping dvu generations)
-        dm = docmeta_with_overlays(d)
-        deleted = segment_deleted_ords(d)
+        dm = r.docmeta()
+        deleted = r.deleted_ords
         counts.append(dm.num_rows)
         if len(deleted):
             live = np.ones(dm.num_rows, dtype=bool)
             live[deleted] = False
             dm = dm.filter(pa.array(live))
-        in_metas.append(meta)
+        in_metas.append(r.meta)
         docmetas.append(dm)
         dels.append(deleted)
-        in_stats.append(_input_stats(meta, dm, bool(len(deleted))))
+        in_stats.append(_input_stats(r.meta, dm, bool(len(deleted))))
     live_counts = [dm.num_rows for dm in docmetas]
     bases = [int(b) for b in np.cumsum([0] + live_counts[:-1])]
     docmeta = pa.concat_tables(docmetas)
@@ -418,7 +414,7 @@ def merge_segments(index_dir: str, spec_ids: List[int], new_id: int,
     doc_maps = _doc_maps(counts, dels, bases, perm)
     plan = _MergePlan(seg_dirs=seg_dirs, doc_maps=doc_maps)
     points = _merge_points(seg_dirs, doc_maps)
-    soft_ords = _merged_soft_ords(seg_dirs, doc_maps)
+    soft_ords = _merged_soft_ords(readers, doc_maps)
 
     ranges = _term_ranges(seg_dirs, num_shards)
     parts_dir = None

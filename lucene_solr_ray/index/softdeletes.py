@@ -49,17 +49,8 @@ __all__ = [
     "soft_delete_by_query",
     "soft_delete_doc_ids",
     "soft_update_documents",
-    "soft_deleted_ords",
     "apply_soft_deletes_policy",
 ]
-
-
-def soft_deleted_ords(seg_dir: str) -> np.ndarray:
-    """Sorted soft-deleted ordinals from the COMMITTED sidecar generation
-    (manifest-resolved; newest on-disk file for standalone dirs)."""
-    return sidecars.read_ords(
-        seg_dir, sidecars.segment_gens(seg_dir), sidecars.SOFT
-    )
 
 
 def _collect_soft_deletes(pairs, query, stats, ids) -> pa.Table:

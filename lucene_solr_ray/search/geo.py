@@ -15,7 +15,6 @@ survivors; the driver merges ≤ segments × k tiny rows.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 
 import numpy as np
@@ -54,15 +53,11 @@ def _collect_geo(pairs, lat: float, lon: float, radius_m: float, k: int,
     """Geo collector: per segment, a bbox prefilter on the stored lat/lon
     columns over the live docs, exact haversine verify, local top-k by
     (distance asc, doc asc)."""
-    import pyarrow.parquet as pq
-
     lo_la, hi_la, lo_lo, hi_lo = _bbox(lat, lon, radius_m)
     parts = [_GEO_SCHEMA.empty_table()]
     for reader, _ in pairs:
-        dm = pq.read_table(os.path.join(reader.seg_dir, "docmeta.parquet"),
-                           columns=[lat_col, lon_col])
-        lats = dm.column(lat_col).to_numpy()
-        lons = dm.column(lon_col).to_numpy()
+        lats = reader.values(lat_col)
+        lons = reader.values(lon_col)
         cand = np.nonzero((lats >= lo_la) & (lats <= hi_la)
                           & (lons >= lo_lo) & (lons <= hi_lo))[0]
         cand = cand[reader.live_mask(cand)]

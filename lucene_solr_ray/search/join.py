@@ -20,7 +20,6 @@ columnar analogue of the ``BitSetProducer`` filter.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -105,25 +104,11 @@ def eval_block_join(ev, q: ToParentBlockJoinQuery, boost: float):
 
 
 def _parent_ords(reader, parent_col: str) -> np.ndarray:
-    """Sorted parent ordinals from the stored flag column (cached)."""
-    cache = getattr(reader, "_parent_cache", None)
-    if cache is None:
-        cache = reader._parent_cache = {}
-    hit = cache.get(parent_col)
-    if hit is None:
-        import pyarrow.parquet as pq
-
-        path = os.path.join(reader.seg_dir, "docmeta.parquet")
-        schema = pq.read_schema(path)
-        if parent_col not in schema.names:
-            hit = np.empty(0, dtype=np.int64)
-        else:
-            flags = pq.read_table(path, columns=[parent_col]).column(
-                parent_col
-            ).to_numpy(zero_copy_only=False)
-            hit = np.nonzero(np.asarray(flags) != 0)[0].astype(np.int64)
-        cache[parent_col] = hit
-    return hit
+    """Sorted parent ordinals from the stored flag column (none when the
+    segment has no such column)."""
+    if parent_col not in reader.docmeta_schema.names:
+        return np.empty(0, dtype=np.int64)
+    return np.nonzero(reader.values(parent_col) != 0)[0].astype(np.int64)
 
 
 def _collect_join_terms(pairs, q, stats, ffield: Optional[str]):

@@ -4,15 +4,19 @@ The per-actor hot state of the query path (the analogue of an
 ``IndexSearcher`` leaf over a ``DirectoryReader``,
 ``lucene/core/src/java/org/apache/lucene/search/IndexSearcher.java:183-209``).
 Opening a reader reads ``segment.json``, the committed sidecar
-generations with their tombstones, and the footers of
-``postings.parquet`` (to refuse an outdated format) and
+generations with their tombstones and doc-values overlays, and the
+footers of ``postings.parquet`` (to refuse an outdated format) and
 ``docmeta.parquet``, whose files it keeps open.  The sidecars are read
-eagerly on purpose: they fix the reader's live set when it opens, so a
-delete committed later never changes it.  Every other part loads the
-first time it is used, reading only its own columns through the open
-file, and then stays cached:
+eagerly on purpose: they fix the reader's live set and doc values when
+it opens, so a delete or doc-values update committed later never
+changes it.  Every other part loads the first time it is used, reading
+only its own columns through the open file, and then stays cached:
 
 - docmeta: ``doc_ids``; the norm columns when a scorer first needs them;
+  each stored column on its first ``values()`` call, with its overlay at
+  the open generation applied (every sort, function score, export,
+  join, stored-field read and merge reads doc values here, as Lucene's
+  ``SegmentReader`` opens them at its commit's ``docValuesGen``);
 - the term dictionary (sorted terms, df, ttf); a term lookup bisects the
   sorted terms (the FST role);
 - the ``ords`` and ``freqs`` list columns, on the first ``postings()``;
@@ -46,6 +50,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.index import sidecars
+from lucene_solr_ray.index.docvalues import segment_dv_overlay
 from lucene_solr_ray.index.segment import list_views, outdated_format
 
 __all__ = ["EntrySlices", "SegmentReader"]
@@ -78,6 +83,7 @@ class SegmentReader:
         self._points_file = (pq.ParquetFile(points)
                              if os.path.exists(points) else None)
         self._points: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._values: Dict[str, np.ndarray] = {}
 
         # live docs: deleted ordinals from the COMMITTED sidecar generations
         # (an uncommitted sidecar stays invisible, and a crash between
@@ -99,6 +105,12 @@ class SegmentReader:
                 self.soft_deleted_ords = so
                 self.deleted_ords = np.union1d(self.deleted_ords, so)
         self.has_deletes = len(self.deleted_ords) > 0
+        # doc-values overlays: {field: (ords, values)} at the open gens
+        self._overlays = {
+            f: segment_dv_overlay(seg_dir, f, g)
+            for f, g in sidecars.dv_fields(self.sidecar_gens).items()
+        }
+        self.updated_fields = frozenset(self._overlays)
 
     def _lists(self, name: str, optional: bool = True):
         """(offsets, values) of one postings list column; None for an
@@ -124,6 +136,39 @@ class SegmentReader:
                  if c == "norm" or c.startswith("norm__")]
         t = self._docmeta.read(columns=names)
         return {c: t.column(c).to_numpy() for c in names}
+
+    @property
+    def docmeta_schema(self) -> pa.Schema:
+        """The Arrow schema of ``docmeta.parquet``: the stored columns."""
+        return self._docmeta.schema_arrow
+
+    def values(self, field: str) -> np.ndarray:
+        """One stored column in its native numpy dtype (strings stay
+        objects, an int column with nulls reads as float64 NaN), with the
+        field's doc-values overlay at the open generation applied on a
+        copy.  Raises ``KeyError`` when the column is absent."""
+        if field not in self._values:
+            vals = self._docmeta.read(columns=[field]).column(
+                field).to_numpy(zero_copy_only=False)
+            if field in self._overlays:
+                ords, new = self._overlays[field]
+                vals = vals.copy()
+                vals[ords] = new.astype(vals.dtype)
+            self._values[field] = vals
+        return self._values[field]
+
+    def docmeta(self) -> pa.Table:
+        """The whole docmeta table with every overlay baked in, each
+        column cast back to its stored type (what a merge writes)."""
+        dm = self._docmeta.read()
+        for field in self.updated_fields:
+            i = dm.schema.get_field_index(field)
+            if i < 0:
+                continue
+            f = dm.schema.field(i)
+            dm = dm.set_column(i, f,
+                               pa.array(self.values(field)).cast(f.type))
+        return dm
 
     @property
     def norms(self) -> np.ndarray:

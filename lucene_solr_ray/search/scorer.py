@@ -114,6 +114,7 @@ class _Eval:
         self.norms = reader.norms  # uint8[ndocs]
         self.ndocs = reader.ndocs
         self._pos: Dict[str, object] = {}  # see _positions
+        self._exprs: Dict[str, object] = {}  # see _expression
 
     # returns (ords ascending int32, scores float32 aligned)
     def eval(self, q: Query, boost: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,25 +376,11 @@ class _Eval:
 
     def _function_score(self, q: FunctionScoreQuery, boost: float):
         """FunctionScoreQuery: combine inner scores with a per-doc value
-        column (docmeta stored col) — multiply/sum/replace."""
-        import os as _os
-
-        import pyarrow.parquet as _pq
-
+        column (the reader's doc values) — multiply/sum/replace."""
         ords, scores = self.eval(q.query, boost)
         if len(ords) == 0:
             return ords, scores
-        cache = getattr(self.reader, "_value_cols", None)
-        if cache is None:
-            cache = self.reader._value_cols = {}
-        vals = cache.get(q.value_field)
-        if vals is None:
-            vals = _pq.read_table(
-                _os.path.join(self.reader.seg_dir, "docmeta.parquet"),
-                columns=[q.value_field],
-            ).column(q.value_field).to_numpy().astype(np.float64)
-            cache[q.value_field] = vals
-        v = vals[ords]
+        v = self.reader.values(q.value_field)[ords].astype(np.float64)
         s64 = scores.astype(np.float64)
         if q.mode == "multiply":
             out = s64 * v
@@ -410,47 +397,21 @@ class _Eval:
         expression over docmeta columns + ``_score`` (reference
         ExpressionValueSource; the FunctionScoreQuery wrapper's boost
         multiplies the expression value, FunctionScoreQuery.java:180)."""
-        import os as _os
-
-        import pyarrow.parquet as _pq
-
-        from lucene_solr_ray.search.expressions import compile_expression
-
         ords, scores = self.eval(q.query, 1.0)
         if len(ords) == 0:
             return ords, scores
-        # per-reader caches: compiled AST + docmeta column arrays
-        ecache = getattr(self.reader, "_expr_cache", None)
-        if ecache is None:
-            ecache = self.reader._expr_cache = {}
-        expr = ecache.get(q.source)
-        if expr is None:
-            expr = ecache[q.source] = compile_expression(q.source)
-        cache = getattr(self.reader, "_value_cols", None)
-        if cache is None:
-            cache = self.reader._value_cols = {}
+        expr = self._expression(q.source)
         bmap = dict(q.bindings)
-        # unbound variables fall back to the same-named docmeta column
-        # (reference SimpleBindings.add(SortField) implicit binding)
-        need = sorted(
-            {bmap.get(v, v) for v in expr.variables
-             if bmap.get(v, v) != "_score" and v != "_score"}
-        )
-        miss = [c for c in need if c not in cache]
-        if miss:
-            from lucene_solr_ray.index.docvalues import read_docmeta_column
-
-            for c in miss:
-                # read through numeric DocValues-update overlays, like the
-                # reference's ExpressionValueSource reading updatable DVs
-                cache[c], _ = read_docmeta_column(self.reader.seg_dir, c)
         bindings = {}
         for v in expr.variables:
+            # unbound variables fall back to the same-named docmeta column
+            # (reference SimpleBindings.add(SortField) implicit binding)
             col = bmap.get(v, v)
             if v == "_score" or col == "_score":
                 bindings[v] = scores.astype(np.float64)
             else:
-                bindings[v] = cache[col][ords]
+                bindings[v] = self.reader.values(col)[ords].astype(
+                    np.float64)
         out = expr.evaluate(bindings) * boost
         return ords, out.astype(self.sim.out_dtype)
 
@@ -667,6 +628,15 @@ class _Eval:
         if key not in self._pos:
             self._pos[key] = self.reader.positions(key)
         return self._pos[key]
+
+    def _expression(self, source: str):
+        """``source`` compiled once per query, memoised like
+        :meth:`_positions`."""
+        from lucene_solr_ray.search.expressions import compile_expression
+
+        if source not in self._exprs:
+            self._exprs[source] = compile_expression(source)
+        return self._exprs[source]
 
     def _docs_all(self, groups) -> Optional[np.ndarray]:
         """Sorted ords of the docs holding a term of every group of

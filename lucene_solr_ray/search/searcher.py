@@ -832,19 +832,18 @@ def _collect_field_sort(pairs, parsed, stats, sort_fields,
     """Field-sort collector (``TopFieldCollector``, reference
     ``search/TopFieldCollector.java``): per segment, each query's
     matching ords from the exhaustive evaluator, selected by
-    :func:`indexsort.select` over the docmeta key columns (doc-values
-    overlays applied), so an index-sorted segment stops early.  With
-    ``group=(table, key, column)`` it keeps each query's top k per group
-    (the grouping module's second pass).  Columns: :func:`_sort_schema`."""
-    from lucene_solr_ray.index.docvalues import read_docmeta_column_raw
+    :func:`indexsort.select` over the reader's key columns
+    (``SegmentReader.values``: the doc values of the commit the reader
+    opened on), so an index-sorted segment stops early unless a key
+    field has an overlay.  With ``group=(table, key, column)`` it keeps
+    each query's top k per group (the grouping module's second pass).
+    Columns: :func:`_sort_schema`."""
     from lucene_solr_ray.search.scorer import score_segment
 
     parts = []
     for reader, seg_ord in pairs:
-        cols = [read_docmeta_column_raw(reader.seg_dir, f)
-                for f, _ in sort_fields]
-        keys = [v for v, _ in cols]
-        overlaid = any(ov for _, ov in cols)
+        keys = [reader.values(f) for f, _ in sort_fields]
+        overlaid = any(f in reader.updated_fields for f, _ in sort_fields)
         seg_sort = indexsort.read(reader.meta)
         schema = _sort_schema(reader.seg_dir, sort_fields,
                               group is not None)
@@ -1188,22 +1187,22 @@ def _collect_export(pairs, q, stats, field: str) -> pa.Table:
     handler's per-shard pass (no top-k truncation) — plus the sort keys
     of the index-sort comparator: ``_missing`` (null or NaN) and
     ``_key``, the value with a missing one zeroed, so that a missing
-    value sorts as the greatest and ties on doc_id."""
+    value sorts as the greatest and ties on doc_id.  Values are the
+    reader's (``SegmentReader.values``, overlays applied), typed as the
+    stored column."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     from lucene_solr_ray.search.scorer import score_segment
 
     out = []
     for reader, _ in pairs:
-        vals = pq.read_table(
-            os.path.join(reader.seg_dir, "docmeta.parquet"),
-            columns=[field],
-        ).column(field).combine_chunks()
         ords, _s = score_segment(reader, q, stats)
         if len(ords) == 0:
             continue
-        v = vals.take(pa.array(ords))
+        typ = reader.docmeta_schema.field(field).type
+        # NaN marks a missing value only where the type has no NaN
+        v = pa.array(reader.values(field)[ords], typ,
+                     from_pandas=not pa.types.is_floating(typ))
         missing = pc.is_null(v, nan_is_null=True)
         zero = pa.scalar("" if pa.types.is_string(v.type) else 0)
         out.append(pa.table({

@@ -79,7 +79,8 @@ def json_facet(ds, request: Dict) -> Dict:
         keys, descending=descending).limit(limit).to_pandas()
 
     buckets = []
-    kept_vals = set(top[field])
+    # no kept bucket (limit 0, or no rows) leaves ``top`` without columns
+    kept_vals = set(top[field]) if len(top) else set()
     sub_results: Dict[str, Dict] = {}
     for name, spec in subs.items():
         if _subfacets(spec.get("facet")):

@@ -37,6 +37,7 @@ import hashlib
 import re
 from typing import Callable, List, Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -253,8 +254,6 @@ def timestamp_field(out: str, value: str) -> Stage:
     """``TimestampUpdateProcessorFactory`` — a fixed ingest timestamp
     column (the caller supplies the commit time so reruns stay
     deterministic/resumable)."""
-    import numpy as np
-
     ts = np.datetime64(value, "us")
 
     def s(t: pa.Table) -> pa.Table:
@@ -423,8 +422,6 @@ def doc_expiration(ttl_col: str, now: str, expire_col: str = "_expire_at_",
     timestamp from a per-doc TTL-seconds column relative to ``now``
     (ISO timestamp string — passed in, never wall-clock, so reruns are
     deterministic) and drop already-expired docs."""
-    import numpy as np
-
     now_ts = np.datetime64(now, "us")
 
     def s(t: pa.Table) -> pa.Table:
@@ -669,33 +666,27 @@ def version_constraints(ds, id_col: str, version_col: str):
     return ds.groupby(id_col).map_groups(best, batch_format="pandas")
 
 
+def _collect_live_ids(pairs, id_col: str) -> pa.Table:
+    """Scan collector: the doc ids of each segment's live docs."""
+    ids = [r.doc_ids[r.live_mask(np.arange(r.ndocs))] for r, _ in pairs]
+    return pa.table({id_col: pa.array(
+        np.concatenate([np.empty(0, np.int64)] + ids), pa.int64())})
+
+
 def skip_existing(ds, index_dir: str, id_col: str = "doc_id"):
     """``SkipExistingDocumentsProcessorFactory``: drop rows whose id is
-    already in the committed index.  The existing-id side is read as a
-    Dataset (one column per segment dir) and anti-joined via
-    ``complement_stream`` — broadcast under the key limit, hash-partition
-    shuffle above it; never a driver-side id set."""
-    import os
+    live in the committed index (a deleted id no longer exists).  The
+    existing-id side is an ``Index.scan`` Dataset of each segment's live
+    ids, anti-joined via ``complement_stream`` — broadcast under the key
+    limit, hash-partition shuffle above it; never a driver-side id set."""
+    from functools import partial
 
-    import ray.data
-
-    from lucene_solr_ray.index.manifest import (
-        read_latest_manifest,
-        segment_dir_name,
-    )
+    from lucene_solr_ray.search.searcher import Index
     from lucene_solr_ray.stages.relational import complement_stream
 
-    manifest = read_latest_manifest(index_dir)
-    if manifest is None:
+    try:
+        index = Index(index_dir)
+    except FileNotFoundError:  # no committed index: nothing exists yet
         return ds
-    files = [
-        os.path.join(index_dir, segment_dir_name(s["segment_id"]),
-                     "docmeta.parquet")
-        for s in manifest["segments"]
-    ]
-    existing = ray.data.read_parquet(files, columns=["doc_id"])
-    if id_col != "doc_id":
-        existing = existing.map_batches(
-            lambda t: t.rename_columns([id_col]), batch_format="pyarrow"
-        )
+    existing = index.scan(partial(_collect_live_ids, id_col=id_col))
     return complement_stream(ds, existing, on=id_col)

@@ -24,7 +24,9 @@ from lucene_solr_ray.search.similarity import BM25SimilarityF64
 WORDS = ["merge", "sort", "window", "batch", "key", "fast", "slow", "scan"]
 
 
-def _mk_corpus(tmp_path, n=120, seed=7):
+def _mk_corpus(tmp_path, n=120, seed=7, prio=False):
+    """A random corpus; with ``prio``, also a stored int column drawn
+    after the texts."""
     import pyarrow.parquet as pq
 
     rng = random.Random(seed)
@@ -32,12 +34,13 @@ def _mk_corpus(tmp_path, n=120, seed=7):
         " ".join(rng.choice(WORDS) for _ in range(rng.randint(3, 12)))
         for _ in range(n)
     ]
+    cols = {"doc_id": pa.array(range(n), pa.int64()),
+            "text": pa.array(texts)}
+    if prio:
+        cols["prio"] = pa.array([rng.randint(0, 500) for _ in range(n)],
+                                pa.int64())
     p = str(tmp_path / "corpus.parquet")
-    pq.write_table(
-        pa.table({"doc_id": pa.array(range(n), pa.int64()),
-                  "text": pa.array(texts)}),
-        p,
-    )
+    pq.write_table(pa.table(cols), p)
     return p, texts
 
 
@@ -387,7 +390,6 @@ def test_phrase_soft_delete_and_policy(ray_session, tmp_path):
     from lucene_solr_ray.index.softdeletes import (
         apply_soft_deletes_policy,
         soft_delete_by_query,
-        soft_deleted_ords,
     )
     from lucene_solr_ray.search.reader import SegmentReader
 
@@ -410,7 +412,8 @@ def test_phrase_soft_delete_and_policy(ray_session, tmp_path):
             out_ids.update(int(i) for i in r.doc_ids[ords_of(d, r)])
         return out_ids
 
-    soft = lambda d, r: soft_deleted_ords(d)  # noqa: E731
+    soft = lambda d, r: SegmentReader(  # noqa: E731
+        d, respect_soft_deletes=True).soft_deleted_ords
     hard = lambda d, r: r.deleted_ords  # noqa: E731
     soft_delete_by_query(out, '"drop token"')
     assert docs(soft) == phrase
@@ -541,6 +544,33 @@ def test_open_reader_view_is_fixed(built):
     assert len(live_ids) == len(want_live[0]) - 3
     assert not set(victims.tolist()) & set(
         fresh.doc_ids[score_segment(fresh, q, stats)[0]].tolist())
+
+
+def test_open_reader_sort_keys_are_fixed(ray_session, tmp_path):
+    """A reader's doc values are the commit it opened on: a doc-values
+    update committed after open leaves its sort keys as they were."""
+    from lucene_solr_ray.index.docvalues import update_numeric_docvalue
+    from lucene_solr_ray.search.query import TermQuery
+    from lucene_solr_ray.search.reader import SegmentReader
+    from lucene_solr_ray.search.searcher import _collect_field_sort
+
+    corpus, _ = _mk_corpus(tmp_path, seed=3, prio=True)
+    out = str(tmp_path / "idx")
+    build_index(corpus, out, text_col="text", id_col="doc_id",
+                stored_cols=["prio"], docs_per_segment=30)
+    idx = Index(out)
+    (q,), stats = idx.prepare([TermQuery("merge")])
+
+    def top(reader):
+        return _collect_field_sort([(reader, 0)], [(0, q, 5)], stats,
+                                   [("prio", True)]).column(
+                                       "sort_0").to_pylist()
+
+    reader = SegmentReader(idx.seg_dirs[0])
+    assert top(reader) == [498, 354, 353, 345, 331]
+    update_numeric_docvalue(out, "merge", "prio", 7)
+    assert top(reader) == [498, 354, 353, 345, 331]
+    assert top(SegmentReader(idx.seg_dirs[0])) == [7] * 5
 
 
 def test_open_reader_reads_after_its_segment_is_dropped(built, tmp_path):

@@ -15,14 +15,23 @@ from lucene_solr_ray.index.build import build_index
 from lucene_solr_ray.index.deletes import delete_doc_ids
 from lucene_solr_ray.index.docvalues import (
     dvu_fields,
-    read_docmeta_column,
     segment_dv_overlay,
     update_numeric_docvalue,
     update_numeric_docvalues_by_id,
 )
 from lucene_solr_ray.index.manifest import commit_manifest, read_latest_manifest
 from lucene_solr_ray.index.merge import merge_segments
-from lucene_solr_ray.search.searcher import Index, search_by_field
+from lucene_solr_ray.search.query import (
+    ExpressionScoreQuery,
+    FunctionScoreQuery,
+    TermQuery,
+)
+from lucene_solr_ray.search.reader import SegmentReader
+from lucene_solr_ray.search.searcher import (
+    Index,
+    export_sorted,
+    search_by_field,
+)
 
 WORDS = ["merge", "sort", "window", "batch", "key", "fast", "slow", "scan"]
 
@@ -82,13 +91,11 @@ def test_last_write_wins_and_generations(built):
     ]
     idx = Index(out)
     for d in idx.seg_dirs:
-        got, overlaid = read_docmeta_column(d, "prio")
-        ids = pq.read_table(
-            os.path.join(d, "docmeta.parquet"), columns=["doc_id"]
-        ).column("doc_id").to_numpy()
-        assert overlaid
+        reader = SegmentReader(d)
+        got = reader.values("prio")
+        assert "prio" in reader.updated_fields
         np.testing.assert_array_equal(
-            got.astype(np.int64), np.asarray([vals[i] for i in ids])
+            got, np.asarray([vals[i] for i in reader.doc_ids])
         )
         # two updates touched this segment iff both terms occur in it;
         # generation is monotone and recorded in the manifest
@@ -103,12 +110,9 @@ def test_update_by_id_values(built):
     update_numeric_docvalues_by_id(out, "prio", upd)
     idx = Index(out)
     for d in idx.seg_dirs:
-        got, _ = read_docmeta_column(d, "prio")
-        ids = pq.read_table(
-            os.path.join(d, "docmeta.parquet"), columns=["doc_id"]
-        ).column("doc_id").to_numpy()
-        exp = [upd.get(int(i), prio[int(i)]) for i in ids]
-        np.testing.assert_array_equal(got.astype(np.int64), exp)
+        reader = SegmentReader(d)
+        exp = [upd.get(int(i), prio[int(i)]) for i in reader.doc_ids]
+        np.testing.assert_array_equal(reader.values("prio"), exp)
 
 
 def test_deleted_docs_not_updated(built):
@@ -141,8 +145,7 @@ def test_merge_bakes_overlays_and_drops_sidecars(built):
     idx = Index(out)
     assert len(idx.seg_dirs) == 1
     assert dvu_fields(idx.seg_dirs[0]) == {}  # baked in, no sidecars
-    _, overlaid = read_docmeta_column(idx.seg_dirs[0], "prio")
-    assert not overlaid
+    assert not SegmentReader(idx.seg_dirs[0]).updated_fields
     after = search_by_field(idx, {0: "batch"}, "prio",
                             descending=True, k=15)
     assert before.equals(after)
@@ -165,12 +168,55 @@ def test_overlay_disables_index_sort_early_exit(ray_session, tmp_path):
     assert [int(v) for v in got.sort_value] == [v for _, v in exp]
 
 
+def _merge_hits(texts):
+    return sum("merge" in t.split() for t in texts)
+
+
+def test_function_score_reads_overlay(built):
+    """FunctionScoreQuery reads its value column through the doc-values
+    overlay: ``replace`` scores every updated doc with the new value."""
+    out, texts, _ = built
+    update_numeric_docvalue(out, "merge", "prio", 7)
+    q = FunctionScoreQuery(TermQuery("merge"), "prio", "replace")
+    got = Index(out).search_parsed([(0, q, 200)])
+    assert got.num_rows == _merge_hits(texts)
+    assert set(got.column("score").to_pylist()) == {7.0}
+
+
+def test_expression_score_same_alone_and_in_batch(built):
+    """An expression over a stored column scores the same alone and after
+    a FunctionScoreQuery over that column in one batch: both read the
+    reader's overlaid values."""
+    import pyarrow.compute as pc
+
+    out, texts, _ = built
+    update_numeric_docvalue(out, "merge", "prio", 7)
+    idx = Index(out)
+    ex = ExpressionScoreQuery(TermQuery("merge"), "prio", ())
+    fs = FunctionScoreQuery(TermQuery("merge"), "prio", "multiply")
+    alone = idx.search_parsed([(1, ex, 200)])
+    batch = idx.search_parsed([(0, fs, 200), (1, ex, 200)])
+    batch = batch.filter(pc.equal(batch.column("qid"), 1))
+    assert alone.num_rows == _merge_hits(texts)
+    assert set(alone.column("score").to_pylist()) == {7.0}
+    assert batch.equals(alone)
+
+
+def test_export_reads_overlay(built, tmp_path):
+    """The export handler writes the overlaid value of each hit."""
+    out, texts, _ = built
+    update_numeric_docvalue(out, "merge", "prio", 7)
+    d = str(tmp_path / "export")
+    n = export_sorted(Index(out), "merge", "prio", d, descending=True)
+    assert n == _merge_hits(texts)
+    assert set(pq.read_table(d).column("prio").to_pylist()) == {7}
+
+
 @pytest.mark.parametrize("write", ["delete", "soft_delete", "dv_update"])
 def test_orphan_sidecar_in_untouched_segment_stays_invisible(built, write):
     """A write pass that matches nothing in a segment must not commit that
     segment's orphan next-generation sidecar (a crashed earlier write)."""
     from lucene_solr_ray.index.softdeletes import soft_delete_doc_ids
-    from lucene_solr_ray.search.reader import SegmentReader
 
     out, texts, prio = built
     seg1 = Index(out).seg_dirs[1]
@@ -192,7 +238,7 @@ def test_orphan_sidecar_in_untouched_segment_stays_invisible(built, write):
             {k: int(entry.get(k, 0)) for k in ("del_gen", "soft_del_gen")},
             dict(entry.get("dv_gens") or {}),
             r.deleted_ords.tolist(),
-            read_docmeta_column(seg1, "prio")[0].tolist(),
+            r.values("prio").tolist(),
         )
 
     before = seg1_state()

@@ -751,3 +751,22 @@ def test_json_facet_pulls_only_kept_sub_buckets(ray_session, sf_dir,
                               "limit": 0}}})
     assert [b["by_size"]["buckets"] for b in res["buckets"]] == [[], []]
     assert max(pulled) <= 2
+
+
+def test_json_facet_without_top_level_buckets(ray_session):
+    """No kept top-level bucket (``limit`` 0, or no rows) answers an empty
+    bucket list, as Solr does, with or without a sub-facet."""
+    import pandas as pd
+    import ray.data
+
+    from lucene_solr_ray.stages.json_facet import json_facet
+
+    ds = ray.data.from_pandas(pd.DataFrame({"b": ["x", "y", "x"],
+                                            "c": [1, 2, 3]}))
+    empty = ds.filter(lambda r: False)
+    sub = {"by_c": {"type": "terms", "field": "c"}}
+    for req in ({"field": "b", "limit": 0},
+                {"field": "b", "limit": 0, "facet": sub}):
+        assert json_facet(ds, req) == {"buckets": []}
+    for req in ({"field": "b"}, {"field": "b", "facet": sub}):
+        assert json_facet(empty, req) == {"buckets": []}

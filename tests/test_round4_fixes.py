@@ -416,9 +416,9 @@ def test_soft_deletes_lifecycle(ray_session, tmp_path):
     from lucene_solr_ray.index.softdeletes import (
         apply_soft_deletes_policy,
         soft_delete_by_query,
-        soft_deleted_ords,
         soft_update_documents,
     )
+    from lucene_solr_ray.search.reader import SegmentReader
     from lucene_solr_ray.search.searcher import Index
 
     docs = {
@@ -460,7 +460,8 @@ def test_soft_deletes_lifecycle(ray_session, tmp_path):
     aw = idx2.search({0: "retainme"}, k=10, respect_soft_deletes=True)
     assert aw.num_rows == 0
     total_soft = sum(
-        len(soft_deleted_ords(d)) for d in idx2.seg_dirs
+        len(SegmentReader(d, respect_soft_deletes=True).soft_deleted_ords)
+        for d in idx2.seg_dirs
     )
     assert total_soft == 2  # docs 2 and 4 stay soft
 
@@ -837,10 +838,8 @@ def test_soft_deletes_survive_merges(ray_session, tmp_path):
     from lucene_solr_ray.index.deletes import delete_by_query
     from lucene_solr_ray.index.merge import merge_segments
     from lucene_solr_ray.index.manifest import commit_manifest
-    from lucene_solr_ray.index.softdeletes import (
-        soft_delete_by_query,
-        soft_deleted_ords,
-    )
+    from lucene_solr_ray.index.softdeletes import soft_delete_by_query
+    from lucene_solr_ray.search.reader import SegmentReader
     from lucene_solr_ray.search.searcher import Index
 
     p = str(tmp_path / "c.parquet")
@@ -877,4 +876,5 @@ def test_soft_deletes_survive_merges(ray_session, tmp_path):
             assert w.num_rows == 30
             assert set(w.column("doc_id").to_pylist()) == set(range(30, 60))
             seg = os.path.join(out, "seg_000500")
-            assert len(soft_deleted_ords(seg)) == 15
+            assert len(SegmentReader(
+                seg, respect_soft_deletes=True).soft_deleted_ords) == 15

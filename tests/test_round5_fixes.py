@@ -206,8 +206,8 @@ def test_retention_query_with_wildcard(ray_session, tmp_path):
     from lucene_solr_ray.index.softdeletes import (
         apply_soft_deletes_policy,
         soft_delete_by_query,
-        soft_deleted_ords,
     )
+    from lucene_solr_ray.search.reader import SegmentReader
     from lucene_solr_ray.search.searcher import Index
 
     p = _write_docs(tmp_path, {
@@ -223,7 +223,9 @@ def test_retention_query_with_wildcard(ray_session, tmp_path):
     # docs 2,4 (retain*) stay soft — visible unwrapped; doc 1 hardened
     after = set(idx.search({0: "drop"}, k=10).column("doc_id").to_pylist())
     assert after == {2, 4}
-    total_soft = sum(len(soft_deleted_ords(d)) for d in idx.seg_dirs)
+    total_soft = sum(
+        len(SegmentReader(d, respect_soft_deletes=True).soft_deleted_ords)
+        for d in idx.seg_dirs)
     assert total_soft == 2
 
 
@@ -378,6 +380,32 @@ def test_urp_version_constraints_and_skip_existing(ray_session, tmp_path):
     }))
     kept = urp.skip_existing(incoming, idx_dir).to_pandas()
     assert sorted(kept["doc_id"].tolist()) == [3, 4]
+
+
+def test_skip_existing_lets_deleted_ids_through(ray_session, tmp_path):
+    """A deleted id is no longer in the index: skip_existing keeps its
+    incoming row and drops only the live ids."""
+    import pandas as pd
+    import ray.data
+
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.index.deletes import delete_doc_ids
+    from lucene_solr_ray.stages import urp
+
+    src = tmp_path / "src.parquet"
+    pd.DataFrame({
+        "doc_id": [0, 1, 2],
+        "text": ["alpha one", "beta two", "gamma three"],
+    }).to_parquet(src)
+    idx_dir = str(tmp_path / "idx")
+    build_index(str(src), idx_dir, text_col="text", id_col="doc_id")
+    delete_doc_ids(idx_dir, [1])
+    incoming = ray.data.from_pandas(pd.DataFrame({
+        "doc_id": [1, 2, 3],
+        "text": ["x", "y", "z"],
+    }))
+    kept = urp.skip_existing(incoming, idx_dir).to_pandas()
+    assert sorted(kept["doc_id"].tolist()) == [1, 3]
 
 
 def test_sql_between_like_null_count_distinct(ray_session):
