@@ -30,6 +30,7 @@ def suggest_corrections(
     docs is considered correctly spelled (DirectSpellChecker's
     maxQueryFrequency) and returned as its own sole suggestion."""
     pat = FuzzyQuery(term, max_edits=max_edits)
+    # one stats read: it carries the df of every expansion term too
     stats, exp = index.collect_stats([term], [pat])
     own_df = stats.df.get(term, 0)
     if own_df > max_doc_freq_frac * max(stats.doc_count, 1):
@@ -37,10 +38,9 @@ def suggest_corrections(
     candidates = [t for t in exp.get(pat, ()) if t != term]
     if not candidates:
         return []
-    cstats, _ = index.collect_stats(candidates)
     ranked = sorted(
         (
-            (t, _edit_distance(term, t, max_edits), cstats.df.get(t, 0))
+            (t, _edit_distance(term, t, max_edits), stats.df.get(t, 0))
             for t in candidates
         ),
         key=lambda x: (x[1], -x[2], x[0]),

@@ -35,7 +35,7 @@ import os
 import re
 import uuid
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -43,10 +43,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.analysis.analyzer import text_array
-from lucene_solr_ray.index.manifest import (
-    read_latest_manifest,
-    segment_dir_name,
-)
+from lucene_solr_ray.index.deletes import writer_config
+from lucene_solr_ray.index.manifest import read_latest_manifest
 
 __all__ = [
     "atomic_update_documents",
@@ -54,7 +52,6 @@ __all__ = [
     "stored_columns",
 ]
 
-_BASE_DOCMETA = {"doc_id", "norm", "field_len", "content_sha256"}
 _DELTA_RE = re.compile(r"^docstore-delta-(\d+)\.parquet$")
 _OPS = {"set", "add", "remove", "inc"}
 
@@ -62,19 +59,15 @@ _OPS = {"set", "add", "remove", "inc"}
 def stored_columns(index_dir: str) -> List[str]:
     """The index's docstore columns: docmeta columns beyond the base
     schema (per-field norm/len pairs excluded)."""
+    return _stored_schema(index_dir)[1].names
+
+
+def _stored_schema(index_dir: str) -> Tuple[Dict, pa.Schema]:
+    """(latest manifest, the stored columns with their Arrow types)."""
     m = read_latest_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(index_dir)
-    seg0 = os.path.join(
-        index_dir, segment_dir_name(m["segments"][0]["segment_id"]),
-        "docmeta.parquet",
-    )
-    names = pq.read_schema(seg0).names
-    return [
-        c for c in names
-        if c not in _BASE_DOCMETA
-        and not c.startswith("norm__") and not c.startswith("field_len__")
-    ]
+    return m, writer_config(index_dir, m).stored
 
 
 def _delta_files(index_dir: str) -> List[str]:
@@ -215,20 +208,12 @@ def atomic_update_documents(
     into ``errors``, one entry per update (up to ``max_errors``; -1 =
     unlimited), none of a failed update's fields land, and the rest land;
     otherwise the first error raises before anything is applied."""
-    m = read_latest_manifest(index_dir)
-    if m is None:
-        raise FileNotFoundError(index_dir)
-    stored_cols = stored_columns(index_dir)
+    manifest, schema = _stored_schema(index_dir)
+    stored_cols = schema.names
     # numeric stored columns are the in-place-updatable set
-    seg0 = os.path.join(
-        index_dir, segment_dir_name(m["segments"][0]["segment_id"]),
-        "docmeta.parquet",
-    )
-    schema = pq.read_schema(seg0)
     numeric_cols = {
-        c for c in stored_cols
-        if pa.types.is_integer(schema.field(c).type)
-        or pa.types.is_floating(schema.field(c).type)
+        f.name for f in schema
+        if pa.types.is_integer(f.type) or pa.types.is_floating(f.type)
     }
 
     errors: List[Dict] = []
@@ -294,7 +279,6 @@ def atomic_update_documents(
         update_numeric_docvalues_by_id,
     )
 
-    manifest = m
     if inplace:
         need_cur = sorted({
             int(u["doc_id"]) for u in inplace

@@ -18,7 +18,8 @@ file per updated field.
 Ray shape (same as :mod:`lucene_solr_ray.index.deletes`): one
 ``Index.scan`` over the segment list with the :func:`_collect_dv_updates`
 collector — each task resolves the term / doc-id predicate against its
-own segment, merges with the committed overlay (new values win), writes
+own segment (``deletes.matching_ords``, the tombstone pass's predicate),
+merges with the overlay its reader loaded at open (new values win), writes
 the next-generation sidecar atomically — then the driver commits one
 manifest generation carrying per-segment ``dv_gens``.  No shuffle;
 per-task work is one postings lookup, and only (segment, generation,
@@ -88,9 +89,8 @@ def _collect_dv_updates(pairs, field, query=None, stats=None, value=None,
     """Write collector: set ``field`` on each segment's matching live docs
     (``value`` for docs matching ``query``; ``id_values`` aligned with the
     sorted doc ids ``ids``) in the overlay's next generation."""
-    from lucene_solr_ray.search.scorer import score_segment
+    from lucene_solr_ray.index.deletes import matching_ords
 
-    kind = sidecars.dvu(field)
     rows = []
     for reader, o in pairs:
         if ids is not None:
@@ -99,14 +99,13 @@ def _collect_dv_updates(pairs, field, query=None, stats=None, value=None,
             ords, pos = reader.live_ords(ids)
             vals = id_values[pos]
         else:
-            ords = score_segment(reader, query, stats)[0].astype(np.int64)
+            ords = matching_ords(reader, query, stats, None)
             vals = np.full(len(ords), int(value), dtype=np.int64)
         if len(ords):
-            ords, vals = _merge_overlay(segment_dv_overlay(
-                reader.seg_dir, field, reader.sidecar_gens.get(kind, 0)
-            ), ords, vals)
-        rows.append(sidecars.advance(reader, o, kind, ords, len(ords) > 0,
-                                     vals))
+            # merge into the overlay the reader loaded at open
+            ords, vals = _merge_overlay(reader.overlay(field), ords, vals)
+        rows.append(sidecars.advance(reader, o, sidecars.dvu(field), ords,
+                                     len(ords) > 0, vals))
     return pa.Table.from_pylist(rows)
 
 
@@ -126,7 +125,7 @@ def update_numeric_docvalue(
     idx = Index(index_dir)
     q = TermQuery(term, field=term_field)
     stats, _ = idx.collect_stats(sorted(set(q.terms())))
-    return sidecars.write_pass(index_dir, partial(
+    return sidecars.write_pass(idx, partial(
         _collect_dv_updates, field=field, query=q, stats=stats,
         value=int(value),
     ))
@@ -137,10 +136,12 @@ def update_numeric_docvalues_by_id(
 ) -> Dict:
     """Per-doc values keyed by GLOBAL doc id (driver-sized batches; the
     term form above is the scale path — one posting lookup per segment)."""
+    from lucene_solr_ray.search.searcher import Index
+
     if not updates:
         return read_latest_manifest(index_dir)
     ids = np.asarray(sorted(updates), dtype=np.int64)
     vals = np.asarray([int(updates[int(i)]) for i in ids], dtype=np.int64)
-    return sidecars.write_pass(index_dir, partial(
+    return sidecars.write_pass(Index(index_dir), partial(
         _collect_dv_updates, field=field, ids=ids, id_values=vals,
     ))

@@ -23,10 +23,13 @@ Every file holds a sorted ``ord:int32`` column (segment-local ordinals),
 plus an aligned ``value:int64`` column for a doc-values overlay, written
 zstd-compressed via tmp+rename.
 
-Write passes (deletes, soft deletes, the soft-deletes policy, doc-values
-updates) are ``Index.scan`` collectors: each returns one row per
+Write passes are ``Index.scan`` collectors: each returns one row per
 (segment, kind) from :func:`advance`, and :func:`write_pass` folds the
-rows into the manifest's segment entries.
+rows into the manifest's segment entries.  There are three: the one
+tombstone pass, which writes ``deletes`` or ``softdel`` and differs by
+kind alone (``deletes.tombstone_pass``; an update's runs uncommitted
+inside the one flush, ``deletes.flush``), the soft-deletes policy, and
+the doc-values update.
 """
 
 from __future__ import annotations
@@ -196,19 +199,16 @@ def _apply_row(entry: Dict, kind: str, gen: int, count: int) -> None:
                             kind[len(_DVU):]: gen}
 
 
-def write_pass(index_dir: str, collect, commit: bool = True):
-    """Run a write collector over every segment (``Index.scan``: each
-    reader loads only the parts the collector touches, so an id-keyed
-    pass reads ``doc_id`` and no postings) and fold its :func:`advance`
-    rows into the manifest's segment entries.  Commits one new manifest
-    generation and returns it, or with ``commit=False`` returns the
-    updated segment entries so the caller can fold more changes into
-    the same commit."""
-    from lucene_solr_ray.search.searcher import Index
-
-    idx = Index(index_dir)
+def write_pass(idx, collect, commit: bool = True):
+    """Run a write collector over every segment of the open ``Index``
+    ``idx`` (``Index.scan``: each reader loads only the parts the
+    collector touches, so an id-keyed pass reads ``doc_id`` and no
+    postings) and fold its :func:`advance` rows into the manifest's
+    segment entries.  Commits one new manifest generation and returns
+    it, or with ``commit=False`` returns the updated segment entries so
+    the caller can fold more changes into the same commit."""
     segs = [dict(s) for s in idx.manifest["segments"]]
     for r in idx.scan(collect).take_all():
         _apply_row(segs[int(r["seg_ord"])], r["kind"], int(r["gen"]),
                    int(r["count"]))
-    return commit_manifest(index_dir, segs) if commit else segs
+    return commit_manifest(idx.index_dir, segs) if commit else segs

@@ -157,6 +157,11 @@ class SegmentReader:
             self._values[field] = vals
         return self._values[field]
 
+    def overlay(self, field: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """(sorted ords, values) of ``field``'s doc-values overlay at the
+        open generation, or None when the field has none."""
+        return self._overlays.get(field)
+
     def docmeta(self) -> pa.Table:
         """The whole docmeta table with every overlay baked in, each
         column cast back to its stored type (what a merge writes)."""

@@ -28,10 +28,11 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    field sort (one or several fields, optionally per group), count,
    grouped, export, rescore; LTR features, join gather, topic pull and
    geo distance live with their features.
-   Write passes are collectors too: delete, soft delete, soft-deletes
-   policy and doc-values update return per-segment sidecar rows that
-   ``index.sidecars.write_pass`` folds into one manifest commit; the
-   atomic-update stored-column read is a plain scan.
+   Write passes are collectors too: the tombstone pass (hard or soft),
+   the soft-deletes policy and the doc-values update return per-segment
+   sidecar rows that ``index.sidecars.write_pass`` folds into one
+   manifest commit; the atomic-update stored-column read is a plain
+   scan.
 4. **Merge** — :func:`_merge_topk`, ``TopDocs.merge``
    (``search/TopDocs.java:72-115,188-250``) as one numpy ``lexsort`` on
    the driver, ties broken by global doc id; the warm engine merges its

@@ -485,16 +485,16 @@ def test_id_keyed_write_pass_reads_no_postings(stored, monkeypatch, name):
     only: its readers never read ``postings.parquet``."""
     from functools import partial
 
-    from lucene_solr_ray.index import atomic, deletes, docvalues, softdeletes
+    from lucene_solr_ray.index import atomic, deletes, docvalues, sidecars
     from lucene_solr_ray.search.reader import SegmentReader
 
     out, _, _ = stored
     ids = np.array([3, 30, 31, 77, 119], dtype=np.int64)
+    tombstones = partial(deletes._collect_tombstones, query=None,
+                         stats=None, ids=ids)
     collect = {
-        "delete": partial(deletes._collect_deletes, query=None, stats=None,
-                          ids=ids),
-        "soft_delete": partial(softdeletes._collect_soft_deletes,
-                               query=None, stats=None, ids=ids),
+        "delete": partial(tombstones, kind=sidecars.DELETES),
+        "soft_delete": partial(tombstones, kind=sidecars.SOFT),
         "dv_update": partial(docvalues._collect_dv_updates, field="pop",
                              ids=ids, id_values=ids * 10),
         "stored": partial(atomic._collect_stored, ids=ids,

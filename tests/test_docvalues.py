@@ -212,6 +212,36 @@ def test_export_reads_overlay(built, tmp_path):
     assert set(pq.read_table(d).column("prio").to_pylist()) == {7}
 
 
+def test_dv_pass_reads_each_overlay_once(built, monkeypatch):
+    """A doc-values write pass merges into the overlay its reader loaded
+    at open: each updated segment reads ``dvu-prio`` once per pass."""
+    from collections import Counter
+    from functools import partial
+
+    from lucene_solr_ray.index import docvalues, sidecars
+
+    out, texts, prio = built
+    update_numeric_docvalues_by_id(out, "prio", {0: 1, 40: 2, 70: 3})
+    seg_dirs = Index(out).seg_dirs
+    updated = [d for d in seg_dirs if SegmentReader(d).updated_fields]
+    assert len(updated) == 3
+    ids = np.array([1, 41, 71, 100], dtype=np.int64)
+    reads = Counter()
+    real = sidecars.read
+
+    def spy(seg_dir, kind, gen):
+        reads[(seg_dir, kind)] += 1
+        return real(seg_dir, kind, gen)
+
+    monkeypatch.setattr(sidecars, "read", spy)
+    rows = partial(docvalues._collect_dv_updates, field="prio", ids=ids,
+                   id_values=ids * 10)(
+        (SegmentReader(d), o) for o, d in enumerate(seg_dirs))
+    assert all(r["gen"] > 0 for r in rows.to_pylist())
+    assert {d: n for (d, kind), n in reads.items()
+            if kind == "dvu-prio"} == {d: 1 for d in updated}
+
+
 @pytest.mark.parametrize("write", ["delete", "soft_delete", "dv_update"])
 def test_orphan_sidecar_in_untouched_segment_stays_invisible(built, write):
     """A write pass that matches nothing in a segment must not commit that

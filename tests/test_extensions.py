@@ -473,6 +473,28 @@ def test_spell_corrections(docs_index):
     assert suggest_corrections(docs_index, "zzzzqqqq", n=3) == []
 
 
+
+def test_spell_corrections_read_stats_once(docs_index, monkeypatch):
+    """One term-stats read ranks the corrections: the fuzzy expansion's
+    read already carries every candidate's df."""
+    from lucene_solr_ray.functions.spell import suggest_corrections
+    from lucene_solr_ray.search import searcher
+    from lucene_solr_ray.search.query import FuzzyQuery
+
+    pat = FuzzyQuery("merqe", max_edits=2)
+    _, exp = docs_index.collect_stats(["merqe"], [pat])
+    cands = [t for t in exp[pat] if t != "merqe"]
+    stats, _ = docs_index.collect_stats(cands)
+    want = sorted(((t, searcher._edit_distance("merqe", t, 2),
+                    stats.df.get(t, 0)) for t in cands),
+                  key=lambda x: (x[1], -x[2], x[0]))[:4]
+    calls = []
+    real = searcher.term_stats
+    monkeypatch.setattr(searcher, "term_stats",
+                        lambda *a: calls.append(a) or real(*a))
+    assert suggest_corrections(docs_index, "merqe", n=4) == want
+    assert len(calls) == 1
+
 def test_count_and_fieldsort_with_phrases(docs_index):
     """count_hits / search_by_field must open positions for phrase queries
     (review finding)."""

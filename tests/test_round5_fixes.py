@@ -14,6 +14,7 @@ Reference semantics:
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 
 def _write_docs(tmp_path, docs):
@@ -58,12 +59,15 @@ def test_soft_update_single_commit(ray_session, tmp_path):
     )
 
 
-def test_soft_update_inherits_analyzer_and_options(ray_session, tmp_path):
-    """The replacement segment is analyzed with the RECORDED analyzer
+@pytest.mark.parametrize("op", ["add", "update", "soft_update"])
+def test_soft_update_inherits_analyzer_and_options(ray_session, tmp_path,
+                                                   op):
+    """Added and replacement docs are analyzed with the RECORDED analyzer
     (EnglishAnalyzer here: 'running' stems to 'run'), not a default
-    StandardAnalyzer, matching update_documents."""
+    StandardAnalyzer: the three update writes share one flush."""
     from lucene_solr_ray.analysis.en import EnglishAnalyzer
     from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.index.deletes import add_documents, update_documents
     from lucene_solr_ray.index.softdeletes import soft_update_documents
     from lucene_solr_ray.search.searcher import Index
 
@@ -71,12 +75,15 @@ def test_soft_update_inherits_analyzer_and_options(ray_session, tmp_path):
     out = str(tmp_path / "idx")
     build_index(p, out, text_col="text", id_col="doc_id",
                 analyzer=EnglishAnalyzer())
-    soft_update_documents(out, [0], ["running horses"])
+    write = {"add": add_documents, "update": update_documents,
+             "soft_update": soft_update_documents}[op]
+    doc = 2 if op == "add" else 0
+    write(out, [doc], ["running horses"])
     idx = Index(out)
-    # 'run' only matches if the replacement was stemmed by EnglishAnalyzer
+    # 'run' only matches if the new doc was stemmed by EnglishAnalyzer
     hits = idx.search({0: "run"}, k=10, respect_soft_deletes=True,
                       analyzer=EnglishAnalyzer())
-    assert hits.column("doc_id").to_pylist() == [0]
+    assert hits.column("doc_id").to_pylist() == [doc]
 
 
 def test_checkindex_soft_hard_overlap_is_warning(ray_session, tmp_path):
