@@ -24,9 +24,11 @@ Engine mapping:
   with every stored column propagated into the replacement segment.
 
 Ray shape: updates arrive in driver-sized batches (they are user
-requests, not data-plane volume); current-value reads are one
-``Index.scan`` over the segment list with the :func:`_collect_stored`
-collector and the target-id set broadcast, returning ≤ |ids| rows.
+requests, not data-plane volume); current-value reads run the
+:func:`_collect_stored` collector on the driver over ``Index.readers()``
+(each segment's ``doc_id`` column and the stored columns of at most
+|ids| docs), and the writes are the id-keyed passes, so an atomic update
+starts no Ray job.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import os
 import re
 import uuid
-from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -134,10 +135,13 @@ def get_current_documents(
 
 
 def _collect_stored(pairs, ids: np.ndarray, columns: List[str]) -> pa.Table:
-    """Scan collector: overlay-aware stored columns of the LIVE copies of
-    the sorted doc ids ``ids``."""
+    """Segment collector: overlay-aware stored columns of the LIVE copies
+    of the sorted doc ids ``ids`` (no rows: an empty table of ``doc_id``
+    and the columns at their stored types)."""
     rows = []
+    fields = {c: pa.field(c, pa.null()) for c in columns}
     for reader, _ in pairs:
+        fields = {c: reader.docmeta_schema.field(c) for c in columns}
         ords, _ = reader.live_ords(ids)
         if not len(ords):
             continue
@@ -148,21 +152,23 @@ def _collect_stored(pairs, ids: np.ndarray, columns: List[str]) -> pa.Table:
                 **{c: cols[c][k].item() if hasattr(cols[c][k], "item")
                    else cols[c][k] for c in columns},
             })
+    if not rows:
+        return pa.schema([pa.field("doc_id", pa.int64()),
+                          *fields.values()]).empty_table()
     return pa.Table.from_pylist(rows)
 
 
 def _current_stored(index_dir: str, ids: Sequence[int],
                     columns: List[str]) -> Dict[int, Dict]:
     """Current stored-column values (DV overlays applied) for the LIVE
-    copy of each id — one broadcast scan over the segment list."""
+    copy of each id, read on the driver one segment at a time."""
     from lucene_solr_ray.search.searcher import Index
 
     if not columns or not len(ids):
         return {}
     by_ids = np.asarray(sorted(set(int(i) for i in ids)), dtype=np.int64)
-    rows = Index(index_dir).scan(
-        partial(_collect_stored, ids=by_ids, columns=columns)
-    ).take_all()
+    rows = _collect_stored(Index(index_dir).readers(), by_ids,
+                           columns).to_pylist()
     return {int(r["doc_id"]): {c: r[c] for c in columns} for r in rows}
 
 

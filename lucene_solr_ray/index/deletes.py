@@ -19,15 +19,17 @@ Semantics preserved exactly:
 
 **One tombstone pass.**  Hard and soft deletes differ only in the
 sidecar kind (``sidecars.DELETES`` / ``sidecars.SOFT``).  Both run
-:func:`tombstone_pass`: one ``Index.scan`` over the segment list with
-the :func:`_collect_tombstones` collector — each task evaluates the
-query or doc-id set against its segment (:func:`matching_ords`), unions
-it with the segment's current tombstones of that kind, and writes the
-next-generation sidecar atomically (:mod:`lucene_solr_ray.index.sidecars`).
-The driver then commits one manifest generation.  At 100 TB the work
-per task is one query evaluation over one segment — no shuffle, no
-driver materialization beyond one (segment, generation, count) row per
-segment.
+:func:`tombstone_pass`, the :func:`_collect_tombstones` collector over
+every segment: it evaluates the query or doc-id set against the segment
+(:func:`matching_ords`), unions it with the segment's current
+tombstones of that kind, and writes the next-generation sidecar
+atomically (:mod:`lucene_solr_ray.index.sidecars`).  The driver then
+commits one manifest generation.  A query runs as one ``Index.scan``:
+at 100 TB the work per task is one query evaluation over one segment,
+no shuffle, one (segment, generation, count) row per segment back.  A
+doc-id set reads only each segment's ``doc_id`` column, so it runs on
+the driver over ``Index.readers()``, one segment at a time, as Lucene's
+``IndexWriter`` applies id deletes in-process.
 
 **One flush.**  ``add_documents``, ``update_documents`` and
 ``soft_update_documents`` write their segment through :func:`flush`,
@@ -98,9 +100,11 @@ def tombstone_pass(idx, kind: str, query=None, stats=None,
     commit the next manifest (or, with ``commit=False``, return the
     updated segment entries so the caller can fold more changes into ONE
     manifest generation)."""
-    return sidecars.write_pass(idx, partial(
-        _collect_tombstones, kind=kind, query=query, stats=stats, ids=ids,
-    ), commit=commit)
+    collect = partial(_collect_tombstones, kind=kind, query=query,
+                      stats=stats, ids=ids)
+    rows = (idx.scan(collect).take_all() if ids is None
+            else collect(idx.readers()).to_pylist())
+    return sidecars.write_pass(idx, rows, commit=commit)
 
 
 def tombstone_by_query(index_dir: str, query_str: str, analyzer,

@@ -15,15 +15,16 @@ Ours: ``dvu-<field>-<gen>.parquet`` with sorted ``ord:int32`` +
 carries the FULL merged overlay for its field, so readers load exactly one
 file per updated field.
 
-Ray shape (same as :mod:`lucene_solr_ray.index.deletes`): one
-``Index.scan`` over the segment list with the :func:`_collect_dv_updates`
-collector — each task resolves the term / doc-id predicate against its
-own segment (``deletes.matching_ords``, the tombstone pass's predicate),
-merges with the overlay its reader loaded at open (new values win), writes
-the next-generation sidecar atomically — then the driver commits one
-manifest generation carrying per-segment ``dv_gens``.  No shuffle;
-per-task work is one postings lookup, and only (segment, generation,
-count) rows return to the driver.
+Ray shape (same as :mod:`lucene_solr_ray.index.deletes`): the
+:func:`_collect_dv_updates` collector runs over every segment — it
+resolves the term / doc-id predicate against the segment
+(``deletes.matching_ords``, the tombstone pass's predicate), merges with
+the overlay its reader loaded at open (new values win), writes the
+next-generation sidecar atomically — then the driver commits one
+manifest generation carrying per-segment ``dv_gens``.  The term form is
+one ``Index.scan`` (per-task work is one postings lookup, only
+(segment, generation, count) rows return); the doc-id form reads only
+``doc_id`` and runs on the driver over ``Index.readers()``.
 """
 
 from __future__ import annotations
@@ -125,23 +126,26 @@ def update_numeric_docvalue(
     idx = Index(index_dir)
     q = TermQuery(term, field=term_field)
     stats, _ = idx.collect_stats(sorted(set(q.terms())))
-    return sidecars.write_pass(idx, partial(
+    return sidecars.write_pass(idx, idx.scan(partial(
         _collect_dv_updates, field=field, query=q, stats=stats,
         value=int(value),
-    ))
+    )).take_all())
 
 
 def update_numeric_docvalues_by_id(
     index_dir: str, field: str, updates: Mapping[int, int]
 ) -> Dict:
-    """Per-doc values keyed by GLOBAL doc id (driver-sized batches; the
-    term form above is the scale path — one posting lookup per segment)."""
+    """Per-doc values keyed by GLOBAL doc id, in driver-sized batches:
+    the pass reads each segment's ``doc_id`` column on the driver, one
+    segment at a time, and starts no Ray job (the term form above is the
+    scale path — one posting lookup per segment task)."""
     from lucene_solr_ray.search.searcher import Index
 
     if not updates:
         return read_latest_manifest(index_dir)
     ids = np.asarray(sorted(updates), dtype=np.int64)
     vals = np.asarray([int(updates[int(i)]) for i in ids], dtype=np.int64)
-    return sidecars.write_pass(Index(index_dir), partial(
-        _collect_dv_updates, field=field, ids=ids, id_values=vals,
-    ))
+    idx = Index(index_dir)
+    return sidecars.write_pass(idx, _collect_dv_updates(
+        idx.readers(), field=field, ids=ids, id_values=vals,
+    ).to_pylist())

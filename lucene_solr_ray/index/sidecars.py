@@ -23,13 +23,16 @@ Every file holds a sorted ``ord:int32`` column (segment-local ordinals),
 plus an aligned ``value:int64`` column for a doc-values overlay, written
 zstd-compressed via tmp+rename.
 
-Write passes are ``Index.scan`` collectors: each returns one row per
+Write passes are segment collectors: each returns one row per
 (segment, kind) from :func:`advance`, and :func:`write_pass` folds the
 rows into the manifest's segment entries.  There are three: the one
 tombstone pass, which writes ``deletes`` or ``softdel`` and differs by
 kind alone (``deletes.tombstone_pass``; an update's runs uncommitted
 inside the one flush, ``deletes.flush``), the soft-deletes policy, and
-the doc-values update.
+the doc-values update.  A query-keyed pass runs as ``Index.scan``; an
+id-keyed one reads only ``doc_id`` and the sidecars, less work than a Ray
+Data job's dispatch, so it runs on the driver over ``Index.readers()``
+(as ``IndexWriter`` applies id deletes, ``FrozenBufferedUpdates``).
 """
 
 from __future__ import annotations
@@ -199,16 +202,16 @@ def _apply_row(entry: Dict, kind: str, gen: int, count: int) -> None:
                             kind[len(_DVU):]: gen}
 
 
-def write_pass(idx, collect, commit: bool = True):
-    """Run a write collector over every segment of the open ``Index``
-    ``idx`` (``Index.scan``: each reader loads only the parts the
-    collector touches, so an id-keyed pass reads ``doc_id`` and no
-    postings) and fold its :func:`advance` rows into the manifest's
-    segment entries.  Commits one new manifest generation and returns
-    it, or with ``commit=False`` returns the updated segment entries so
-    the caller can fold more changes into the same commit."""
+def write_pass(idx, rows, commit: bool = True):
+    """Fold the :func:`advance` rows of a write collector over the open
+    ``Index`` ``idx`` into the manifest's segment entries: rows from
+    ``collect(idx.readers()).to_pylist()`` for an id-keyed pass, from
+    ``idx.scan(collect).take_all()`` for a query-keyed one.  Commits one
+    new manifest generation and returns it, or with ``commit=False``
+    returns the updated segment entries so the caller can fold more
+    changes into the same commit."""
     segs = [dict(s) for s in idx.manifest["segments"]]
-    for r in idx.scan(collect).take_all():
+    for r in rows:
         _apply_row(segs[int(r["seg_ord"])], r["kind"], int(r["gen"]),
                    int(r["count"]))
     return commit_manifest(idx.index_dir, segs) if commit else segs

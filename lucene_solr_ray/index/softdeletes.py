@@ -127,5 +127,6 @@ def apply_soft_deletes_policy(
             [idx.make_parser(analyzer).parse(retention_query)]
         )
     return sidecars.write_pass(
-        idx, partial(_collect_policy, query=q, stats=stats)
+        idx, idx.scan(partial(_collect_policy, query=q, stats=stats))
+        .take_all()
     )

@@ -624,9 +624,15 @@ class _Eval:
         """``reader.positions(key)``, read once per query: each read
         rebuilds the term's entry offsets, a sum over its posting list.
         The memo lives on this per-query evaluator, never on the
-        long-lived reader, so a warm engine's memory stays bounded."""
+        long-lived reader, so a warm engine's memory stays bounded.
+        Refuses (as ``PhraseWeight``) a term the segment holds without
+        positions: every positional query reads here."""
         if key not in self._pos:
-            self._pos[key] = self.reader.positions(key)
+            pr = self._pos[key] = self.reader.positions(key)
+            if pr is not None and len(pr[0]) and not len(pr[1].flat):
+                raise ValueError(
+                    "field was indexed without position data; cannot run "
+                    f"a positional query on term {key!r}")
         return self._pos[key]
 
     def _expression(self, source: str):

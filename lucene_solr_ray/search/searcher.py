@@ -31,8 +31,11 @@ The Ray-Data shape of ``IndexSearcher.search(Query, n)``
    Write passes are collectors too: the tombstone pass (hard or soft),
    the soft-deletes policy and the doc-values update return per-segment
    sidecar rows that ``index.sidecars.write_pass`` folds into one
-   manifest commit; the atomic-update stored-column read is a plain
-   scan.
+   manifest commit.  A query-keyed pass runs as a scan; an id-keyed one
+   (a delete, update or doc-values write by doc id, and the
+   atomic-update stored-column read) reads only ``doc_id`` and the
+   sidecars, so it runs its collector on the driver over
+   :meth:`Index.readers`, the same pairs opened one at a time.
 4. **Merge** — :func:`_merge_topk`, ``TopDocs.merge``
    (``search/TopDocs.java:72-115,188-250``) as one numpy ``lexsort`` on
    the driver, ties broken by global doc id; the warm engine merges its
@@ -710,12 +713,9 @@ class Index:
         ]
 
         def _scan(batch: pa.Table) -> pa.Table:
-            return collect(
-                (SegmentReader(d, respect_soft_deletes=respect_soft_deletes),
-                 o)
-                for d, o in zip(batch.column("seg_dir").to_pylist(),
-                                batch.column("seg_ord").to_pylist())
-            )
+            return collect(_reader_pairs(
+                batch.column("seg_dir").to_pylist(),
+                batch.column("seg_ord").to_pylist(), respect_soft_deletes))
 
         kwargs = {}
         batch_size = 1
@@ -729,6 +729,12 @@ class Index:
         ).map_batches(
             _scan, batch_format="pyarrow", batch_size=batch_size, **kwargs
         )
+
+    def readers(self):
+        """The ``(SegmentReader, seg_ord)`` pairs of every segment, opened
+        one at a time on the driver: the in-process twin of :meth:`scan`
+        for a collector whose work is smaller than a job's dispatch."""
+        return _reader_pairs(self.seg_dirs, range(len(self.seg_dirs)))
 
     def search_parsed(
         self,
@@ -746,6 +752,13 @@ class Index:
         ).iter_batches(batch_size=None, batch_format="numpy")
         return _merge_topk([tuple(b[c] for c in TOPK_COLUMNS) for b in parts],
                            parsed, sim.out_dtype)
+
+
+def _reader_pairs(seg_dirs, seg_ords, respect_soft_deletes=False):
+    """``(SegmentReader, seg_ord)`` pairs, each reader opened as the
+    collector reaches it."""
+    for d, o in zip(seg_dirs, seg_ords):
+        yield SegmentReader(d, respect_soft_deletes=respect_soft_deletes), o
 
 
 def _batch_items(queries) -> List[Tuple[int, str]]:

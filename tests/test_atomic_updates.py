@@ -229,3 +229,32 @@ def test_max_errors(small_index):
 def test_stored_columns_discovery(small_index):
     out, _ = small_index
     assert stored_columns(out) == ["price"]
+
+
+def test_update_of_no_live_id_reports_not_found_and_writes_nothing(
+        small_index):
+    """Doc 2 is in the corpus but deleted from the index, doc 9 is in
+    neither: each update, in place or re-index, reports "doc not found"
+    and no file or manifest is written."""
+    import os
+
+    from lucene_solr_ray.index.deletes import delete_doc_ids
+
+    out, corpus = small_index
+    delete_doc_ids(out, [2])
+
+    def listing():
+        return sorted(os.path.relpath(os.path.join(r, f), out)
+                      for r, _, fs in os.walk(out) for f in fs)
+
+    before, gen = listing(), Index(out).manifest["generation"]
+    manifest, errors = atomic_update_documents(out, corpus, [
+        {"doc_id": 2, "price": {"inc": 1}},
+        {"doc_id": 9, "price": {"inc": 1}},
+        {"doc_id": 2, "text": {"add": "fresh"}},
+        {"doc_id": 9, "text": {"set": "fresh"}},
+    ], tolerant=True)
+    assert [e["doc_id"] for e in errors] == [2, 9, 2, 9]
+    assert all("doc not found" in e["error"] for e in errors)
+    assert manifest["generation"] == gen
+    assert listing() == before

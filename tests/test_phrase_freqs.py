@@ -6,7 +6,10 @@ every term's positions shifted by its phrase offset, and count.
 
 Covered: repeated terms (``"a a"``), stop-word position gaps in docs and
 phrases, field-scoped phrases on a multi-field segment, a tombstoned
-segment, and the one-doc ``MemoryIndex`` reader.
+segment, and the one-doc ``MemoryIndex`` reader.  An index built
+without positions refuses every positional query with a ValueError, as
+Lucene's ``PhraseWeight`` does, instead of failing inside the kernel or
+answering no hits.
 
 Sloppy phrases with repeated terms: the windowed enumeration must give
 the same float frequencies as the full product of the terms' positions
@@ -19,6 +22,9 @@ import signal
 import tempfile
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +36,13 @@ from lucene_solr_ray.index.segment import (
     build_segment_tables_multi,
 )
 from lucene_solr_ray.search.memory import MemoryIndex
-from lucene_solr_ray.search.query import PhraseQuery
+from lucene_solr_ray.search.intervals import Intervals
+from lucene_solr_ray.search.query import (
+    IntervalQuery,
+    PhraseQuery,
+    SpanNearQuery,
+    TermQuery,
+)
 from lucene_solr_ray.search.reader import SegmentReader
 from lucene_solr_ray.search.scorer import GlobalStats, _Eval, score_segment
 from lucene_solr_ray.search.similarity import BM25Similarity
@@ -234,3 +246,53 @@ def test_repeated_term_sloppy_freq_is_bounded():
         signal.signal(signal.SIGALRM, old)
     assert ords.tolist() == [0]
     assert f.tolist() == [f40[0] + (2000 - 40) * (f41[0] - f40[0])]
+
+
+NO_POSITIONS = "indexed without position data"
+POSITIONAL = {
+    "exact": PhraseQuery(("a", "b"), (0, 1)),
+    "sloppy": PhraseQuery(("a", "b"), (0, 1), slop=2),
+    "span": SpanNearQuery(("a", "b"), slop=1, in_order=True),
+    "interval": IntervalQuery(Intervals.ordered("a", "b")),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(POSITIONAL))
+def test_positionless_segment_refuses_positional_queries(tmp_path, shape):
+    """A segment written without positions raises for a positional query
+    whose terms it holds; a term query still scores."""
+    seg_dir = _write(str(tmp_path), build_segment_tables(
+        [0, 1, 2], ["a b c", "b a", "c c"], ANALYZER, with_positions=False))
+    reader = SegmentReader(seg_dir)
+    q = POSITIONAL[shape]
+    with pytest.raises(ValueError, match=NO_POSITIONS):
+        score_segment(reader, q, _stats(reader, q))
+    term = TermQuery("a")
+    assert score_segment(reader, term, _stats(reader, term))[0].tolist() \
+        == [0, 1]
+
+
+@pytest.mark.parametrize("query", ['"merge sort"', '"merge sort"~2'])
+def test_positionless_index_phrase_search_raises(ray_session, tmp_path,
+                                                 query):
+    """Over a two-segment index built without positions, an exact and a
+    sloppy phrase search both fail with the message, not an IndexError
+    or an empty answer."""
+    from lucene_solr_ray.index.build import build_index
+    from lucene_solr_ray.search.searcher import Index
+
+    words = ["merge", "sort", "window", "batch", "key"]
+    corpus = str(tmp_path / "corpus.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(40), pa.int64()),
+        "text": [" ".join(words[(i + j) % 5] for j in range(8))
+                 for i in range(40)],
+    }), corpus, row_group_size=20)
+    out = str(tmp_path / "idx")
+    build_index(corpus, out, text_col="text", id_col="doc_id",
+                with_positions=False, docs_per_segment=20)
+    idx = Index(out)
+    assert len(idx.seg_dirs) == 2
+    with pytest.raises(Exception, match=NO_POSITIONS):
+        idx.search({0: query}, k=5)
+    assert idx.search({0: "merge"}, k=5).num_rows == 5
